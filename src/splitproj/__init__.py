@@ -14,6 +14,7 @@ from .driver import (
     STOP_DISTANCE,
     STOP_RESIDUAL,
     asymptotic_contraction,
+    batch_iteration_counts,
     governing_limit,
     iterate,
     iteration_counts,

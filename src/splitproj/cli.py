@@ -38,8 +38,8 @@ import numpy as np
 
 from .driver import (
     IterationConfig,
+    batch_iteration_counts,
     iterate,
-    iteration_counts,
     rate_bounds,
     shadow_limit,
 )
@@ -204,18 +204,24 @@ def exp1(n_instances: int = 1000, lambda_grid=None, d: int = 6, dims=(5, 5, 5),
 # ---------------------------------------------------------------------------
 
 def _exp2_worker(args):
+    """All (point, lambda) runs of one subspace set, one kernel call per algorithm.
+
+    Column ``j * len(grid) + l`` of the kernel is point j at relaxation
+    ``grid[l]``, so each (algorithm, lambda) list stays in point order.
+    """
     seed, set_index, d, dims, grid, algorithms, n_points, tol, max_iters = args
     subs = _instance_subspaces(seed, set_index, d, dims)
-    out = {(algorithm, lam): [] for algorithm in algorithms for lam in grid}
-    problems = {algorithm: _build_problem(algorithm, subs) for algorithm in algorithms}
-    for j in range(n_points):
-        x0 = _start_point(seed, j, d)
-        for algorithm in algorithms:
-            problem = problems[algorithm]
-            start = _lift_start(x0, problem.n)
-            for lam in grid:
-                config = IterationConfig(lam, tol=tol, max_iters=max_iters)
-                out[(algorithm, lam)].append(iteration_counts(problem, config, start))
+    points = [_start_point(seed, j, d) for j in range(n_points)]
+    out = {}
+    for algorithm in algorithms:
+        problem = _build_problem(algorithm, subs)
+        starts = np.repeat(np.column_stack([_lift_start(x0, problem.n) for x0 in points]),
+                           len(grid), axis=1)
+        lams = np.tile(grid, n_points)
+        gov, sh = batch_iteration_counts(problem, starts, lams, tol, max_iters)
+        pairs = list(zip(gov.tolist(), sh.tolist()))
+        for i, lam in enumerate(grid):
+            out[(algorithm, lam)] = pairs[i::len(grid)]
     return set_index, out
 
 
@@ -224,8 +230,14 @@ def exp2_counts(n_sets: int = 100, n_points: int = 100, lambda_grid=None,
                 dims=(5, 5, 5), seed: int = 0, algorithms=_ALGORITHMS, jobs: int = 1):
     """Per-run (governing, shadow) iteration counts keyed by (algorithm, lambda).
 
-    Runs that never reach ``tol`` contribute ``max_iters``.  Counts are
-    ordered by (set index, point index); one entry per run.
+    A run is one (set, point, algorithm, lambda).  For each subspace set
+    and algorithm, all ``n_points * len(grid)`` runs are the columns of one
+    call of the column kernel `batch_iteration_counts`: the problem and its
+    limits are built once, the columns are stepped together, and a column
+    leaves the working set as soon as both its governing and its shadow
+    count are known.  Runs that never reach ``tol`` contribute
+    ``max_iters``.  Counts are ordered by (set index, point index); one
+    entry per run.
     """
     dims = _checked_dims(d, dims)
     grid = _checked_grid(lambda_grid)
@@ -250,7 +262,10 @@ def exp2(n_sets: int = 100, n_points: int = 100, lambda_grid=None,
 
     Emits ``median_governing_iterations`` (distance to the fixed-point
     projection of the start) and ``median_shadow_iterations`` (distance of
-    the stacked forward blocks to their limit).
+    the stacked forward blocks to their limit): the lower medians over all
+    (set, point) runs of the counts from `exp2_counts`, which steps every
+    run of a set and algorithm together as a column and drops a column once
+    both its counts are known.
     """
     counts = exp2_counts(n_sets, n_points, lambda_grid, tol, max_iters, d,
                          dims, seed, algorithms, jobs)
@@ -270,21 +285,21 @@ def exp2(n_sets: int = 100, n_points: int = 100, lambda_grid=None,
 # ---------------------------------------------------------------------------
 
 def _exp3_worker(args):
+    """Shadow distances of all start points of one set, stepped as columns."""
     seed, set_index, d, dims, lam, algorithms, n_points, n_iters = args
     subs = _instance_subspaces(seed, set_index, d, dims)
+    points = [_start_point(seed, j, d) for j in range(n_points)]
     out = {}
     for algorithm in algorithms:
         problem = _build_problem(algorithm, subs)
+        z = np.column_stack([_lift_start(x0, problem.n) for x0 in points])
+        limit = shadow_limit(problem, z)
+        blocks = forward_blocks(problem, z)
         dists = np.empty((n_points, n_iters))
-        for j in range(n_points):
-            x0 = _start_point(seed, j, d)
-            z = _lift_start(x0, problem.n)
-            limit = shadow_limit(problem, z)
+        for k in range(n_iters):
+            z = z + lam * displacement(problem, blocks)
             blocks = forward_blocks(problem, z)
-            for k in range(n_iters):
-                z = z + lam * displacement(problem, blocks)
-                blocks = forward_blocks(problem, z)
-                dists[j, k] = np.linalg.norm(np.concatenate(blocks) - limit)
+            dists[:, k] = np.linalg.norm(np.concatenate(blocks) - limit, axis=0)
         out[algorithm] = dists
     return set_index, out
 
@@ -471,6 +486,17 @@ def _parse_grid(text: str):
     return values
 
 
+def _count(text: str) -> int:
+    """A count argument: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_dims(text: str):
     try:
         return tuple(int(p) for p in text.split(","))
@@ -492,11 +518,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="a,b,c", help="subspace dimensions per instance")
         p.add_argument("--seed", type=int, default=0, help="master seed (nonnegative)")
         p.add_argument("--algorithm", choices=("ryu", "mt", "both"), default="both")
-        p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+        p.add_argument("--jobs", type=_count, default=1, help="parallel worker processes")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         if with_instances:
-            p.add_argument("--n", type=int, help="number of random instances / subspace sets")
+            p.add_argument("--n", type=_count,
+                           help="number of random instances / subspace sets")
 
     p1 = sub.add_parser("exp1", help="mean rate bounds over a lambda grid")
     add_common(p1)
@@ -510,15 +537,15 @@ def _build_parser() -> argparse.ArgumentParser:
     group2 = p2.add_mutually_exclusive_group()
     group2.add_argument("--lambda", dest="lam", type=float)
     group2.add_argument("--lambda-grid", dest="grid", type=_parse_grid, metavar="start:step:end")
-    p2.add_argument("--n-points", type=int, default=100, help="start points per subspace set")
+    p2.add_argument("--n-points", type=_count, default=100, help="start points per subspace set")
     p2.add_argument("--tol", type=float, default=1e-6)
     p2.add_argument("--max-iters", type=int, default=10_000)
 
     p3 = sub.add_parser("exp3", help="median shadow distance per iteration")
     add_common(p3)
     p3.add_argument("--lambda", dest="lam", type=float, default=0.99)
-    p3.add_argument("--n-points", type=int, default=100)
-    p3.add_argument("--iters", type=int, default=150, help="iterations per run")
+    p3.add_argument("--n-points", type=_count, default=100)
+    p3.add_argument("--iters", type=_count, default=150, help="iterations per run")
 
     pr = sub.add_parser("run", help="solve a single problem file")
     pr.add_argument("--problem", required=True, help="problem JSON file")

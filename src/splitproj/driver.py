@@ -19,6 +19,7 @@ import numpy as np
 from .linalg import operator_norm, spectral_radius
 from .splitting import (
     RyuProblem,
+    _governing,
     affine_lift,
     displacement,
     fix_decomposition,
@@ -79,8 +80,12 @@ class RateBounds:
 
 
 def governing_limit(problem, start) -> np.ndarray:
-    """Limit of the governing iteration: the fixed-point projection of start."""
-    start = np.asarray(start, dtype=float).reshape(-1)
+    """Limit of the governing iteration: the fixed-point projection of start.
+
+    ``start`` is a governing vector or a ``(governing_dim, k)`` matrix of
+    start columns; the fixed-point projector is built once either way.
+    """
+    start = _governing(problem, start)
     fix = fix_decomposition(problem.parallel())
     if problem.is_affine:
         _, fix = affine_lift(operator_matrix(problem), fix)
@@ -92,16 +97,20 @@ def shadow_limit(problem, start) -> np.ndarray:
 
     The projected point is the first start block for the three-subspace
     two-variable operator and the block average for the general-n one; for
-    affine problems the projection is onto the affine intersection.
+    affine problems the projection is onto the affine intersection.  A
+    ``(governing_dim, k)`` matrix of starts gives a ``(n d, k)`` matrix of
+    limits.
     """
-    start = np.asarray(start, dtype=float).reshape(-1)
+    start = _governing(problem, start)
     d, n = problem.d, problem.n
-    blocks = start.reshape(n - 1, d)
+    blocks = start.reshape((n - 1, d) + start.shape[1:])
     p_point = blocks[0] if isinstance(problem, RyuProblem) else blocks.mean(axis=0)
     pz = problem.intersection().projector
     anchor = problem.intersection_point
+    if start.ndim == 2:
+        anchor = anchor[:, None]
     solution = anchor + pz @ (p_point - anchor)
-    return np.tile(solution, n)
+    return np.tile(solution, (n,) + (1,) * (start.ndim - 1))
 
 
 def shadow(problem, z) -> np.ndarray:
@@ -164,30 +173,101 @@ def iterate(problem, config: IterationConfig, start, record_history: bool = True
 def iteration_counts(problem, config: IterationConfig, start) -> tuple:
     """First iterations at which governing and shadow reach ``tol``.
 
-    Returns ``(governing_count, shadow_count)``; a sequence that never
-    reaches ``tol`` within ``max_iters`` is reported as ``max_iters``
-    (such runs count toward experiment medians rather than being dropped).
+    Returns ``(governing_count, shadow_count)``: the first k at which the
+    governing iterate z_k is within ``tol`` of its limit, and the first k
+    at which the forward-pass blocks at z_k are within ``tol`` of theirs
+    (0 when the start already is).  A sequence that never reaches ``tol``
+    within ``max_iters`` is reported as ``max_iters`` (such runs count
+    toward experiment medians rather than being dropped).  This is the
+    one-column call of `batch_iteration_counts`; the stopping rule of
+    ``config`` is not used.
     """
-    z = np.asarray(start, dtype=float).reshape(-1).copy()
-    gov_lim = governing_limit(problem, z)
-    sh_lim = shadow_limit(problem, z)
-    gov = 0 if np.linalg.norm(z - gov_lim) <= config.tol else None
-    sh = None
-    k = 0
-    while (gov is None or sh is None) and k < config.max_iters:
-        blocks = forward_blocks(problem, z)
-        if sh is None and np.linalg.norm(np.concatenate(blocks) - sh_lim) <= config.tol:
-            sh = k
-        if gov is not None and sh is not None:
+    gov, sh = batch_iteration_counts(problem, np.reshape(start, (-1, 1)), [config.lam],
+                                     config.tol, config.max_iters)
+    return int(gov[0]), int(sh[0])
+
+
+def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
+                           max_iters: int = 10_000) -> tuple:
+    """`iteration_counts` for many runs of one problem, stepped together.
+
+    Column j of the ``(governing_dim, k)`` matrix ``starts`` is run with
+    relaxation ``lams[j]``; returns two integer arrays of length k, the
+    governing and the shadow counts of each column.  The fixed-point
+    projector and the intersection are built once, and every column's
+    governing and shadow limit comes from one matrix product each.
+
+    All columns advance together through the operator written as one
+    matrix: ``W = [F; Id; T - Id] Z`` (plus the affine offsets) gives every
+    column's shadow ``F z``, the iterate itself and its displacement, so
+    that one product and one subtraction of the stacked limits give both
+    distances, and ``Z <- Z + lam * (T - Id) Z``.  A column leaves the
+    working set as soon as both its counts are known, so a slow relaxation
+    does not keep the fast ones stepping.  Every column is checked at
+    k = 0, 1, ..., ``max_iters``; a count still unknown after ``max_iters``
+    steps is reported as ``max_iters``.
+    """
+    z = np.array(_governing(problem, starts), dtype=float)
+    if z.ndim != 2:
+        raise ValueError("starts must be a (governing_dim, k) matrix")
+    k = z.shape[1]
+    lam = np.asarray(lams, dtype=float).reshape(-1)
+    if lam.shape[0] != k:
+        raise ValueError(f"need one relaxation per column, got {lam.shape[0]} for {k}")
+    for value in set(lam.tolist()):  # the checks of a single run's config
+        IterationConfig(value, tol=tol, max_iters=max_iters)
+    # rows [0, nd) of W are the shadow and rows [nd, nd + m) the iterate, so
+    # the two distances are the norms of these row ranges of W - limits;
+    # row 0 of counts and open_ is the shadow, row 1 the governing sequence
+    limits = np.vstack([shadow_limit(problem, z), governing_limit(problem, z)])
+    matrix, offset = _step_matrix(problem)
+    affine = problem.is_affine
+    m = problem.governing_dim
+    nd = limits.shape[0] - m
+
+    counts = np.full((2, k), max_iters, dtype=np.int64)
+    open_ = np.ones((2, k), dtype=bool)
+    cols = np.arange(k)
+    for it in range(max_iters + 1):
+        w = matrix @ z
+        if affine:
+            w += offset
+        gap = w[:nd + m] - limits
+        hit = open_ & (np.sqrt(np.add.reduceat(gap * gap, [0, nd], axis=0)) <= tol)
+        if hit.any():
+            rows, j = np.nonzero(hit)
+            counts[rows, cols[j]] = it
+            open_ &= ~hit
+            live = open_.any(axis=0)
+            if not live.all():
+                if not live.any():
+                    break
+                cols, z, w, lam, limits, open_ = (
+                    a[..., live] for a in (cols, z, w, lam, limits, open_))
+        if it == max_iters:
             break
-        z = z + config.lam * displacement(problem, blocks)
-        k += 1
-        if gov is None and np.linalg.norm(z - gov_lim) <= config.tol:
-            gov = k
-    if sh is None and np.linalg.norm(shadow(problem, z) - sh_lim) <= config.tol:
-        sh = k
-    return (gov if gov is not None else config.max_iters,
-            sh if sh is not None else config.max_iters)
+        z = z + lam * w[nd + m:]
+    return counts[1], counts[0]
+
+
+def _step_matrix(problem) -> tuple:
+    """``[F; Id; T - Id]`` stacked, and its offset column.
+
+    F is the forward-pass matrix (shadow = F z + f) and T - Id the
+    displacement matrix, both built by running the forward pass of the
+    parallel linear problem on the identity; the offsets are the affine
+    problem's forward pass and displacement at the origin.  The identity
+    rows copy z exactly, since every other term of their sums is zero.
+    """
+    m = problem.governing_dim
+    eye = np.eye(m)
+    linear = problem.parallel()
+    blocks = forward_blocks(linear, eye)
+    matrix = np.vstack([np.concatenate(blocks), eye, displacement(linear, blocks)])
+    at_origin = forward_blocks(problem, np.zeros((m, 1)))
+    offset = np.vstack([np.concatenate(at_origin), np.zeros((m, 1)),
+                        displacement(problem, at_origin)])
+    return matrix, offset
 
 
 def rate_bounds(problem, lam: float) -> RateBounds:

@@ -49,19 +49,27 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
 def svd(a) -> SvdResult:
     """Thin SVD of a dense real matrix.
 
+    LAPACK's divide-and-conquer driver occasionally fails to converge on
+    rank-deficient input; the SVD of the transpose, whose factors are the
+    swapped and transposed ones, is then computed instead.
+
     Raises
     ------
     NumericalFailure
         If the LAPACK SVD iteration does not converge within its
-        internal iteration budget.
+        internal iteration budget, for the matrix nor for its transpose.
     """
     a = _as_matrix(a)
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(
-            f"SVD did not converge for {a.shape[0]}x{a.shape[1]} matrix"
-        ) from exc
+    except np.linalg.LinAlgError:
+        try:
+            v, s, ut = np.linalg.svd(a.T, full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(
+                f"SVD did not converge for {a.shape[0]}x{a.shape[1]} matrix"
+            ) from exc
+        u, vt = ut.T, v.T
     return SvdResult(u=u, singular_values=s, vt=vt)
 
 

@@ -14,7 +14,10 @@ intersection are handled by the same formulas with translated resolvents and
 reduce internally to the parallel linear problem plus a shift.
 
 Block vector layout: governing vectors are contiguous blocks of size d in
-index order (z_1, ..., z_{n-1}); forward passes return n blocks.
+index order (z_1, ..., z_{n-1}); forward passes return n blocks.  The
+forward pass, the displacement and the operator step also take a
+``(governing_dim, k)`` matrix whose columns are k governing vectors; every
+block is then a ``(d, k)`` matrix.
 """
 
 from __future__ import annotations
@@ -97,7 +100,9 @@ class FixDecomposition:
             raise ValueError("z_block and e_projector are not orthogonal")
 
     def __call__(self, x) -> np.ndarray:
-        return self.fix_projector @ np.asarray(x, dtype=float) + self.shift
+        """P_FixT(x) for a vector x, or for each column of a matrix x."""
+        x = np.asarray(x, dtype=float)
+        return self.fix_projector @ x + (self.shift if x.ndim == 1 else self.shift[:, None])
 
 
 class _SplittingProblem:
@@ -157,8 +162,12 @@ class _SplittingProblem:
         return intersect_all(self._subspaces)
 
     def resolvent(self, i: int, x: np.ndarray) -> np.ndarray:
-        """Projection onto the i-th subspace (affine translate if anchored)."""
-        return self._subspaces[i].projector @ x + self._resolvent_offsets[i]
+        """Projection onto the i-th subspace (affine translate if anchored).
+
+        ``x`` is a vector of R^d or a ``(d, k)`` matrix of columns.
+        """
+        offset = self._resolvent_offsets[i]
+        return self._subspaces[i].projector @ x + (offset if x.ndim == 1 else offset[:, None])
 
 
 class RyuProblem(_SplittingProblem):
@@ -223,7 +232,10 @@ def _common_point(subspaces, anchors) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def ryu_forward(p: RyuProblem, x, y):
-    """The three resolvent evaluations of the Ryu forward pass."""
+    """The three resolvent evaluations of the Ryu forward pass.
+
+    ``x`` and ``y`` are blocks of R^d, or ``(d, k)`` matrices of k columns.
+    """
     x = _block(p, x)
     y = _block(p, y)
     x1 = p.resolvent(0, x)
@@ -252,7 +264,11 @@ def mt_step(p: MTProblem, z) -> np.ndarray:
 
 
 def forward_blocks(problem, z) -> list:
-    """Forward-pass blocks [x_1, ..., x_n] at a governing point z."""
+    """Forward-pass blocks [x_1, ..., x_n] at a governing point z.
+
+    ``z`` may also be a ``(governing_dim, k)`` matrix of columns; each
+    block is then the ``(d, k)`` matrix of that block over all columns.
+    """
     z = _governing(problem, z)
     d = problem.d
     if isinstance(problem, RyuProblem):
@@ -267,7 +283,7 @@ def forward_blocks(problem, z) -> list:
 
 
 def displacement(problem, blocks) -> np.ndarray:
-    """T z - z expressed through the forward blocks at z."""
+    """T z - z expressed through the forward blocks at z (vector or columns)."""
     if isinstance(problem, RyuProblem):
         x1, x2, x3 = blocks
         return np.concatenate([x3 - x1, x3 - x2])
@@ -275,7 +291,8 @@ def displacement(problem, blocks) -> np.ndarray:
 
 
 def step(problem, z) -> np.ndarray:
-    """One application of the problem's splitting operator on a stacked z."""
+    """One application of the problem's splitting operator on a stacked z
+    (or on each column of a ``(governing_dim, k)`` matrix)."""
     z = _governing(problem, z)
     return z + displacement(problem, forward_blocks(problem, z))
 
@@ -429,16 +446,18 @@ def affine_lift(amap: AffineMap, fix: FixDecomposition, tol: float = _AFFINE_TOL
 
 
 def _block(p, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != p.d:
-        raise ValueError(f"block has dimension {x.shape[0]}, expected {p.d}")
-    return x
+    return _vector_or_columns(x, p.d, "block")
 
 
 def _governing(p, z) -> np.ndarray:
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if z.shape[0] != p.governing_dim:
-        raise ValueError(
-            f"governing vector has dimension {z.shape[0]}, expected {p.governing_dim}"
-        )
-    return z
+    return _vector_or_columns(z, p.governing_dim, "governing vector")
+
+
+def _vector_or_columns(x, dim: int, name: str) -> np.ndarray:
+    """A vector of R^dim, or a ``(dim, k)`` matrix of k such columns."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        x = x.reshape(-1)
+    if x.shape[0] != dim:
+        raise ValueError(f"{name} has dimension {x.shape[0]}, expected {dim}")
+    return x

@@ -9,7 +9,17 @@ projector directly from one SVD.
 
 import numpy as np
 
-from splitproj import MTProblem, RyuProblem, Subspace, random_subspace
+from splitproj import (
+    MTProblem,
+    RyuProblem,
+    Subspace,
+    forward_blocks,
+    governing_limit,
+    random_subspace,
+    shadow,
+    shadow_limit,
+)
+from splitproj.splitting import displacement
 
 
 def nullspace_intersection(projectors) -> np.ndarray:
@@ -47,3 +57,32 @@ def whole_space(d) -> Subspace:
 
 def frobenius(a) -> float:
     return float(np.linalg.norm(a))
+
+
+def scalar_iteration_counts(problem, config, start) -> tuple:
+    """Oracle for the column kernel: one run, one vector, one step at a time.
+
+    Returns the first k at which the governing iterate and the shadow are
+    within ``config.tol`` of their limits, ``config.max_iters`` for a
+    sequence that does not get there.
+    """
+    z = np.asarray(start, dtype=float).reshape(-1).copy()
+    gov_lim = governing_limit(problem, z)
+    sh_lim = shadow_limit(problem, z)
+    gov = 0 if np.linalg.norm(z - gov_lim) <= config.tol else None
+    sh = None
+    k = 0
+    while (gov is None or sh is None) and k < config.max_iters:
+        blocks = forward_blocks(problem, z)
+        if sh is None and np.linalg.norm(np.concatenate(blocks) - sh_lim) <= config.tol:
+            sh = k
+        if gov is not None and sh is not None:
+            break
+        z = z + config.lam * displacement(problem, blocks)
+        k += 1
+        if gov is None and np.linalg.norm(z - gov_lim) <= config.tol:
+            gov = k
+    if sh is None and np.linalg.norm(shadow(problem, z) - sh_lim) <= config.tol:
+        sh = k
+    return (gov if gov is not None else config.max_iters,
+            sh if sh is not None else config.max_iters)

@@ -1,13 +1,19 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
 from helpers import nullspace_intersection, random_instance
-from splitproj import to_dict
+from splitproj import forward_blocks, shadow_limit, to_dict
 from splitproj.cli import (
     CSV_HEADER,
     ExperimentRecord,
+    _build_problem,
+    _exp3_worker,
+    _instance_subspaces,
+    _lift_start,
+    _start_point,
     default_lambda_grid,
     exp1,
     exp2,
@@ -20,6 +26,7 @@ from splitproj.cli import (
     records_to_json,
     run_single,
 )
+from splitproj.splitting import displacement
 
 SMALL_GRID = [0.3, 0.5, 0.7, 0.9]
 
@@ -108,6 +115,26 @@ def test_exp3_trace_shape_and_qualitative_behavior():
         r2 = 1.0 - np.sum((logs - pred) ** 2) / np.sum((logs - logs.mean()) ** 2)
         assert slope < 0 and r2 > 0.9
     assert by["ryu"][150] <= by["mt"][150]
+
+
+def test_exp3_columns_match_one_start_at_a_time():
+    # the loop over one start vector at a time that the column pass
+    # replaced; only the rounding of the matrix products differs
+    seed, d, dims, lam, n_points, n_iters = 5, 6, (5, 5, 5), 0.99, 4, 120
+    _, out = _exp3_worker((seed, 0, d, dims, lam, ("ryu", "mt"), n_points, n_iters))
+    subs = _instance_subspaces(seed, 0, d, dims)
+    for algorithm in ("ryu", "mt"):
+        problem = _build_problem(algorithm, subs)
+        want = np.empty((n_points, n_iters))
+        for j in range(n_points):
+            z = _lift_start(_start_point(seed, j, d), problem.n)
+            limit = shadow_limit(problem, z)
+            blocks = forward_blocks(problem, z)
+            for k in range(n_iters):
+                z = z + lam * displacement(problem, blocks)
+                blocks = forward_blocks(problem, z)
+                want[j, k] = np.linalg.norm(np.concatenate(blocks) - limit)
+        np.testing.assert_allclose(out[algorithm], want, rtol=1e-9, atol=1e-13)
 
 
 def test_infeasible_dims_rejected():
@@ -265,3 +292,58 @@ def test_load_problem_validates_shapes(tmp_path):
     path = write_problem(tmp_path / "p.json", start=[[1.0, 2.0]])
     with pytest.raises(Exception, match="blocks"):
         load_problem(path)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["exp1", "--n", "0"], "--n"),
+    (["exp2", "--n-points", "0"], "--n-points"),
+    (["exp3", "--n-points", "0"], "--n-points"),
+    (["exp3", "--iters", "0"], "--iters"),
+    (["exp2", "--jobs", "-3"], "--jobs"),
+])
+def test_counts_below_one_are_usage_errors(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be at least 1" in err
+
+
+def test_exp2_csv_matches_golden_file():
+    # written by the step-by-step loop that the column kernel replaced
+    golden = pathlib.Path(__file__).parent / "golden" / "exp2_seed7.csv"
+    records = exp2(n_sets=2, n_points=3, lambda_grid=[0.05, 0.5, 0.95], seed=7)
+    assert records_to_csv(records) == golden.read_text()
+
+
+def test_run_d60_problem_where_lapack_svd_does_not_converge(tmp_path):
+    # d=60 Ryu problem of the benchmark's affine_solve generator (seed
+    # derivation as there): LAPACK's gesdd does not converge on the stacked
+    # 180x60 complements of its subspaces, which used to end in exit 3
+    seed = int(np.random.SeedSequence([2, 4, 106]).generate_state(1)[0] >> 1)
+    rng = np.random.default_rng(seed)
+    d, k = 60, 45
+    point = rng.standard_normal(d)
+    bases = [rng.standard_normal((d, k)) for _ in range(3)]
+    anchors = [point + b @ rng.standard_normal(k) for b in bases]
+    x0 = rng.standard_normal(d)
+    data = {
+        "algorithm": "ryu",
+        "d": d,
+        "subspaces": [{"d": d, "basis": b.T.tolist()} for b in bases],
+        "anchors": [a.tolist() for a in anchors],
+        "lambda": 0.5,
+        "start": [x0.tolist()] * 2,
+    }
+    path = tmp_path / "d60.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "rows.csv"
+    assert main(["run", "--problem", str(path), "--out", str(out)]) == 0
+    rows = {line.split(",")[4]: float(line.split(",")[6])
+            for line in out.read_text().strip().split("\n")[1:]}
+    assert rows["converged"] == 1.0
+    solution = np.array([rows[f"solution_{i}"] for i in range(d)])
+    # oracle projectors from QR bases, not from the program's subspaces
+    projectors = [q @ q.T for q in (np.linalg.qr(b)[0] for b in bases)]
+    want = point + nullspace_intersection(projectors) @ (x0 - point)
+    assert np.linalg.norm(solution - want) <= 1e-5 * (1.0 + np.linalg.norm(want))

@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 
-from helpers import random_instance, random_mt, random_ryu, whole_space
+from helpers import (
+    random_instance,
+    random_mt,
+    random_ryu,
+    scalar_iteration_counts,
+    whole_space,
+)
 from splitproj import (
     IterationConfig,
+    MTProblem,
     RyuProblem,
     STOP_RESIDUAL,
     asymptotic_contraction,
+    batch_iteration_counts,
     fix_decomposition,
     governing_limit,
     iterate,
@@ -218,3 +226,70 @@ def test_affine_governing_limit():
     pz = p.intersection().projector
     want = np.tile(v + pz @ (start[:6] - v), 3)
     assert np.linalg.norm(shadow_limit(p, start) - want) <= 1e-8
+
+
+def _kernel_problems(rng):
+    """Ryu and MT (n = 3..5), each linear and with consistent anchors."""
+    problems = []
+    for algorithm, n in (("ryu", 3), ("mt", 3), ("mt", 4), ("mt", 5)):
+        subs = random_instance(rng, dims=(5,) * n)
+        v = rng.standard_normal(6)
+        anchors = [v + s.projector @ rng.standard_normal(6) for s in subs]
+        for a in (None, anchors):
+            problems.append(RyuProblem(*subs, affine_anchors=a) if algorithm == "ryu"
+                            else MTProblem(subs, affine_anchors=a))
+    return problems
+
+
+@pytest.mark.parametrize("max_iters", [2_000, 40])
+def test_batch_counts_equal_scalar_oracle(max_iters):
+    rng = np.random.default_rng(16)
+    lams = (0.01, 0.5, 0.99)
+    capped = 0
+    for problem in _kernel_problems(rng):
+        m = problem.governing_dim
+        starts = [rng.standard_normal(m) for _ in range(3)]
+        starts.append(governing_limit(problem, rng.standard_normal(m)))  # already converged
+        columns = np.column_stack([z for z in starts for _ in lams])
+        gov, sh = batch_iteration_counts(problem, columns, lams * len(starts),
+                                         tol=1e-6, max_iters=max_iters)
+        for j, (z, lam) in enumerate((z, lam) for z in starts for lam in lams):
+            want = scalar_iteration_counts(problem, IterationConfig(lam, 1e-6, max_iters), z)
+            assert (gov[j], sh[j]) == want, (type(problem).__name__, problem.n,
+                                             problem.is_affine, lam)
+            capped += max_iters in want
+        assert gov[-len(lams):].tolist() == [0] * len(lams)
+    if max_iters == 40:
+        assert capped > 0
+
+
+def test_batch_counts_zero_iterations_budget():
+    rng = np.random.default_rng(18)
+    p = random_ryu(rng)
+    start = rng.standard_normal(12)
+    config = IterationConfig(0.5, tol=1e-6, max_iters=0)
+    gov, sh = batch_iteration_counts(p, start[:, None], [0.5], max_iters=0)
+    assert (gov[0], sh[0]) == scalar_iteration_counts(p, config, start) == (0, 0)
+
+
+def test_batch_counts_validation():
+    rng = np.random.default_rng(19)
+    p = random_ryu(rng)
+    starts = rng.standard_normal((12, 2))
+    with pytest.raises(ValueError, match="one relaxation per column"):
+        batch_iteration_counts(p, starts, [0.5])
+    with pytest.raises(ValueError, match="relaxation"):
+        batch_iteration_counts(p, starts, [0.5, 1.0])
+    with pytest.raises(ValueError, match="dimension"):
+        batch_iteration_counts(p, starts[:6], [0.5, 0.5])
+
+
+def test_limits_of_start_columns_match_single_starts():
+    rng = np.random.default_rng(20)
+    for p in _kernel_problems(rng):
+        starts = rng.standard_normal((p.governing_dim, 3))
+        gov = governing_limit(p, starts)
+        sh = shadow_limit(p, starts)
+        for j in range(3):
+            assert np.allclose(gov[:, j], governing_limit(p, starts[:, j]), atol=1e-12)
+            assert np.allclose(sh[:, j], shadow_limit(p, starts[:, j]), atol=1e-12)

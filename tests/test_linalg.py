@@ -132,3 +132,34 @@ def test_symmetric_radius_equals_norm():
 
 def test_failure_exception_is_exported():
     assert issubclass(NumericalFailure, Exception)
+
+
+def _failing_svd(monkeypatch, fail_shapes):
+    """Make numpy's SVD raise LinAlgError for inputs of the given shapes."""
+    real = np.linalg.svd
+
+    def svd_or_fail(a, *args, **kwargs):
+        if np.shape(a) in fail_shapes:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd_or_fail)
+
+
+def test_svd_falls_back_to_transpose(monkeypatch):
+    rng = np.random.default_rng(12)
+    a = random_with_rank(rng, 9, 5, 3)
+    want = svd(a)
+    _failing_svd(monkeypatch, {(9, 5)})
+    res = svd(a)
+    assert res.u.shape == (9, 5) and res.vt.shape == (5, 5)
+    assert np.allclose(res.singular_values, want.singular_values, atol=1e-12)
+    assert np.max(np.abs(res.u @ np.diag(res.singular_values) @ res.vt - a)) <= 1e-12
+    assert np.allclose(res.u.T @ res.u, np.eye(5), atol=1e-12)
+    assert np.allclose(res.vt @ res.vt.T, np.eye(5), atol=1e-12)
+
+
+def test_svd_fails_when_transpose_fails_too(monkeypatch):
+    _failing_svd(monkeypatch, {(4, 3), (3, 4)})
+    with pytest.raises(NumericalFailure, match="4x3"):
+        svd(np.ones((4, 3)))
