@@ -42,14 +42,8 @@ from .splitting import (
     fix_decomposition,
     forward_blocks,
     mt_fix_projector,
-    mt_forward,
-    mt_matrix,
-    mt_step,
     operator_matrix,
     ryu_fix_projector,
-    ryu_forward,
-    ryu_matrix,
-    ryu_step,
     step,
 )
 from .subspaces import (

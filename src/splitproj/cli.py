@@ -38,6 +38,7 @@ import numpy as np
 
 from .driver import (
     IterationConfig,
+    _step_matrix,
     batch_iteration_counts,
     iterate,
     rate_bounds,
@@ -48,9 +49,7 @@ from .splitting import (
     InconsistentAffineError,
     MTProblem,
     RyuProblem,
-    displacement,
     fix_decomposition,
-    forward_blocks,
     operator_matrix,
 )
 from .subspaces import GenerationError, feasible_dims, from_basis, subspace_from_dict
@@ -207,7 +206,8 @@ def _exp2_worker(args):
     """All (point, lambda) runs of one subspace set, one kernel call per algorithm.
 
     Column ``j * len(grid) + l`` of the kernel is point j at relaxation
-    ``grid[l]``, so each (algorithm, lambda) list stays in point order.
+    ``grid[l]``, so each (algorithm, lambda) array of (governing, shadow)
+    rows stays in point order.
     """
     seed, set_index, d, dims, grid, algorithms, n_points, tol, max_iters = args
     subs = _instance_subspaces(seed, set_index, d, dims)
@@ -218,8 +218,7 @@ def _exp2_worker(args):
         starts = np.repeat(np.column_stack([_lift_start(x0, problem.n) for x0 in points]),
                            len(grid), axis=1)
         lams = np.tile(grid, n_points)
-        gov, sh = batch_iteration_counts(problem, starts, lams, tol, max_iters)
-        pairs = list(zip(gov.tolist(), sh.tolist()))
+        pairs = np.column_stack(batch_iteration_counts(problem, starts, lams, tol, max_iters))
         for i, lam in enumerate(grid):
             out[(algorithm, lam)] = pairs[i::len(grid)]
     return set_index, out
@@ -230,14 +229,16 @@ def exp2_counts(n_sets: int = 100, n_points: int = 100, lambda_grid=None,
                 dims=(5, 5, 5), seed: int = 0, algorithms=_ALGORITHMS, jobs: int = 1):
     """Per-run (governing, shadow) iteration counts keyed by (algorithm, lambda).
 
+    Each value is a ``(runs, 2)`` integer array, one (governing, shadow)
+    row per run.
+
     A run is one (set, point, algorithm, lambda).  For each subspace set
     and algorithm, all ``n_points * len(grid)`` runs are the columns of one
     call of the column kernel `batch_iteration_counts`: the problem and its
     limits are built once, the columns are stepped together, and a column
     leaves the working set as soon as both its governing and its shadow
     count are known.  Runs that never reach ``tol`` contribute
-    ``max_iters``.  Counts are ordered by (set index, point index); one
-    entry per run.
+    ``max_iters``.  Rows are ordered by (set index, point index).
     """
     dims = _checked_dims(d, dims)
     grid = _checked_grid(lambda_grid)
@@ -248,11 +249,9 @@ def exp2_counts(n_sets: int = 100, n_points: int = 100, lambda_grid=None,
         jobs,
     )
     results.sort(key=lambda item: item[0])
-    counts = {(algorithm, lam): [] for algorithm in algorithms for lam in grid}
-    for _, out in results:
-        for key, values in out.items():
-            counts[key].extend(values)
-    return counts
+    # popping frees each set's arrays as soon as they are concatenated
+    return {key: np.concatenate([out.pop(key) for _, out in results])
+            for key in [(algorithm, lam) for algorithm in algorithms for lam in grid]}
 
 
 def exp2(n_sets: int = 100, n_points: int = 100, lambda_grid=None,
@@ -271,8 +270,8 @@ def exp2(n_sets: int = 100, n_points: int = 100, lambda_grid=None,
                          dims, seed, algorithms, jobs)
     records = []
     for (algorithm, lam), values in counts.items():
-        gov = lower_median([g for g, _ in values])
-        sh = lower_median([s for _, s in values])
+        gov = lower_median(values[:, 0].tolist())
+        sh = lower_median(values[:, 1].tolist())
         records.append(ExperimentRecord("exp2", algorithm, lam, seed,
                                         "median_governing_iterations", float(gov)))
         records.append(ExperimentRecord("exp2", algorithm, lam, seed,
@@ -285,7 +284,8 @@ def exp2(n_sets: int = 100, n_points: int = 100, lambda_grid=None,
 # ---------------------------------------------------------------------------
 
 def _exp3_worker(args):
-    """Shadow distances of all start points of one set, stepped as columns."""
+    """Shadow distances of all start points of one set, stepped as columns
+    through the step matrix ``[F; Id; T - Id]`` of the linear problem."""
     seed, set_index, d, dims, lam, algorithms, n_points, n_iters = args
     subs = _instance_subspaces(seed, set_index, d, dims)
     points = [_start_point(seed, j, d) for j in range(n_points)]
@@ -294,12 +294,14 @@ def _exp3_worker(args):
         problem = _build_problem(algorithm, subs)
         z = np.column_stack([_lift_start(x0, problem.n) for x0 in points])
         limit = shadow_limit(problem, z)
-        blocks = forward_blocks(problem, z)
+        matrix, _ = _step_matrix(problem)
+        nd, m = limit.shape[0], problem.governing_dim
+        w = matrix @ z
         dists = np.empty((n_points, n_iters))
         for k in range(n_iters):
-            z = z + lam * displacement(problem, blocks)
-            blocks = forward_blocks(problem, z)
-            dists[:, k] = np.linalg.norm(np.concatenate(blocks) - limit, axis=0)
+            z = z + lam * w[nd + m:]
+            w = matrix @ z
+            dists[:, k] = np.linalg.norm(w[:nd] - limit, axis=0)
         out[algorithm] = dists
     return set_index, out
 
@@ -359,6 +361,8 @@ def load_problem(path: str):
         blocks = [np.asarray(b, dtype=float) for b in data["start"]]
         if len(blocks) != problem.n - 1 or any(b.shape != (d,) for b in blocks):
             raise ValueError(f"start must be {problem.n - 1} blocks of length {d}")
+        if not all(np.isfinite(b).all() for b in blocks):
+            raise ValueError("start must be finite")
         start = np.concatenate(blocks)
     except InconsistentAffineError:
         raise

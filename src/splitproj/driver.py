@@ -20,8 +20,8 @@ from .linalg import operator_norm, spectral_radius
 from .splitting import (
     RyuProblem,
     _governing,
+    _linear_forms,
     affine_lift,
-    displacement,
     fix_decomposition,
     forward_blocks,
     operator_matrix,
@@ -127,46 +127,46 @@ def iterate(problem, config: IterationConfig, start, record_history: bool = True
     ``converged=False`` rather than an exception.  Per-iteration distance
     histories are recorded only when requested (long runs over many
     instances would otherwise hold every trace in memory).
+
+    Each step is one product with the step matrix of `batch_iteration_counts`:
+    ``w = [F; Id; T - Id] z`` (plus the affine offsets) holds the shadow,
+    the iterate and its displacement.
     """
     z = np.asarray(start, dtype=float).reshape(-1).copy()
     if z.shape[0] != problem.governing_dim:
         raise ValueError(f"start has dimension {z.shape[0]}, expected {problem.governing_dim}")
     gov_lim = governing_limit(problem, z)
     sh_lim = shadow_limit(problem, z)
+    matrix, offset = _step_matrix(problem)
+    nd = sh_lim.shape[0]
+    m = z.shape[0]
 
     gov_hist: list = []
     sh_hist: list = []
-    gov_dist = float(np.linalg.norm(z - gov_lim))
-    if record_history:
-        gov_hist.append(gov_dist)
-
-    converged = config.stop_rule == STOP_DISTANCE and gov_dist <= config.tol
     k = 0
-    while not converged and k < config.max_iters:
-        blocks = forward_blocks(problem, z)
-        if record_history:
-            sh_hist.append(float(np.linalg.norm(np.concatenate(blocks) - sh_lim)))
-        move = config.lam * displacement(problem, blocks)
-        z = z + move
-        k += 1
-        gov_dist = float(np.linalg.norm(z - gov_lim))
+    while True:
+        w = matrix @ z + offset
+        gov_dist = float(np.linalg.norm(w[nd:nd + m] - gov_lim))
         if record_history:
             gov_hist.append(gov_dist)
+            sh_hist.append(float(np.linalg.norm(w[:nd] - sh_lim)))
         if config.stop_rule == STOP_DISTANCE:
             converged = gov_dist <= config.tol
         else:
-            converged = float(np.linalg.norm(move)) <= config.tol
+            converged = k > 0 and float(np.linalg.norm(move)) <= config.tol
+        if converged or k == config.max_iters:
+            break
+        move = config.lam * w[nd + m:]
+        z = z + move
+        k += 1
 
-    final_shadow = shadow(problem, z)
-    if record_history:
-        sh_hist.append(float(np.linalg.norm(final_shadow - sh_lim)))
     return IterationTrace(
         iterations=k,
         converged=converged,
         governing_distances=np.asarray(gov_hist),
         shadow_distances=np.asarray(sh_hist),
         final_governing=z,
-        final_shadow=final_shadow,
+        final_shadow=w[:nd],
     )
 
 
@@ -231,7 +231,7 @@ def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
     for it in range(max_iters + 1):
         w = matrix @ z
         if affine:
-            w += offset
+            w += offset[:, None]
         gap = w[:nd + m] - limits
         hit = open_ & (np.sqrt(np.add.reduceat(gap * gap, [0, nd], axis=0)) <= tol)
         if hit.any():
@@ -251,23 +251,17 @@ def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
 
 
 def _step_matrix(problem) -> tuple:
-    """``[F; Id; T - Id]`` stacked, and its offset column.
+    """``[F; Id; T - Id]`` stacked, and its offset vector.
 
     F is the forward-pass matrix (shadow = F z + f) and T - Id the
-    displacement matrix, both built by running the forward pass of the
-    parallel linear problem on the identity; the offsets are the affine
-    problem's forward pass and displacement at the origin.  The identity
-    rows copy z exactly, since every other term of their sums is zero.
+    displacement matrix, both from `splitting._linear_forms`.  The
+    identity rows copy z exactly, since every other term of their sums is
+    zero.
     """
+    forward, disp, forward0, disp0 = _linear_forms(problem)
     m = problem.governing_dim
-    eye = np.eye(m)
-    linear = problem.parallel()
-    blocks = forward_blocks(linear, eye)
-    matrix = np.vstack([np.concatenate(blocks), eye, displacement(linear, blocks)])
-    at_origin = forward_blocks(problem, np.zeros((m, 1)))
-    offset = np.vstack([np.concatenate(at_origin), np.zeros((m, 1)),
-                        displacement(problem, at_origin)])
-    return matrix, offset
+    matrix = np.vstack([forward, np.eye(m), disp])
+    return matrix, np.concatenate([forward0, np.zeros(m), disp0])
 
 
 def rate_bounds(problem, lam: float) -> RateBounds:

@@ -1,8 +1,8 @@
 """Resolvent-splitting operators specialized to subspace projections.
 
 Two operators are provided, each acting on a stacked product space and each
-admitting an explicit matrix representation and a closed-form projector onto
-its fixed-point set:
+defined by its forward pass, with a closed-form projector onto its
+fixed-point set:
 
 * the Ryu operator for exactly three subspaces, acting on R^{2d};
 * the Malitsky-Tam (MT) operator for n >= 3 subspaces, acting on R^{(n-1)d}.
@@ -17,7 +17,8 @@ Block vector layout: governing vectors are contiguous blocks of size d in
 index order (z_1, ..., z_{n-1}); forward passes return n blocks.  The
 forward pass, the displacement and the operator step also take a
 ``(governing_dim, k)`` matrix whose columns are k governing vectors; every
-block is then a ``(d, k)`` matrix.
+block is then a ``(d, k)`` matrix.  The operators are (affine) linear, so
+their matrix forms are the forward pass run on the identity.
 """
 
 from __future__ import annotations
@@ -122,6 +123,8 @@ class _SplittingProblem:
             anchors = [np.asarray(a, dtype=float).reshape(-1) for a in affine_anchors]
             if len(anchors) != len(subspaces) or any(a.shape[0] != d for a in anchors):
                 raise ValueError("need one anchor of dimension d per subspace")
+            if not all(np.isfinite(a).all() for a in anchors):
+                raise ValueError("anchors must be finite")
             self._anchors = tuple(anchors)
             self._resolvent_offsets = tuple(
                 (np.eye(d) - s.projector) @ a for s, a in zip(subspaces, anchors)
@@ -228,40 +231,8 @@ def _common_point(subspaces, anchors) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Forward passes and operator steps
+# Forward passes, operator steps and their matrix forms
 # ---------------------------------------------------------------------------
-
-def ryu_forward(p: RyuProblem, x, y):
-    """The three resolvent evaluations of the Ryu forward pass.
-
-    ``x`` and ``y`` are blocks of R^d, or ``(d, k)`` matrices of k columns.
-    """
-    x = _block(p, x)
-    y = _block(p, y)
-    x1 = p.resolvent(0, x)
-    x2 = p.resolvent(1, x1 + y)
-    x3 = p.resolvent(2, x1 - x + x2 - y)
-    return x1, x2, x3
-
-
-def ryu_step(p: RyuProblem, x, y):
-    """One application of the Ryu operator on (x, y) in R^d x R^d."""
-    x = _block(p, x)
-    y = _block(p, y)
-    x1, x2, x3 = ryu_forward(p, x, y)
-    return x + x3 - x1, y + x3 - x2
-
-
-def mt_forward(p: MTProblem, z) -> np.ndarray:
-    """MT forward pass: n resolvent evaluations, stacked into R^{nd}."""
-    return np.concatenate(forward_blocks(p, z))
-
-
-def mt_step(p: MTProblem, z) -> np.ndarray:
-    """One application of the MT operator on z in R^{(n-1)d}."""
-    z = _governing(p, z)
-    return z + displacement(p, forward_blocks(p, z))
-
 
 def forward_blocks(problem, z) -> list:
     """Forward-pass blocks [x_1, ..., x_n] at a governing point z.
@@ -272,7 +243,11 @@ def forward_blocks(problem, z) -> list:
     z = _governing(problem, z)
     d = problem.d
     if isinstance(problem, RyuProblem):
-        return list(ryu_forward(problem, z[:d], z[d:]))
+        x, y = z[:d], z[d:]
+        x1 = problem.resolvent(0, x)
+        x2 = problem.resolvent(1, x1 + y)
+        x3 = problem.resolvent(2, x1 - x + x2 - y)
+        return [x1, x2, x3]
     n = problem.n
     zs = [z[i * d:(i + 1) * d] for i in range(n - 1)]
     xs = [problem.resolvent(0, zs[0])]
@@ -297,57 +272,31 @@ def step(problem, z) -> np.ndarray:
     return z + displacement(problem, forward_blocks(problem, z))
 
 
-# ---------------------------------------------------------------------------
-# Matrix representations
-# ---------------------------------------------------------------------------
+def _linear_forms(problem) -> tuple:
+    """The forward pass and the displacement as affine maps of z.
 
-def ryu_matrix(p: RyuProblem) -> AffineMap:
-    """Block-matrix representation of the Ryu operator on R^{2d}.
+    Returns ``(forward, disp, forward0, disp0)`` with shadow ``forward @ z
+    + forward0`` and ``T z - z = disp @ z + disp0``.  The matrices are the
+    forward pass and displacement of the parallel linear problem run on
+    the identity, the offsets those of the problem itself at the origin
+    (zero for linear problems).
+    """
+    m = problem.governing_dim
+    linear = problem.parallel()
+    blocks = forward_blocks(linear, np.eye(m))
+    at_origin = forward_blocks(problem, np.zeros((m, 1)))
+    return (np.concatenate(blocks), displacement(linear, blocks),
+            np.concatenate(at_origin)[:, 0], displacement(problem, at_origin)[:, 0])
+
+
+def operator_matrix(problem) -> AffineMap:
+    """The splitting operator as the affine map T z = (Id + D) z + d0.
 
     For affine problems the linear part is that of the parallel linear
     problem and the offset is the image of the origin.
     """
-    pu, pv, pw = (s.projector for s in p.subspaces)
-    d = p.d
-    eye = np.eye(d)
-    t11 = eye - pu + pw @ pu + pw @ pv @ pu - pw
-    t12 = pw @ pv - pw
-    t21 = pw @ pu + pw @ pv @ pu - pw - pv @ pu
-    t22 = eye + pw @ pv - pv - pw
-    linear = np.block([[t11, t12], [t21, t22]])
-    offset = np.zeros(2 * d)
-    if p.is_affine:
-        offset = np.concatenate(ryu_step(p, np.zeros(d), np.zeros(d)))
-    return AffineMap(linear, offset)
-
-
-def mt_matrix(p: MTProblem) -> AffineMap:
-    """Block-matrix representation of the MT operator on R^{(n-1)d}.
-
-    Assembled programmatically from projector blocks by running the
-    forward recursion on block rows, so it works for every n.
-    """
-    n, d = p.n, p.d
-    m = (n - 1) * d
-    selectors = []
-    for j in range(n - 1):
-        e = np.zeros((d, m))
-        e[:, j * d:(j + 1) * d] = np.eye(d)
-        selectors.append(e)
-    projs = [s.projector for s in p.subspaces]
-    rows = [projs[0] @ selectors[0]]
-    for i in range(1, n - 1):
-        rows.append(projs[i] @ (rows[i - 1] + selectors[i] - selectors[i - 1]))
-    rows.append(projs[n - 1] @ (rows[0] + rows[n - 2] - selectors[n - 2]))
-    linear = np.eye(m) + np.vstack([rows[i + 1] - rows[i] for i in range(n - 1)])
-    offset = np.zeros(m)
-    if p.is_affine:
-        offset = mt_step(p, np.zeros(m))
-    return AffineMap(linear, offset)
-
-
-def operator_matrix(problem) -> AffineMap:
-    return ryu_matrix(problem) if isinstance(problem, RyuProblem) else mt_matrix(problem)
+    _, disp, _, disp0 = _linear_forms(problem)
+    return AffineMap(np.eye(problem.governing_dim) + disp, disp0)
 
 
 # ---------------------------------------------------------------------------
@@ -445,19 +394,11 @@ def affine_lift(amap: AffineMap, fix: FixDecomposition, tol: float = _AFFINE_TOL
     return a, lifted
 
 
-def _block(p, x) -> np.ndarray:
-    return _vector_or_columns(x, p.d, "block")
-
-
 def _governing(p, z) -> np.ndarray:
-    return _vector_or_columns(z, p.governing_dim, "governing vector")
-
-
-def _vector_or_columns(x, dim: int, name: str) -> np.ndarray:
-    """A vector of R^dim, or a ``(dim, k)`` matrix of k such columns."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        x = x.reshape(-1)
-    if x.shape[0] != dim:
-        raise ValueError(f"{name} has dimension {x.shape[0]}, expected {dim}")
-    return x
+    """A governing vector, or a ``(governing_dim, k)`` matrix of k such columns."""
+    z = np.asarray(z, dtype=float)
+    if z.ndim != 2:
+        z = z.reshape(-1)
+    if z.shape[0] != p.governing_dim:
+        raise ValueError(f"governing vector has dimension {z.shape[0]}, expected {p.governing_dim}")
+    return z

@@ -10,6 +10,8 @@ projector directly from one SVD.
 import numpy as np
 
 from splitproj import (
+    STOP_DISTANCE,
+    IterationTrace,
     MTProblem,
     RyuProblem,
     Subspace,
@@ -26,7 +28,13 @@ def nullspace_intersection(projectors) -> np.ndarray:
     """Intersection projector from the kernel of stacked complements."""
     d = projectors[0].shape[0]
     stacked = np.vstack([np.eye(d) - p for p in projectors])
-    _, s, vt = np.linalg.svd(stacked)
+    try:
+        _, s, vt = np.linalg.svd(stacked)
+    except np.linalg.LinAlgError:
+        # gesdd can fail to converge on rank-deficient input; the SVD of
+        # the transpose has the same singular values, with V^T = U'^T
+        u, s, _ = np.linalg.svd(stacked.T)
+        vt = u.T
     # numerical zeros sit near eps while genuine directions are O(principal
     # angle); a generous relative cutoff separates them cleanly
     tol = 1e-10 * (s[0] if s.size else 1.0)
@@ -86,3 +94,32 @@ def scalar_iteration_counts(problem, config, start) -> tuple:
         sh = k
     return (gov if gov is not None else config.max_iters,
             sh if sh is not None else config.max_iters)
+
+
+def scalar_iterate(problem, config, start) -> IterationTrace:
+    """Oracle for `iterate`: one vector, one forward pass per step.
+
+    Records both distance histories for k = 0..K, K the number of steps.
+    """
+    z = np.asarray(start, dtype=float).reshape(-1).copy()
+    gov_lim = governing_limit(problem, z)
+    sh_lim = shadow_limit(problem, z)
+    gov_hist = [float(np.linalg.norm(z - gov_lim))]
+    sh_hist = []
+    converged = config.stop_rule == STOP_DISTANCE and gov_hist[0] <= config.tol
+    k = 0
+    while not converged and k < config.max_iters:
+        blocks = forward_blocks(problem, z)
+        sh_hist.append(float(np.linalg.norm(np.concatenate(blocks) - sh_lim)))
+        move = config.lam * displacement(problem, blocks)
+        z = z + move
+        k += 1
+        gov_hist.append(float(np.linalg.norm(z - gov_lim)))
+        if config.stop_rule == STOP_DISTANCE:
+            converged = gov_hist[-1] <= config.tol
+        else:
+            converged = float(np.linalg.norm(move)) <= config.tol
+    final_shadow = shadow(problem, z)
+    sh_hist.append(float(np.linalg.norm(final_shadow - sh_lim)))
+    return IterationTrace(k, converged, np.asarray(gov_hist), np.asarray(sh_hist),
+                          z, final_shadow)

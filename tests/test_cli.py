@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import nullspace_intersection, random_instance
-from splitproj import forward_blocks, shadow_limit, to_dict
+from splitproj import forward_blocks, shadow_limit, subspace_from_dict, to_dict
 from splitproj.cli import (
     CSV_HEADER,
     ExperimentRecord,
@@ -316,17 +316,23 @@ def test_exp2_csv_matches_golden_file():
     assert records_to_csv(records) == golden.read_text()
 
 
-def test_run_d60_problem_where_lapack_svd_does_not_converge(tmp_path):
-    # d=60 Ryu problem of the benchmark's affine_solve generator (seed
-    # derivation as there): LAPACK's gesdd does not converge on the stacked
-    # 180x60 complements of its subspaces, which used to end in exit 3
+def _d60_reproducer():
+    """d=60 Ryu problem of the benchmark's affine_solve generator (seed
+    derivation as there): LAPACK's gesdd does not converge on the stacked
+    180x60 complements of its subspaces.  Returns (point, bases, anchors, x0)."""
     seed = int(np.random.SeedSequence([2, 4, 106]).generate_state(1)[0] >> 1)
     rng = np.random.default_rng(seed)
     d, k = 60, 45
     point = rng.standard_normal(d)
     bases = [rng.standard_normal((d, k)) for _ in range(3)]
     anchors = [point + b @ rng.standard_normal(k) for b in bases]
-    x0 = rng.standard_normal(d)
+    return point, bases, anchors, rng.standard_normal(d)
+
+
+def test_run_d60_problem_where_lapack_svd_does_not_converge(tmp_path):
+    # the gesdd failure used to end in exit 3
+    point, bases, anchors, x0 = _d60_reproducer()
+    d = point.shape[0]
     data = {
         "algorithm": "ryu",
         "d": d,
@@ -347,3 +353,27 @@ def test_run_d60_problem_where_lapack_svd_does_not_converge(tmp_path):
     projectors = [q @ q.T for q in (np.linalg.qr(b)[0] for b in bases)]
     want = point + nullspace_intersection(projectors) @ (x0 - point)
     assert np.linalg.norm(solution - want) <= 1e-5 * (1.0 + np.linalg.norm(want))
+
+
+def test_nullspace_oracle_on_d60_reproducer_projectors():
+    # the oracle's own SVD of the stacked complements hits the same gesdd
+    # failure on the projectors that `run` loads and retries on the transpose
+    point, bases, _, _ = _d60_reproducer()
+    subs = [subspace_from_dict({"d": point.shape[0], "basis": b.T.tolist()}) for b in bases]
+    got = nullspace_intersection([s.projector for s in subs])
+    want = nullspace_intersection([q @ q.T for q in (np.linalg.qr(b)[0] for b in bases)])
+    assert np.linalg.norm(got - want) <= 1e-8
+    assert np.linalg.matrix_rank(got, tol=0.5) == 15  # 3 * 45 - 2 * 60
+    for s in subs:
+        assert np.linalg.norm(s.projector @ got - got) <= 1e-8
+
+
+@pytest.mark.parametrize("field, overrides", [
+    ("anchors", {"anchors": [[0.0, 0.0], [float("nan"), 0.0], [0.0, 0.0]]}),
+    ("start", {"start": [[3.0, float("nan")], [1.0, -2.0]]}),
+])
+def test_non_finite_input_is_a_format_error(tmp_path, capsys, field, overrides):
+    path = write_problem(tmp_path / "nan.json", **overrides)
+    assert main(["run", "--problem", path]) == 2
+    err = capsys.readouterr().err
+    assert f"{field} must be finite" in err and "nan.json" in err

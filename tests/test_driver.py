@@ -5,6 +5,7 @@ from helpers import (
     random_instance,
     random_mt,
     random_ryu,
+    scalar_iterate,
     scalar_iteration_counts,
     whole_space,
 )
@@ -12,6 +13,7 @@ from splitproj import (
     IterationConfig,
     MTProblem,
     RyuProblem,
+    STOP_DISTANCE,
     STOP_RESIDUAL,
     asymptotic_contraction,
     batch_iteration_counts,
@@ -293,3 +295,29 @@ def test_limits_of_start_columns_match_single_starts():
         for j in range(3):
             assert np.allclose(gov[:, j], governing_limit(p, starts[:, j]), atol=1e-12)
             assert np.allclose(sh[:, j], shadow_limit(p, starts[:, j]), atol=1e-12)
+
+
+@pytest.mark.parametrize("stop_rule", [STOP_DISTANCE, STOP_RESIDUAL])
+def test_iterate_matches_forward_pass_oracle(stop_rule):
+    rng = np.random.default_rng(21)
+    stopped = capped = 0
+    for problem in _kernel_problems(rng):
+        m = problem.governing_dim
+        for lam, max_iters, start in (
+                (0.3, 5_000, rng.standard_normal(m)),
+                (0.9, 5_000, rng.standard_normal(m)),
+                (0.5, 30, rng.standard_normal(m)),
+                (0.5, 5_000, governing_limit(problem, rng.standard_normal(m)))):
+            config = IterationConfig(lam, tol=1e-8, max_iters=max_iters, stop_rule=stop_rule)
+            got = iterate(problem, config, start)
+            want = scalar_iterate(problem, config, start)
+            case = (type(problem).__name__, problem.n, problem.is_affine, lam)
+            assert (got.iterations, got.converged) == (want.iterations, want.converged), case
+            for a, b in ((got.governing_distances, want.governing_distances),
+                         (got.shadow_distances, want.shadow_distances)):
+                assert a.shape == b.shape == (want.iterations + 1,), case
+                assert np.max(np.abs(a - b)) <= 1e-12, case
+            assert np.linalg.norm(got.final_shadow - want.final_shadow) <= 1e-12, case
+            stopped += want.converged
+            capped += not want.converged
+    assert stopped > 0 and capped > 0

@@ -11,14 +11,9 @@ from splitproj import (
     fix_decomposition,
     forward_blocks,
     mt_fix_projector,
-    mt_forward,
-    mt_matrix,
-    mt_step,
     operator_matrix,
     ryu_fix_projector,
-    ryu_forward,
-    ryu_matrix,
-    ryu_step,
+    shadow,
     step,
 )
 from splitproj.linalg import spectral_radius
@@ -33,6 +28,17 @@ def ryu_forward_matrix(p):
         [pv @ pu, pv],
         [pw @ pu + pw @ pv @ pu - pw, pw @ pv - pw],
     ])
+
+
+def ryu_operator_matrix(p):
+    """Hand-derived block matrix of the linear Ryu operator (test oracle)."""
+    pu, pv, pw = (s.projector for s in p.subspaces)
+    eye = np.eye(p.d)
+    t11 = eye - pu + pw @ pu + pw @ pv @ pu - pw
+    t12 = pw @ pv - pw
+    t21 = pw @ pu + pw @ pv @ pu - pw - pv @ pu
+    t22 = eye + pw @ pv - pv - pw
+    return np.block([[t11, t12], [t21, t22]])
 
 
 def mt_forward_matrix_n3(p):
@@ -70,7 +76,7 @@ def test_ryu_forward_whole_space():
     p = RyuProblem(whole_space(d), whole_space(d), whole_space(d))
     rng = np.random.default_rng(0)
     x, y = rng.standard_normal(d), rng.standard_normal(d)
-    x1, x2, x3 = ryu_forward(p, x, y)
+    x1, x2, x3 = forward_blocks(p, np.concatenate([x, y]))
     assert np.allclose(x1, x) and np.allclose(x2, x + y) and np.allclose(x3, x)
 
 
@@ -79,7 +85,7 @@ def test_ryu_forward_consensus_fixed_point():
     u = random_instance(rng)[0]
     p = RyuProblem(u, u, u)
     x = u.projector @ rng.standard_normal(6)
-    x1, x2, x3 = ryu_forward(p, x, np.zeros(6))
+    x1, x2, x3 = forward_blocks(p, np.concatenate([x, np.zeros(6)]))
     assert np.allclose(x1, x) and np.allclose(x2, x) and np.allclose(x3, x)
 
 
@@ -89,7 +95,7 @@ def test_ryu_forward_matches_block_matrix():
         p = random_ryu(rng)
         z = rng.standard_normal(12)
         want = ryu_forward_matrix(p) @ z
-        got = np.concatenate(ryu_forward(p, z[:6], z[6:]))
+        got = np.concatenate(forward_blocks(p, z))
         assert np.linalg.norm(got - want) <= 1e-12 * (1 + np.linalg.norm(want))
 
 
@@ -98,7 +104,7 @@ def test_ryu_step_common_subspace():
     u = random_instance(rng)[0]
     p = RyuProblem(u, u, u)
     x, y = rng.standard_normal(6), rng.standard_normal(6)
-    xs, ys = ryu_step(p, x, y)
+    xs, ys = np.split(step(p, np.concatenate([x, y])), 2)
     assert np.allclose(xs, x)
     assert np.allclose(ys, y - u.projector @ y)
 
@@ -108,8 +114,7 @@ def test_ryu_step_fixes_fixed_points():
     p = random_ryu(rng)
     fix = ryu_fix_projector(p)
     z = fix.fix_projector @ rng.standard_normal(12)
-    xs, ys = ryu_step(p, z[:6], z[6:])
-    assert np.linalg.norm(np.concatenate([xs, ys]) - z) <= 1e-12
+    assert np.linalg.norm(step(p, z) - z) <= 1e-12
 
 
 def test_ryu_step_nonexpansive():
@@ -125,9 +130,9 @@ def test_ryu_matrix_matches_step():
     rng = np.random.default_rng(6)
     for _ in range(30):
         p = random_ryu(rng)
-        amap = ryu_matrix(p)
+        amap = operator_matrix(p)
         z = rng.standard_normal(12)
-        want = np.concatenate(ryu_step(p, z[:6], z[6:]))
+        want = step(p, z)
         assert np.linalg.norm(amap(z) - want) <= 1e-12 * (1 + np.linalg.norm(want))
         assert np.allclose(amap.offset, 0.0)
 
@@ -135,7 +140,7 @@ def test_ryu_matrix_matches_step():
 def test_ryu_matrix_whole_space():
     d = 3
     p = RyuProblem(whole_space(d), whole_space(d), whole_space(d))
-    amap = ryu_matrix(p)
+    amap = operator_matrix(p)
     want = np.zeros((2 * d, 2 * d))
     want[:d, :d] = np.eye(d)
     assert np.allclose(amap.linear, want, atol=1e-14)
@@ -179,7 +184,7 @@ def test_mt_forward_whole_space_n4():
     p = MTProblem([whole_space(d)] * 4)
     rng = np.random.default_rng(9)
     z = rng.standard_normal(3 * d)
-    out = mt_forward(p, z)
+    out = shadow(p, z)
     want = np.concatenate([z[:d], z[d:2 * d], z[2 * d:], z[:d]])
     assert np.allclose(out, want)
 
@@ -190,7 +195,7 @@ def test_mt_forward_diagonal_consensus():
     pz = nullspace_intersection([s.projector for s in p.subspaces])
     x0 = pz @ rng.standard_normal(6)
     z = np.tile(x0, 2)
-    out = mt_forward(p, z)
+    out = shadow(p, z)
     for i in range(3):
         assert np.linalg.norm(out[6 * i:6 * (i + 1)] - x0) <= 1e-10
 
@@ -201,7 +206,7 @@ def test_mt_forward_matches_block_matrix_n3():
         p = random_mt(rng)
         z = rng.standard_normal(12)
         want = mt_forward_matrix_n3(p) @ z
-        assert np.linalg.norm(mt_forward(p, z) - want) <= 1e-12 * (1 + np.linalg.norm(want))
+        assert np.linalg.norm(shadow(p, z) - want) <= 1e-12 * (1 + np.linalg.norm(want))
 
 
 def test_mt_step_fixes_fixed_points():
@@ -210,7 +215,7 @@ def test_mt_step_fixes_fixed_points():
         p = random_mt(rng, n=n)
         fix = mt_fix_projector(p)
         z = fix.fix_projector @ rng.standard_normal(p.governing_dim)
-        assert np.linalg.norm(mt_step(p, z) - z) <= 1e-10
+        assert np.linalg.norm(step(p, z) - z) <= 1e-10
 
 
 def test_mt_step_nonexpansive():
@@ -218,7 +223,7 @@ def test_mt_step_nonexpansive():
     for _ in range(20):
         p = random_mt(rng, n=4)
         a, b = rng.standard_normal(18), rng.standard_normal(18)
-        assert np.linalg.norm(mt_step(p, a) - mt_step(p, b)) <= np.linalg.norm(a - b) + 1e-12
+        assert np.linalg.norm(step(p, a) - step(p, b)) <= np.linalg.norm(a - b) + 1e-12
 
 
 def test_mt_step_matches_closed_form_n3():
@@ -227,7 +232,7 @@ def test_mt_step_matches_closed_form_n3():
         p = random_mt(rng)
         z = rng.standard_normal(12)
         want = mt_operator_matrix_n3(p) @ z
-        assert np.linalg.norm(mt_step(p, z) - want) <= 1e-12 * (1 + np.linalg.norm(want))
+        assert np.linalg.norm(step(p, z) - want) <= 1e-12 * (1 + np.linalg.norm(want))
 
 
 def test_mt_matrix_matches_step_general_n():
@@ -235,9 +240,9 @@ def test_mt_matrix_matches_step_general_n():
     for n in (3, 4, 5):
         for _ in range(10):
             p = random_mt(rng, n=n)
-            amap = mt_matrix(p)
+            amap = operator_matrix(p)
             z = rng.standard_normal(p.governing_dim)
-            want = mt_step(p, z)
+            want = step(p, z)
             assert np.linalg.norm(amap(z) - want) <= 1e-12 * (1 + np.linalg.norm(want))
             assert np.allclose(amap.offset, 0.0)
 
@@ -245,7 +250,7 @@ def test_mt_matrix_matches_step_general_n():
 def test_mt_matrix_whole_space_is_swap():
     d = 2
     p = MTProblem([whole_space(d)] * 3)
-    amap = mt_matrix(p)
+    amap = operator_matrix(p)
     z = np.array([1.0, 2.0, 3.0, 4.0])
     assert np.allclose(amap(z), [3.0, 4.0, 1.0, 2.0])
 
@@ -274,6 +279,29 @@ def test_mt_fix_projector_iterate_limit_oracle():
 # ---------------------------------------------------------------------------
 # Shared behaviour, affine handling
 # ---------------------------------------------------------------------------
+
+def test_operator_matrix_matches_closed_forms():
+    rng = np.random.default_rng(28)
+    cases = (
+        (lambda s, a: RyuProblem(*s, affine_anchors=a), ryu_operator_matrix,
+         lambda v: np.concatenate([v, np.zeros(6)])),
+        (lambda s, a: MTProblem(s, affine_anchors=a), mt_operator_matrix_n3,
+         lambda v: np.tile(v, 2)),
+    )
+    for make, oracle, fixed_point in cases:
+        for _ in range(20):
+            subs = random_instance(rng)
+            v = rng.standard_normal(6)
+            anchors = [v + s.projector @ rng.standard_normal(6) for s in subs]
+            want = oracle(make(subs, None))
+            # v lies on every translated subspace, so the affine operator
+            # fixes (v, 0) (Ryu) or (v, v) (MT): T q = q gives the offset q - L q
+            q = fixed_point(v)
+            for anchored, offset in ((None, np.zeros_like(q)), (anchors, q - want @ q)):
+                amap = operator_matrix(make(subs, anchored))
+                assert np.linalg.norm(amap.linear - want) <= 1e-12 * (1 + np.linalg.norm(want))
+                assert np.linalg.norm(amap.offset - offset) <= 1e-12 * (1 + np.linalg.norm(offset))
+
 
 def test_fix_projector_commutes_and_contracts():
     rng = np.random.default_rng(17)
