@@ -38,7 +38,6 @@ import numpy as np
 
 from .driver import (
     IterationConfig,
-    _step_matrix,
     batch_iteration_counts,
     iterate,
     rate_bounds,
@@ -49,10 +48,9 @@ from .splitting import (
     InconsistentAffineError,
     MTProblem,
     RyuProblem,
-    fix_decomposition,
     operator_matrix,
 )
-from .subspaces import GenerationError, feasible_dims, from_basis, subspace_from_dict
+from .subspaces import GenerationError, _spanned_draw, feasible_dims, subspace_from_dict
 
 CSV_HEADER = ("experiment", "algorithm", "lambda", "instance_seed",
               "metric_name", "iteration", "metric_value")
@@ -116,16 +114,7 @@ def _instance_subspaces(seed: int, index: int, d: int, dims):
     Gaussian.
     """
     rng = np.random.default_rng(seed ^ index)
-    subs = []
-    for k in dims:
-        for _ in range(100):
-            s = from_basis(rng.random((k, d)).T)
-            if s.dimension() == k:
-                subs.append(s)
-                break
-        else:
-            raise GenerationError(f"could not draw a rank-{k} uniform matrix in R^{d}")
-    return subs
+    return [_spanned_draw(d, k, rng.random, "uniform") for k in dims]
 
 
 def _start_point(seed: int, point_index: int, d: int) -> np.ndarray:
@@ -146,6 +135,7 @@ def _lift_start(x0: np.ndarray, n: int) -> np.ndarray:
 
 
 def _run_parallel(worker, arglist, jobs: int):
+    """The worker's results, in argument order."""
     if jobs <= 1:
         return [worker(args) for args in arglist]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -163,12 +153,12 @@ def _exp1_worker(args):
     for algorithm in algorithms:
         problem = _build_problem(algorithm, subs)
         t = operator_matrix(problem).linear
-        p_fix = fix_decomposition(problem).fix_projector
+        p_fix = problem._fix.fix_projector
         eye = np.eye(t.shape[0])
         for lam in grid:
             err = (1.0 - lam) * eye + lam * t - p_fix
             out[(algorithm, lam)] = (spectral_radius(err), operator_norm(err))
-    return index, out
+    return out
 
 
 def exp1(n_instances: int = 1000, lambda_grid=None, d: int = 6, dims=(5, 5, 5),
@@ -185,12 +175,11 @@ def exp1(n_instances: int = 1000, lambda_grid=None, d: int = 6, dims=(5, 5, 5),
         [(seed, i, d, dims, grid, tuple(algorithms)) for i in range(n_instances)],
         jobs,
     )
-    results.sort(key=lambda item: item[0])
     records = []
     for algorithm in algorithms:
         for lam in grid:
-            lowers = np.array([res[(algorithm, lam)][0] for _, res in results])
-            uppers = np.array([res[(algorithm, lam)][1] for _, res in results])
+            lowers = np.array([res[(algorithm, lam)][0] for res in results])
+            uppers = np.array([res[(algorithm, lam)][1] for res in results])
             records.append(ExperimentRecord("exp1", algorithm, lam, seed,
                                             "mean_spectral_radius", float(lowers.mean())))
             records.append(ExperimentRecord("exp1", algorithm, lam, seed,
@@ -221,7 +210,7 @@ def _exp2_worker(args):
         pairs = np.column_stack(batch_iteration_counts(problem, starts, lams, tol, max_iters))
         for i, lam in enumerate(grid):
             out[(algorithm, lam)] = pairs[i::len(grid)]
-    return set_index, out
+    return out
 
 
 def exp2_counts(n_sets: int = 100, n_points: int = 100, lambda_grid=None,
@@ -248,9 +237,8 @@ def exp2_counts(n_sets: int = 100, n_points: int = 100, lambda_grid=None,
          for i in range(n_sets)],
         jobs,
     )
-    results.sort(key=lambda item: item[0])
     # popping frees each set's arrays as soon as they are concatenated
-    return {key: np.concatenate([out.pop(key) for _, out in results])
+    return {key: np.concatenate([out.pop(key) for out in results])
             for key in [(algorithm, lam) for algorithm in algorithms for lam in grid]}
 
 
@@ -294,7 +282,7 @@ def _exp3_worker(args):
         problem = _build_problem(algorithm, subs)
         z = np.column_stack([_lift_start(x0, problem.n) for x0 in points])
         limit = shadow_limit(problem, z)
-        matrix, _ = _step_matrix(problem)
+        matrix, _ = problem._step
         nd, m = limit.shape[0], problem.governing_dim
         w = matrix @ z
         dists = np.empty((n_points, n_iters))
@@ -303,7 +291,7 @@ def _exp3_worker(args):
             w = matrix @ z
             dists[:, k] = np.linalg.norm(w[:nd] - limit, axis=0)
         out[algorithm] = dists
-    return set_index, out
+    return out
 
 
 def exp3(n_sets: int = 100, n_points: int = 100, lam: float = 0.99,
@@ -319,10 +307,9 @@ def exp3(n_sets: int = 100, n_points: int = 100, lam: float = 0.99,
          for i in range(n_sets)],
         jobs,
     )
-    results.sort(key=lambda item: item[0])
     records = []
     for algorithm in algorithms:
-        stacked = np.vstack([out[algorithm] for _, out in results])
+        stacked = np.vstack([out[algorithm] for out in results])
         for k in range(n_iters):
             med = lower_median(stacked[:, k].tolist())
             records.append(ExperimentRecord("exp3", algorithm, lam, seed,
@@ -382,32 +369,19 @@ def run_single(path: str, tol: float = 1e-6, max_iters: int = 10_000,
     config = IterationConfig(lam, tol=tol, max_iters=max_iters)
     trace = iterate(problem, config, start, record_history=include_trace)
     bounds = rate_bounds(problem.parallel(), lam)
-    records = [
-        ExperimentRecord("single", _algo_name(problem), lam, 0,
-                         "iterations", float(trace.iterations)),
-        ExperimentRecord("single", _algo_name(problem), lam, 0,
-                         "converged", 1.0 if trace.converged else 0.0),
-        ExperimentRecord("single", _algo_name(problem), lam, 0,
-                         "rate_lower_bound", bounds.lower),
-        ExperimentRecord("single", _algo_name(problem), lam, 0,
-                         "rate_upper_bound", bounds.upper),
-    ]
-    solution = trace.final_shadow[:problem.d]
-    for i, value in enumerate(solution):
-        records.append(ExperimentRecord("single", _algo_name(problem), lam, 0,
-                                        f"solution_{i}", float(value)))
+    algorithm = "ryu" if isinstance(problem, RyuProblem) else "mt"
+
+    def row(metric, value, iteration=None):
+        return ExperimentRecord("single", algorithm, lam, 0, metric, float(value), iteration)
+
+    records = [row("iterations", trace.iterations),
+               row("converged", 1.0 if trace.converged else 0.0),
+               row("rate_lower_bound", bounds.lower), row("rate_upper_bound", bounds.upper)]
+    records += [row(f"solution_{i}", v) for i, v in enumerate(trace.final_shadow[:problem.d])]
     if include_trace:
-        for k, dist in enumerate(trace.governing_distances):
-            records.append(ExperimentRecord("single", _algo_name(problem), lam, 0,
-                                            "governing_distance", float(dist), iteration=k))
-        for k, dist in enumerate(trace.shadow_distances):
-            records.append(ExperimentRecord("single", _algo_name(problem), lam, 0,
-                                            "shadow_distance", float(dist), iteration=k))
+        records += [row("governing_distance", v, k) for k, v in enumerate(trace.governing_distances)]
+        records += [row("shadow_distance", v, k) for k, v in enumerate(trace.shadow_distances)]
     return records
-
-
-def _algo_name(problem) -> str:
-    return "ryu" if isinstance(problem, RyuProblem) else "mt"
 
 
 # ---------------------------------------------------------------------------
@@ -561,15 +535,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _algorithms_from(arg: str):
-    return _ALGORITHMS if arg == "both" else (arg,)
-
-
 def _dispatch(args) -> list:
     if args.command == "run":
         return run_single(args.problem, tol=args.tol, max_iters=args.max_iters,
                           include_trace=args.trace)
-    algorithms = _algorithms_from(args.algorithm)
+    algorithms = _ALGORITHMS if args.algorithm == "both" else (args.algorithm,)
     if "ryu" in algorithms and len(args.sub_dims) != 3:
         raise ValueError("the ryu operator needs exactly 3 subspaces; "
                          "use --algorithm mt for other counts")

@@ -20,9 +20,6 @@ from .linalg import operator_norm, spectral_radius
 from .splitting import (
     RyuProblem,
     _governing,
-    _linear_forms,
-    affine_lift,
-    fix_decomposition,
     forward_blocks,
     operator_matrix,
 )
@@ -83,13 +80,9 @@ def governing_limit(problem, start) -> np.ndarray:
     """Limit of the governing iteration: the fixed-point projection of start.
 
     ``start`` is a governing vector or a ``(governing_dim, k)`` matrix of
-    start columns; the fixed-point projector is built once either way.
+    start columns; the problem builds its fixed-point projector once.
     """
-    start = _governing(problem, start)
-    fix = fix_decomposition(problem.parallel())
-    if problem.is_affine:
-        _, fix = affine_lift(operator_matrix(problem), fix)
-    return fix(start)
+    return problem._fix(_governing(problem, start))
 
 
 def shadow_limit(problem, start) -> np.ndarray:
@@ -132,12 +125,10 @@ def iterate(problem, config: IterationConfig, start, record_history: bool = True
     ``w = [F; Id; T - Id] z`` (plus the affine offsets) holds the shadow,
     the iterate and its displacement.
     """
-    z = np.asarray(start, dtype=float).reshape(-1).copy()
-    if z.shape[0] != problem.governing_dim:
-        raise ValueError(f"start has dimension {z.shape[0]}, expected {problem.governing_dim}")
+    z = _governing(problem, np.ravel(start)).copy()
     gov_lim = governing_limit(problem, z)
     sh_lim = shadow_limit(problem, z)
-    matrix, offset = _step_matrix(problem)
+    matrix, offset = problem._step
     nd = sh_lim.shape[0]
     m = z.shape[0]
 
@@ -193,8 +184,7 @@ def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
 
     Column j of the ``(governing_dim, k)`` matrix ``starts`` is run with
     relaxation ``lams[j]``; returns two integer arrays of length k, the
-    governing and the shadow counts of each column.  The fixed-point
-    projector and the intersection are built once, and every column's
+    governing and the shadow counts of each column.  Every column's
     governing and shadow limit comes from one matrix product each.
 
     All columns advance together through the operator written as one
@@ -220,7 +210,7 @@ def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
     # the two distances are the norms of these row ranges of W - limits;
     # row 0 of counts and open_ is the shadow, row 1 the governing sequence
     limits = np.vstack([shadow_limit(problem, z), governing_limit(problem, z)])
-    matrix, offset = _step_matrix(problem)
+    matrix, offset = problem._step
     affine = problem.is_affine
     m = problem.governing_dim
     nd = limits.shape[0] - m
@@ -250,20 +240,6 @@ def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
     return counts[1], counts[0]
 
 
-def _step_matrix(problem) -> tuple:
-    """``[F; Id; T - Id]`` stacked, and its offset vector.
-
-    F is the forward-pass matrix (shadow = F z + f) and T - Id the
-    displacement matrix, both from `splitting._linear_forms`.  The
-    identity rows copy z exactly, since every other term of their sums is
-    zero.
-    """
-    forward, disp, forward0, disp0 = _linear_forms(problem)
-    m = problem.governing_dim
-    matrix = np.vstack([forward, np.eye(m), disp])
-    return matrix, np.concatenate([forward0, np.zeros(m), disp0])
-
-
 def rate_bounds(problem, lam: float) -> RateBounds:
     """Spectral-radius lower and operator-norm upper bound on the rate.
 
@@ -277,7 +253,7 @@ def rate_bounds(problem, lam: float) -> RateBounds:
     if not 0.0 < lam < 1.0:
         raise ValueError(f"relaxation must lie in (0, 1), got {lam}")
     t_lam = operator_matrix(problem).relaxed(lam).linear
-    err = t_lam - fix_decomposition(problem).fix_projector
+    err = t_lam - problem._fix.fix_projector
     return RateBounds(lower=spectral_radius(err), upper=operator_norm(err))
 
 
@@ -307,7 +283,7 @@ def asymptotic_contraction(problem, lam: float, probe, doublings: int = 20) -> f
     """
     probe = np.asarray(probe, dtype=float).reshape(-1)
     t_lam = operator_matrix(problem).relaxed(lam).linear
-    a = t_lam - fix_decomposition(problem).fix_projector
+    a = t_lam - problem._fix.fix_projector
     if probe.shape[0] != a.shape[0]:
         raise ValueError(f"probe has dimension {probe.shape[0]}, expected {a.shape[0]}")
     norm0 = np.linalg.norm(probe)

@@ -24,6 +24,7 @@ their matrix forms are the forward pass run on the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -107,7 +108,12 @@ class FixDecomposition:
 
 
 class _SplittingProblem:
-    """Shared construction/validation for Ryu and MT problems."""
+    """Shared construction/validation for Ryu and MT problems.
+
+    Each derived form (intersection, step matrix, fixed-point projector) is
+    built once, on first use, and kept read-only while the problem lives;
+    an affine problem shares the linear forms of its parallel problem.
+    """
 
     def _init_common(self, subspaces, affine_anchors):
         dims = {s.ambient_dim for s in subspaces}
@@ -162,7 +168,55 @@ class _SplittingProblem:
 
     def intersection(self) -> Subspace:
         """Projector onto the intersection of the (parallel) subspaces."""
-        return intersect_all(self._subspaces)
+        return self.parallel()._intersection
+
+    def parallel(self) -> _SplittingProblem:
+        """The linear problem with the same direction subspaces (self if linear)."""
+        return self._parallel if self.is_affine else self
+
+    @cached_property
+    def _parallel(self) -> _SplittingProblem:
+        if isinstance(self, RyuProblem):
+            return RyuProblem(*self._subspaces)
+        return MTProblem(self._subspaces)
+
+    @cached_property
+    def _intersection(self) -> Subspace:
+        out = intersect_all(self._subspaces)
+        _read_only(out.projector)
+        return out
+
+    @cached_property
+    def _step(self) -> tuple:
+        """``[F; Id; T - Id]`` stacked, and its offset vector.
+
+        F is the forward pass (shadow = F z + f) and T - Id the
+        displacement of the parallel linear problem, both run on the
+        identity; the offsets are those of the problem itself at the origin
+        (zero for linear problems).  The identity rows copy z exactly,
+        since every other term of their sums is zero.
+        """
+        m = self.governing_dim
+        if self.is_affine:
+            matrix = self.parallel()._step[0]
+        else:
+            blocks = forward_blocks(self, np.eye(m))
+            matrix = np.vstack([np.concatenate(blocks), np.eye(m), displacement(self, blocks)])
+        at_origin = forward_blocks(self, np.zeros((m, 1)))
+        offset = np.concatenate([np.concatenate(at_origin)[:, 0], np.zeros(m),
+                                 displacement(self, at_origin)[:, 0]])
+        _read_only(matrix, offset)
+        return matrix, offset
+
+    @cached_property
+    def _fix(self) -> FixDecomposition:
+        """Projector onto Fix T, shifted by `affine_lift` for affine problems."""
+        if self.is_affine:
+            fix = affine_lift(operator_matrix(self), self.parallel()._fix)[1]
+        else:
+            fix = fix_decomposition(self)
+        _read_only(fix.fix_projector, fix.shift, fix.z_block, fix.e_projector)
+        return fix
 
     def resolvent(self, i: int, x: np.ndarray) -> np.ndarray:
         """Projection onto the i-th subspace (affine translate if anchored).
@@ -184,10 +238,6 @@ class RyuProblem(_SplittingProblem):
         return cls(a.direction, b.direction, c.direction,
                    affine_anchors=(a.anchor, b.anchor, c.anchor))
 
-    def parallel(self) -> "RyuProblem":
-        """The linear problem with the same direction subspaces."""
-        return self if not self.is_affine else RyuProblem(*self._subspaces)
-
 
 class MTProblem(_SplittingProblem):
     """n >= 3 subspaces of a common R^d, optionally translated (affine)."""
@@ -204,15 +254,13 @@ class MTProblem(_SplittingProblem):
         return cls([a.direction for a in affine_subspaces],
                    affine_anchors=[a.anchor for a in affine_subspaces])
 
-    def parallel(self) -> "MTProblem":
-        return self if not self.is_affine else MTProblem(self._subspaces)
-
 
 def _common_point(subspaces, anchors) -> np.ndarray:
     """Least-squares candidate for a common point of affine subspaces.
 
     Solves the stacked system (Id - P_i) x = (Id - P_i) a_i; rejects the
-    problem when the candidate misses any of the affine subspaces.
+    problem when the candidate misses any of the affine subspaces by more
+    than ``_AFFINE_TOL`` times max(1, largest anchor norm).
     """
     d = subspaces[0].ambient_dim
     eye = np.eye(d)
@@ -220,9 +268,10 @@ def _common_point(subspaces, anchors) -> np.ndarray:
     stacked = np.vstack(comps)
     rhs = np.concatenate([c @ a for c, a in zip(comps, anchors)])
     x = pseudoinverse(stacked) @ rhs
+    tol = _AFFINE_TOL * max(1.0, max(np.linalg.norm(a) for a in anchors))
     for c, a in zip(comps, anchors):
         gap = np.linalg.norm(c @ (x - a))
-        if gap > _AFFINE_TOL:
+        if gap > tol:
             raise InconsistentAffineError(
                 f"affine subspaces have empty intersection "
                 f"(candidate misses one by {gap:.3e})"
@@ -272,31 +321,16 @@ def step(problem, z) -> np.ndarray:
     return z + displacement(problem, forward_blocks(problem, z))
 
 
-def _linear_forms(problem) -> tuple:
-    """The forward pass and the displacement as affine maps of z.
-
-    Returns ``(forward, disp, forward0, disp0)`` with shadow ``forward @ z
-    + forward0`` and ``T z - z = disp @ z + disp0``.  The matrices are the
-    forward pass and displacement of the parallel linear problem run on
-    the identity, the offsets those of the problem itself at the origin
-    (zero for linear problems).
-    """
-    m = problem.governing_dim
-    linear = problem.parallel()
-    blocks = forward_blocks(linear, np.eye(m))
-    at_origin = forward_blocks(problem, np.zeros((m, 1)))
-    return (np.concatenate(blocks), displacement(linear, blocks),
-            np.concatenate(at_origin)[:, 0], displacement(problem, at_origin)[:, 0])
-
-
 def operator_matrix(problem) -> AffineMap:
     """The splitting operator as the affine map T z = (Id + D) z + d0.
 
-    For affine problems the linear part is that of the parallel linear
-    problem and the offset is the image of the origin.
+    D and d0 are the displacement rows of the problem's step matrix: for
+    affine problems the linear part is that of the parallel linear problem
+    and the offset is the image of the origin.
     """
-    _, disp, _, disp0 = _linear_forms(problem)
-    return AffineMap(np.eye(problem.governing_dim) + disp, disp0)
+    matrix, offset = problem._step
+    m = problem.governing_dim
+    return AffineMap(np.eye(m) + matrix[-m:], offset[-m:])
 
 
 # ---------------------------------------------------------------------------
@@ -378,20 +412,26 @@ def affine_lift(amap: AffineMap, fix: FixDecomposition, tol: float = _AFFINE_TOL
 
     For T x = L x + b with nonempty fixed-point set, a = (Id - L)^+ b
     satisfies P_FixT(x) = P_FixL(x) + a and T^k x = L^k (x - a) + a.
-    A residual ``(Id - L) a != b`` beyond ``tol`` means no fixed point
-    exists (empty affine intersection) and is rejected.
+    A residual ``(Id - L) a != b`` beyond ``tol * max(1, ||b||)`` means no
+    fixed point exists (empty affine intersection) and is rejected.
     """
     m = amap.linear.shape[0]
     id_minus_l = np.eye(m) - amap.linear
     a = pseudoinverse(id_minus_l) @ amap.offset
     residual = np.linalg.norm(id_minus_l @ a - amap.offset)
-    if residual > tol:
+    bound = tol * max(1.0, float(np.linalg.norm(amap.offset)))
+    if residual > bound:
         raise InconsistentAffineError(
-            f"no fixed point: ||(Id - L)a - b|| = {residual:.3e} exceeds {tol:.1e} "
+            f"no fixed point: ||(Id - L)a - b|| = {residual:.3e} exceeds {bound:.1e} "
             "(the affine intersection is empty)"
         )
     lifted = FixDecomposition(fix.fix_projector, a, fix.z_block, fix.e_projector)
     return a, lifted
+
+
+def _read_only(*arrays) -> None:
+    for a in arrays:
+        a.setflags(write=False)
 
 
 def _governing(p, z) -> np.ndarray:

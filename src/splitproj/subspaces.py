@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, pseudoinverse, rank, svd
+from .linalg import DEFAULT_TOL, NumericalFailure, pseudoinverse, rank, svd
 
 _SYMMETRY_TOL = 1e-10
 _IDEMPOTENCE_TOL = 1e-8
@@ -125,7 +125,7 @@ def intersect_pair(u: Subspace, v: Subspace) -> Subspace:
     """
     _check_same_ambient(u, v)
     q = 2.0 * u.projector @ pseudoinverse(u.projector + v.projector) @ v.projector
-    return Subspace(0.5 * (q + q.T))
+    return _computed(q)
 
 
 def intersect_all(subspaces) -> Subspace:
@@ -147,7 +147,15 @@ def sum_projector(u: Subspace, v: Subspace) -> Subspace:
     cu = eye - u.projector
     cv = eye - v.projector
     q = eye - 2.0 * cu @ pseudoinverse(2.0 * eye - u.projector - v.projector) @ cv
-    return Subspace(0.5 * (q + q.T))
+    return _computed(q)
+
+
+def _computed(q: np.ndarray) -> Subspace:
+    """Symmetrized formula result; failing a `Subspace` check is numerical."""
+    try:
+        return Subspace(0.5 * (q + q.T))
+    except ValueError as exc:
+        raise NumericalFailure(str(exc)) from exc
 
 
 def project(s: Subspace | AffineSubspace, x) -> np.ndarray:
@@ -168,11 +176,16 @@ def random_subspace(d: int, k: int, rng: np.random.Generator) -> Subspace:
     """
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
+    return _spanned_draw(d, k, rng.standard_normal, "Gaussian")
+
+
+def _spanned_draw(d: int, k: int, draw, law: str) -> Subspace:
+    """Span of the rows of ``draw((k, d))``, redrawn while its rank is below k."""
     for _ in range(100):
-        s = from_basis(rng.standard_normal((k, d)).T)
+        s = from_basis(draw((k, d)).T)
         if s.dimension() == k:
             return s
-    raise GenerationError(f"could not draw a rank-{k} Gaussian matrix in R^{d} after 100 tries")
+    raise GenerationError(f"could not draw a rank-{k} {law} matrix in R^{d} after 100 tries")
 
 
 def feasible_dims(d: int, dims) -> bool:

@@ -10,6 +10,7 @@ from splitproj.cli import (
     CSV_HEADER,
     ExperimentRecord,
     _build_problem,
+    _exp2_worker,
     _exp3_worker,
     _instance_subspaces,
     _lift_start,
@@ -26,9 +27,11 @@ from splitproj.cli import (
     records_to_json,
     run_single,
 )
+import splitproj.splitting as splitting
 from splitproj.splitting import displacement
 
 SMALL_GRID = [0.3, 0.5, 0.7, 0.9]
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def write_problem(path, **overrides):
@@ -121,7 +124,7 @@ def test_exp3_columns_match_one_start_at_a_time():
     # the loop over one start vector at a time that the column pass
     # replaced; only the rounding of the matrix products differs
     seed, d, dims, lam, n_points, n_iters = 5, 6, (5, 5, 5), 0.99, 4, 120
-    _, out = _exp3_worker((seed, 0, d, dims, lam, ("ryu", "mt"), n_points, n_iters))
+    out = _exp3_worker((seed, 0, d, dims, lam, ("ryu", "mt"), n_points, n_iters))
     subs = _instance_subspaces(seed, 0, d, dims)
     for algorithm in ("ryu", "mt"):
         problem = _build_problem(algorithm, subs)
@@ -311,7 +314,7 @@ def test_counts_below_one_are_usage_errors(argv, flag, capsys):
 
 def test_exp2_csv_matches_golden_file():
     # written by the step-by-step loop that the column kernel replaced
-    golden = pathlib.Path(__file__).parent / "golden" / "exp2_seed7.csv"
+    golden = GOLDEN / "exp2_seed7.csv"
     records = exp2(n_sets=2, n_points=3, lambda_grid=[0.05, 0.5, 0.95], seed=7)
     assert records_to_csv(records) == golden.read_text()
 
@@ -377,3 +380,45 @@ def test_non_finite_input_is_a_format_error(tmp_path, capsys, field, overrides):
     assert main(["run", "--problem", path]) == 2
     err = capsys.readouterr().err
     assert f"{field} must be finite" in err and "nan.json" in err
+
+
+@pytest.mark.parametrize("algorithm", ["ryu", "mt"])
+def test_run_trace_matches_golden_file(algorithm, capsys):
+    # written by the code that rebuilt every derived form on each call
+    problem = GOLDEN / f"run_affine_{algorithm}.json"
+    assert main(["run", "--problem", str(problem), "--trace"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"run_affine_{algorithm}.csv").read_text()
+
+
+def _count_calls(monkeypatch, module, *names):
+    counts = dict.fromkeys(names, 0)
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return counts
+
+
+@pytest.mark.parametrize("algorithm", ["ryu", "mt"])
+def test_run_single_builds_each_derived_form_once(algorithm, monkeypatch):
+    counts = _count_calls(monkeypatch, splitting, "intersect_all", "fix_decomposition")
+    run_single(str(GOLDEN / f"run_affine_{algorithm}.json"))
+    assert counts == {"intersect_all": 1, "fix_decomposition": 1}
+
+
+def test_exp2_worker_builds_one_intersection_per_algorithm(monkeypatch):
+    counts = _count_calls(monkeypatch, splitting, "intersect_all", "fix_decomposition")
+    _exp2_worker((3, 0, 6, (5, 5, 5), [0.3, 0.9], ("ryu", "mt"), 4, 1e-6, 10_000))
+    assert counts == {"intersect_all": 2, "fix_decomposition": 2}
+
+
+def test_failed_projector_check_is_a_numerical_failure(capsys):
+    # iterated Anderson-Duffin loses idempotence on one of these instances
+    argv = ["exp1", "--n", "4", "--seed", "1444635452", "--dim", "6", "--sub-dims", "5,5,5"]
+    assert main(argv) == 3
+    assert "projector not idempotent: ||P^2 - P||_F = " in capsys.readouterr().err

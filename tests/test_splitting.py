@@ -351,6 +351,50 @@ def test_affine_problem_consistency_check():
         RyuProblem(u, u, u, affine_anchors=(np.zeros(2), np.array([0.0, 1.0]), np.zeros(2)))
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e4, 1e8])
+def test_affine_consistency_check_scales_with_the_anchors(scale):
+    from splitproj import IterationConfig, Subspace, iterate
+
+    rng = np.random.default_rng(3)
+    subs = random_instance(rng, dims=(5, 5, 5, 5))
+    point = scale * rng.standard_normal(6)
+    anchors = [point + scale * (s.projector @ rng.standard_normal(6)) for s in subs]
+    x0 = scale * rng.standard_normal(6)
+    for p in (RyuProblem(*subs[:3], affine_anchors=anchors[:3]),
+              MTProblem(subs, affine_anchors=anchors)):
+        config = IterationConfig(0.5, tol=1e-10 * scale, max_iters=100_000)
+        trace = iterate(p, config, np.tile(x0, p.n - 1))
+        want = point + nullspace_intersection([s.projector for s in p.subspaces]) @ (x0 - point)
+        assert trace.converged
+        assert np.linalg.norm(trace.final_shadow[:6] - want) <= 1e-8 * scale
+    # parallel lines a scaled distance apart still never meet
+    u = Subspace(np.diag([1.0, 0.0]))
+    with pytest.raises(InconsistentAffineError):
+        RyuProblem(u, u, u, affine_anchors=(np.zeros(2), np.array([0.0, scale]), np.zeros(2)))
+
+
+@pytest.mark.parametrize("make", [lambda s, a: RyuProblem(*s[:3], affine_anchors=a[:3]),
+                                  lambda s, a: MTProblem(s, affine_anchors=a)],
+                         ids=["ryu", "mt"])
+def test_problem_keeps_its_derived_forms_read_only(make):
+    rng = np.random.default_rng(29)
+    subs = random_instance(rng, dims=(5, 5, 5, 5))
+    v = rng.standard_normal(6)
+    affine = make(subs, [v] * 4)
+    linear = affine.parallel()
+    assert linear is affine.parallel() and linear.parallel() is linear
+    assert affine.intersection() is linear.intersection()
+    assert affine._step[0] is linear._step[0]
+    # the kept forms are those the pure builders give
+    assert np.array_equal(affine._fix.fix_projector, fix_decomposition(linear).fix_projector)
+    assert np.array_equal(affine._fix.shift, affine_lift(operator_matrix(affine),
+                                                         fix_decomposition(linear))[0])
+    for array in (affine.intersection().projector, affine._step[0], affine._step[1],
+                  affine._fix.fix_projector, affine._fix.shift):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+
 def test_affine_lift_zero_offset():
     rng = np.random.default_rng(22)
     p = random_ryu(rng)

@@ -188,3 +188,19 @@ def test_serialization_roundtrip():
 def test_ambient_mismatch():
     with pytest.raises(ValueError):
         intersect_pair(X_AXIS, Subspace(np.eye(3)))
+
+
+def test_failed_check_of_a_computed_projector_is_a_numerical_failure(monkeypatch):
+    import splitproj.subspaces as subspaces
+    from splitproj import NumericalFailure
+
+    u = random_subspace(6, 3, np.random.default_rng(31))
+    # a pseudoinverse 1% off makes both formulas return 1.01 P, not a projector
+    pinv = subspaces.pseudoinverse
+    monkeypatch.setattr(subspaces, "pseudoinverse", lambda a: 1.01 * pinv(a))
+    for formula in (intersect_pair, sum_projector):
+        with pytest.raises(NumericalFailure, match="not idempotent"):
+            formula(u, u)
+    # a caller's matrix that fails the same check stays an input error
+    with pytest.raises(ValueError, match="not idempotent"):
+        Subspace(1.01 * u.projector)
