@@ -35,7 +35,7 @@ for lam in (0.2, 0.4, 0.6, 0.8):
 lam = 0.5
 bounds = rate_bounds(problem, lam)
 trace = iterate(problem, IterationConfig(lam, tol=1e-9, max_iters=50_000), start)
-window = tail_contraction(trace.governing_distances, window=50)
+window = tail_contraction(trace.governing_distances)
 print(f"\nlam=0.5: geometric mean of the last 50 distance ratios = {window:.6f}")
 print(f"         spectral radius (sharp lower bound)          = {bounds.lower:.6f}")
 

@@ -42,9 +42,9 @@ print(f"shadow limit error vs v + P(x0 - v): "
 # the affine operator is the linear one plus an offset; the shift vector a
 # relates their fixed-point projectors
 amap = operator_matrix(affine)
-a, lifted = affine_lift(amap, fix_decomposition(affine.parallel()))
+lifted = affine_lift(amap, fix_decomposition(affine.parallel()))
 print("offset norm ||b|| =", f"{np.linalg.norm(amap.offset):.4f}",
-      " shift norm ||a|| =", f"{np.linalg.norm(a):.4f}")
+      " shift norm ||a|| =", f"{np.linalg.norm(lifted.shift):.4f}")
 print("governing limit check:",
       f"{np.linalg.norm(trace.final_governing - lifted(start)):.2e}")
 

@@ -11,8 +11,6 @@ from .driver import (
     IterationConfig,
     IterationTrace,
     RateBounds,
-    STOP_DISTANCE,
-    STOP_RESIDUAL,
     asymptotic_contraction,
     batch_iteration_counts,
     governing_limit,

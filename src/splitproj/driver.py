@@ -1,10 +1,12 @@
-"""Relaxed fixed-point iteration, stopping rules, and rate bounds.
+"""Relaxed fixed-point iteration, its stopping rule, and rate bounds.
 
 The governing iteration is z <- (1 - lam) z + lam T z with 0 < lam < 1.
 Because the operators are (affine) linear and averaged, the iterates converge
 to the image of the start under the closed-form fixed-point projector, and
 the shadow sequence (the stacked forward-pass blocks) converges to copies of
 the projection of a start-dependent point onto the subspace intersection.
+Every limit is thus known in closed form, so a run stops once its iterate
+is within ``tol`` of that limit.
 
 All distances are Euclidean norms on the stacked block vectors: governing
 distances in R^{(n-1)d}, shadow distances in R^{nd}.
@@ -24,29 +26,27 @@ from .splitting import (
     operator_matrix,
 )
 
-STOP_DISTANCE = "distance_to_known_limit"
-STOP_RESIDUAL = "successive_residual"
-_STOP_RULES = (STOP_DISTANCE, STOP_RESIDUAL)
+#: Distance ratios averaged by `tail_contraction`.
+_TAIL_WINDOW = 50
+#: `asymptotic_contraction` runs 2**_DOUBLINGS steps by repeated squaring.
+_DOUBLINGS = 20
 
 
 @dataclass
 class IterationConfig:
-    """Relaxation, tolerance, iteration budget, and stopping rule."""
+    """Relaxation, tolerance and iteration budget."""
 
     lam: float
     tol: float = 1e-6
     max_iters: int = 10_000
-    stop_rule: str = STOP_DISTANCE
 
     def __post_init__(self):
         if not 0.0 < self.lam < 1.0:
             raise ValueError(f"relaxation must lie in (0, 1), got {self.lam}")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        if self.stop_rule not in _STOP_RULES:
-            raise ValueError(f"stop_rule must be one of {_STOP_RULES}")
 
 
 @dataclass
@@ -112,14 +112,13 @@ def shadow(problem, z) -> np.ndarray:
 
 
 def iterate(problem, config: IterationConfig, start, record_history: bool = True) -> IterationTrace:
-    """Run the relaxed iteration until the stopping rule fires.
+    """Run the relaxed iteration until the iterate is within ``tol`` of its limit.
 
-    With the distance rule the run stops once the governing iterate is
-    within ``tol`` of its known limit; with the residual rule once
-    consecutive iterates are within ``tol``.  Hitting ``max_iters`` yields
-    ``converged=False`` rather than an exception.  Per-iteration distance
-    histories are recorded only when requested (long runs over many
-    instances would otherwise hold every trace in memory).
+    The limit is `governing_limit` of the start, known in closed form.
+    Hitting ``max_iters`` yields ``converged=False`` rather than an
+    exception.  Per-iteration distance histories are recorded only when
+    requested (long runs over many instances would otherwise hold every
+    trace in memory).
 
     Each step is one product with the step matrix of `batch_iteration_counts`:
     ``w = [F; Id; T - Id] z`` (plus the affine offsets) holds the shadow,
@@ -141,14 +140,10 @@ def iterate(problem, config: IterationConfig, start, record_history: bool = True
         if record_history:
             gov_hist.append(gov_dist)
             sh_hist.append(float(np.linalg.norm(w[:nd] - sh_lim)))
-        if config.stop_rule == STOP_DISTANCE:
-            converged = gov_dist <= config.tol
-        else:
-            converged = k > 0 and float(np.linalg.norm(move)) <= config.tol
+        converged = gov_dist <= config.tol
         if converged or k == config.max_iters:
             break
-        move = config.lam * w[nd + m:]
-        z = z + move
+        z = z + config.lam * w[nd + m:]
         k += 1
 
     return IterationTrace(
@@ -170,8 +165,7 @@ def iteration_counts(problem, config: IterationConfig, start) -> tuple:
     (0 when the start already is).  A sequence that never reaches ``tol``
     within ``max_iters`` is reported as ``max_iters`` (such runs count
     toward experiment medians rather than being dropped).  This is the
-    one-column call of `batch_iteration_counts`; the stopping rule of
-    ``config`` is not used.
+    one-column call of `batch_iteration_counts`.
     """
     gov, sh = batch_iteration_counts(problem, np.reshape(start, (-1, 1)), [config.lam],
                                      config.tol, config.max_iters)
@@ -257,8 +251,8 @@ def rate_bounds(problem, lam: float) -> RateBounds:
     return RateBounds(lower=spectral_radius(err), upper=operator_norm(err))
 
 
-def tail_contraction(distances, window: int = 50) -> float:
-    """Geometric mean of the last ``window`` distance ratios.
+def tail_contraction(distances) -> float:
+    """Geometric mean of the last ``_TAIL_WINDOW`` distance ratios (or of all).
 
     Distances at or below zero are excluded (they carry no rate
     information once the iterate has numerically reached the limit).
@@ -267,15 +261,15 @@ def tail_contraction(distances, window: int = 50) -> float:
     d = d[d > 0.0]
     if d.size < 2:
         raise ValueError("need at least two positive distances")
-    w = min(window, d.size - 1)
+    w = min(_TAIL_WINDOW, d.size - 1)
     return float(np.exp((np.log(d[-1]) - np.log(d[-1 - w])) / w))
 
 
-def asymptotic_contraction(problem, lam: float, probe, doublings: int = 20) -> float:
+def asymptotic_contraction(problem, lam: float, probe) -> float:
     """Observed long-run contraction factor of the error iteration.
 
     Computes the K-step average tail ratio ``||(T_lam - P_Fix)^K e||^{1/K}``
-    for ``K = 2**doublings`` by repeated squaring with renormalization.
+    for ``K = 2**_DOUBLINGS`` by repeated squaring with renormalization.
     This is the geometric mean of the exact error-recurrence tail ratios,
     free of the floating-point floor that a stepwise run hits; it is
     bounded by the operator norm and, for a generic probe, matches the
@@ -289,13 +283,13 @@ def asymptotic_contraction(problem, lam: float, probe, doublings: int = 20) -> f
     norm0 = np.linalg.norm(probe)
     if norm0 == 0.0:
         raise ValueError("probe must be nonzero")
-    steps = 1 << doublings
+    steps = 1 << _DOUBLINGS
     scale = np.linalg.norm(a)
     if scale == 0.0:
         return 0.0
     m = a / scale
     log_scale = float(np.log(scale))
-    for _ in range(doublings):
+    for _ in range(_DOUBLINGS):
         m = m @ m
         log_scale *= 2.0
         s = float(np.linalg.norm(m))

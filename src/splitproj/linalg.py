@@ -1,10 +1,10 @@
 """Dense real linear-algebra kernels.
 
-Thin, tolerance-aware wrappers around LAPACK (via numpy.linalg): thin SVD,
-Moore-Penrose pseudoinverse, operator norm, spectral radius, and numerical
-rank.  Everything in this package that carries a dagger or a norm goes
-through here, so the rank-cutoff convention lives in one place: singular
-values at or below ``tol * sigma_max`` are treated as zero.
+Thin wrappers around LAPACK (via numpy.linalg): thin SVD, Moore-Penrose
+pseudoinverse, operator norm, spectral radius, and numerical rank.
+Everything in this package that carries a dagger, a rank or a basis goes
+through here, so the rank cutoff lives in one place, `_kept`: singular
+values at or below ``DEFAULT_TOL * sigma_max`` are treated as zero.
 
 All functions are pure and accept any array-like that converts to a finite
 2-D float array; they are safe to call concurrently.
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Default relative cutoff for treating singular values as zero.
+#: Relative cutoff for treating singular values as zero.
 DEFAULT_TOL = 1e-12
 
 
@@ -73,21 +73,23 @@ def svd(a) -> SvdResult:
     return SvdResult(u=u, singular_values=s, vt=vt)
 
 
-def pseudoinverse(a, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose inverse via SVD with a relative rank cutoff.
+def _kept(s: np.ndarray) -> int:
+    """Number of the nonincreasing singular values ``s`` above the cutoff."""
+    return int(np.count_nonzero(s > DEFAULT_TOL * s[0]))
 
-    Singular values ``sigma_i <= tol * sigma_max`` are treated as zero.
-    The result satisfies the four Penrose identities to within roundoff.
+
+def pseudoinverse(a) -> np.ndarray:
+    """Moore-Penrose inverse via SVD with the relative rank cutoff.
+
+    Singular values ``sigma_i <= DEFAULT_TOL * sigma_max`` are treated as
+    zero.  The result satisfies the four Penrose identities to within
+    roundoff.
     """
-    a = _as_matrix(a)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     res = svd(a)
     s = res.singular_values
-    cutoff = tol * (s[0] if s.size else 0.0)
+    k = _kept(s)
     inv = np.zeros_like(s)
-    keep = s > cutoff
-    inv[keep] = 1.0 / s[keep]
+    inv[:k] = 1.0 / s[:k]
     return (res.vt.T * inv) @ res.u.T
 
 
@@ -118,12 +120,6 @@ def spectral_radius(a) -> float:
     return float(np.max(np.abs(eigs)))
 
 
-def rank(a, tol: float = DEFAULT_TOL) -> int:
-    """Number of singular values above ``tol * sigma_max``."""
-    a = _as_matrix(a)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    s = svd(a).singular_values
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+def rank(a) -> int:
+    """Number of singular values above ``DEFAULT_TOL * sigma_max``."""
+    return _kept(svd(a).singular_values)

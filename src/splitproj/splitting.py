@@ -212,7 +212,7 @@ class _SplittingProblem:
     def _fix(self) -> FixDecomposition:
         """Projector onto Fix T, shifted by `affine_lift` for affine problems."""
         if self.is_affine:
-            fix = affine_lift(operator_matrix(self), self.parallel()._fix)[1]
+            fix = affine_lift(operator_matrix(self), self.parallel()._fix)
         else:
             fix = fix_decomposition(self)
         _read_only(fix.fix_projector, fix.shift, fix.z_block, fix.e_projector)
@@ -407,26 +407,25 @@ def fix_decomposition(problem) -> FixDecomposition:
             else mt_fix_projector(problem))
 
 
-def affine_lift(amap: AffineMap, fix: FixDecomposition, tol: float = _AFFINE_TOL):
-    """Shift turning a linear fixed-point projector into the affine one.
+def affine_lift(amap: AffineMap, fix: FixDecomposition) -> FixDecomposition:
+    """The affine fixed-point projector: ``fix`` shifted by a = (Id - L)^+ b.
 
-    For T x = L x + b with nonempty fixed-point set, a = (Id - L)^+ b
-    satisfies P_FixT(x) = P_FixL(x) + a and T^k x = L^k (x - a) + a.
-    A residual ``(Id - L) a != b`` beyond ``tol * max(1, ||b||)`` means no
+    For T x = L x + b with nonempty fixed-point set, the shift a satisfies
+    P_FixT(x) = P_FixL(x) + a and T^k x = L^k (x - a) + a.  A residual
+    ``(Id - L) a != b`` beyond ``_AFFINE_TOL * max(1, ||b||)`` means no
     fixed point exists (empty affine intersection) and is rejected.
     """
     m = amap.linear.shape[0]
     id_minus_l = np.eye(m) - amap.linear
     a = pseudoinverse(id_minus_l) @ amap.offset
     residual = np.linalg.norm(id_minus_l @ a - amap.offset)
-    bound = tol * max(1.0, float(np.linalg.norm(amap.offset)))
+    bound = _AFFINE_TOL * max(1.0, float(np.linalg.norm(amap.offset)))
     if residual > bound:
         raise InconsistentAffineError(
             f"no fixed point: ||(Id - L)a - b|| = {residual:.3e} exceeds {bound:.1e} "
             "(the affine intersection is empty)"
         )
-    lifted = FixDecomposition(fix.fix_projector, a, fix.z_block, fix.e_projector)
-    return a, lifted
+    return FixDecomposition(fix.fix_projector, a, fix.z_block, fix.e_projector)
 
 
 def _read_only(*arrays) -> None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, NumericalFailure, pseudoinverse, rank, svd
+from .linalg import NumericalFailure, _kept, pseudoinverse, rank, svd
 
 _SYMMETRY_TOL = 1e-10
 _IDEMPOTENCE_TOL = 1e-8
@@ -53,18 +53,14 @@ class Subspace:
     def ambient_dim(self) -> int:
         return self.projector.shape[0]
 
-    def dimension(self, tol: float = DEFAULT_TOL) -> int:
+    def dimension(self) -> int:
         """Dimension of the subspace (numerical rank of the projector)."""
-        if not self.projector.any():
-            return 0
-        return rank(self.projector, tol)
+        return rank(self.projector)
 
-    def basis(self, tol: float = DEFAULT_TOL) -> np.ndarray:
+    def basis(self) -> np.ndarray:
         """Orthonormal basis as a d x k column matrix (k may be 0)."""
         res = svd(self.projector)
-        s = res.singular_values
-        k = int(np.sum(s > tol * s[0])) if s[0] > 0 else 0
-        return res.u[:, :k]
+        return res.u[:, :_kept(res.singular_values)]
 
 
 @dataclass

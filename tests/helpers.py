@@ -10,7 +10,6 @@ projector directly from one SVD.
 import numpy as np
 
 from splitproj import (
-    STOP_DISTANCE,
     IterationTrace,
     MTProblem,
     RyuProblem,
@@ -106,19 +105,15 @@ def scalar_iterate(problem, config, start) -> IterationTrace:
     sh_lim = shadow_limit(problem, z)
     gov_hist = [float(np.linalg.norm(z - gov_lim))]
     sh_hist = []
-    converged = config.stop_rule == STOP_DISTANCE and gov_hist[0] <= config.tol
+    converged = gov_hist[0] <= config.tol
     k = 0
     while not converged and k < config.max_iters:
         blocks = forward_blocks(problem, z)
         sh_hist.append(float(np.linalg.norm(np.concatenate(blocks) - sh_lim)))
-        move = config.lam * displacement(problem, blocks)
-        z = z + move
+        z = z + config.lam * displacement(problem, blocks)
         k += 1
         gov_hist.append(float(np.linalg.norm(z - gov_lim)))
-        if config.stop_rule == STOP_DISTANCE:
-            converged = gov_hist[-1] <= config.tol
-        else:
-            converged = float(np.linalg.norm(move)) <= config.tol
+        converged = gov_hist[-1] <= config.tol
     final_shadow = shadow(problem, z)
     sh_hist.append(float(np.linalg.norm(final_shadow - sh_lim)))
     return IterationTrace(k, converged, np.asarray(gov_hist), np.asarray(sh_hist),

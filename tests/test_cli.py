@@ -382,6 +382,16 @@ def test_non_finite_input_is_a_format_error(tmp_path, capsys, field, overrides):
     assert f"{field} must be finite" in err and "nan.json" in err
 
 
+@pytest.mark.parametrize("argv, value", [
+    (["exp2", "--n", "1", "--n-points", "2", "--lambda", "0.5", "--tol", "nan",
+      "--max-iters", "50", "--algorithm", "ryu"], "nan"),
+    (["run", "--problem", str(GOLDEN / "run_affine_ryu.json"), "--tol", "inf"], "inf"),
+])
+def test_non_finite_tol_is_a_usage_error(argv, value, capsys):
+    assert main(argv) == 2
+    assert f"tol must be positive and finite, got {value}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("algorithm", ["ryu", "mt"])
 def test_run_trace_matches_golden_file(algorithm, capsys):
     # written by the code that rebuilt every derived form on each call

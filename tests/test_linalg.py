@@ -113,6 +113,14 @@ def test_rank_examples():
     assert rank(np.outer(u, v)) == 1
 
 
+def test_rank_cutoff_boundary():
+    # the cutoff is 1e-12 * sigma_max: 2e-12 lies above it, 5e-13 below
+    a = np.diag([1.0, 2e-12, 5e-13])
+    assert rank(a) == 2
+    np.testing.assert_allclose(pseudoinverse(a), np.diag([1.0, 5e11, 0.0]),
+                               rtol=1e-12, atol=1e-12)
+
+
 def test_spectral_radius_below_operator_norm():
     rng = np.random.default_rng(13)
     for _ in range(200):

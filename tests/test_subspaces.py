@@ -41,6 +41,16 @@ def test_from_basis_empty_columns_is_zero_subspace():
     assert s.dimension() == 0
 
 
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_basis_has_dimension_orthonormal_columns(k):
+    rng = np.random.default_rng(k)
+    s = from_basis(rng.standard_normal((4, k)))
+    b = s.basis()
+    assert s.dimension() == k and b.shape == (4, k)
+    assert np.allclose(b.T @ b, np.eye(k), atol=1e-12)
+    assert np.allclose(b @ b.T, s.projector, atol=1e-12)
+
+
 def test_projector_validation():
     with pytest.raises(ValueError):
         Subspace(np.array([[1.0, 0.5], [0.0, 1.0]]))  # not symmetric
