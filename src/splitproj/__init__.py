@@ -17,6 +17,7 @@ from .driver import (
     iterate,
     iteration_counts,
     rate_bounds,
+    rate_curve,
     shadow,
     shadow_limit,
     tail_contraction,

@@ -41,15 +41,11 @@ from .driver import (
     batch_iteration_counts,
     iterate,
     rate_bounds,
+    rate_curve,
     shadow_limit,
 )
-from .linalg import NumericalFailure, operator_norm, spectral_radius
-from .splitting import (
-    InconsistentAffineError,
-    MTProblem,
-    RyuProblem,
-    operator_matrix,
-)
+from .linalg import NumericalFailure
+from .splitting import InconsistentAffineError, MTProblem, RyuProblem
 from .subspaces import GenerationError, _spanned_draw, feasible_dims, subspace_from_dict
 
 CSV_HEADER = ("experiment", "algorithm", "lambda", "instance_seed",
@@ -151,13 +147,9 @@ def _exp1_worker(args):
     subs = _instance_subspaces(seed, index, d, dims)
     out = {}
     for algorithm in algorithms:
-        problem = _build_problem(algorithm, subs)
-        t = operator_matrix(problem).linear
-        p_fix = problem._fix.fix_projector
-        eye = np.eye(t.shape[0])
-        for lam in grid:
-            err = (1.0 - lam) * eye + lam * t - p_fix
-            out[(algorithm, lam)] = (spectral_radius(err), operator_norm(err))
+        lower, upper = rate_curve(_build_problem(algorithm, subs), grid)
+        for lam, lo, up in zip(grid, lower.tolist(), upper.tolist()):
+            out[(algorithm, lam)] = (lo, up)
     return out
 
 

@@ -10,21 +10,29 @@ is within ``tol`` of that limit.
 
 All distances are Euclidean norms on the stacked block vectors: governing
 distances in R^{(n-1)d}, shadow distances in R^{nd}.
+
+The rate bounds are the spectral radius and the operator norm of the error
+map T_lam - P_Fix.  It is zero on Fix T, so `rate_curve` takes both on the
+orthogonal complement of Fix T, for a whole relaxation grid from one
+eigenvalue solve and one stacked SVD; `rate_bounds` is its one-relaxation
+call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .linalg import operator_norm, spectral_radius
+from .linalg import _eigvals, _operator_norms
 from .splitting import (
     RyuProblem,
     _governing,
     forward_blocks,
     operator_matrix,
 )
+from .subspaces import _computed
 
 #: Distance ratios averaged by `tail_contraction`.
 _TAIL_WINDOW = 50
@@ -45,8 +53,9 @@ class IterationConfig:
             raise ValueError(f"relaxation must lie in (0, 1), got {self.lam}")
         if not 0.0 < self.tol < np.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
+        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, Integral)
+                or self.max_iters < 0):
+            raise ValueError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
 
 
 @dataclass
@@ -240,15 +249,41 @@ def rate_bounds(problem, lam: float) -> RateBounds:
     Both bounds are for the error map of the relaxed operator,
     T_lam - P_Fix; the lower bound is sharp for the asymptotic rate.
     Requires a linear problem (affine rates equal those of the parallel
-    linear problem).
+    linear problem).  This is the one-relaxation call of `rate_curve`.
+    """
+    lower, upper = rate_curve(problem, [lam])
+    return RateBounds(lower=float(lower[0]), upper=float(upper[0]))
+
+
+def rate_curve(problem, lams) -> tuple:
+    """`rate_bounds` at every relaxation of ``lams``, as two arrays.
+
+    T is the identity on Fix T and maps its orthogonal complement into
+    itself, so with an orthonormal basis Q of Fix^perp and B = Q^T T Q the
+    error map T_lam - P_Fix is zero on Fix T and (1 - lam) Id + lam B on
+    Fix^perp.  Its spectrum is {0} and the values 1 - lam + lam mu over the
+    eigenvalues mu of B, so one eigenvalue solve gives the whole lower
+    curve; the upper curve is the largest singular value of each
+    (1 - lam) Id + lam B, from one stacked SVD.  Both bounds are 0 when
+    Fix T is the whole space.
     """
     if problem.is_affine:
         raise ValueError("rate bounds are defined on linear problems; use problem.parallel()")
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"relaxation must lie in (0, 1), got {lam}")
-    t_lam = operator_matrix(problem).relaxed(lam).linear
-    err = t_lam - problem._fix.fix_projector
-    return RateBounds(lower=spectral_radius(err), upper=operator_norm(err))
+    lam = np.asarray(lams, dtype=float).reshape(-1)
+    bad = lam[~((0.0 < lam) & (lam < 1.0))]
+    if bad.size:
+        raise ValueError(f"relaxation must lie in (0, 1), got {bad[0]}")
+    p_fix = problem._fix.fix_projector
+    m = p_fix.shape[0]
+    q = _computed(np.eye(m) - p_fix).basis()
+    if q.shape[1] == 0:
+        return np.zeros(lam.shape), np.zeros(lam.shape)
+    b = q.T @ operator_matrix(problem).linear @ q
+    mu = _eigvals(b)
+    lower = np.max(np.abs((1.0 - lam)[:, None] + lam[:, None] * mu), axis=1)
+    upper = _operator_norms((1.0 - lam)[:, None, None] * np.eye(b.shape[0])
+                            + lam[:, None, None] * b)
+    return lower, upper
 
 
 def tail_contraction(distances) -> float:
@@ -276,8 +311,8 @@ def asymptotic_contraction(problem, lam: float, probe) -> float:
     spectral radius to high accuracy.
     """
     probe = np.asarray(probe, dtype=float).reshape(-1)
-    t_lam = operator_matrix(problem).relaxed(lam).linear
-    a = t_lam - problem._fix.fix_projector
+    t = operator_matrix(problem).linear
+    a = (1.0 - lam) * np.eye(t.shape[0]) + lam * t - problem._fix.fix_projector
     if probe.shape[0] != a.shape[0]:
         raise ValueError(f"probe has dimension {probe.shape[0]}, expected {a.shape[0]}")
     norm0 = np.linalg.norm(probe)

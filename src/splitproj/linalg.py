@@ -4,7 +4,8 @@ Thin wrappers around LAPACK (via numpy.linalg): thin SVD, Moore-Penrose
 pseudoinverse, operator norm, spectral radius, and numerical rank.
 Everything in this package that carries a dagger, a rank or a basis goes
 through here, so the rank cutoff lives in one place, `_kept`: singular
-values at or below ``DEFAULT_TOL * sigma_max`` are treated as zero.
+values at or below ``DEFAULT_TOL * sigma_max`` (``DEFAULT_TOL`` for the
+projectors of a `Subspace`) are treated as zero.
 
 All functions are pure and accept any array-like that converts to a finite
 2-D float array; they are safe to call concurrently.
@@ -73,9 +74,12 @@ def svd(a) -> SvdResult:
     return SvdResult(u=u, singular_values=s, vt=vt)
 
 
-def _kept(s: np.ndarray) -> int:
-    """Number of the nonincreasing singular values ``s`` above the cutoff."""
-    return int(np.count_nonzero(s > DEFAULT_TOL * s[0]))
+def _kept(s: np.ndarray, scale: float = 0.0) -> int:
+    """Number of the nonincreasing singular values ``s`` above the cutoff.
+
+    The cutoff is ``DEFAULT_TOL`` times the larger of ``s[0]`` and ``scale``.
+    """
+    return int(np.count_nonzero(s > DEFAULT_TOL * max(s[0], scale)))
 
 
 def pseudoinverse(a) -> np.ndarray:
@@ -98,6 +102,18 @@ def operator_norm(a) -> float:
     return float(svd(a).singular_values[0])
 
 
+def _operator_norms(stack: np.ndarray) -> np.ndarray:
+    """`operator_norm` of each matrix of a finite ``(k, m, m)`` stack.
+
+    One batched LAPACK call; if it fails to converge, each matrix is
+    retried through `svd` and its transpose fallback.
+    """
+    try:
+        return np.linalg.svd(stack, compute_uv=False)[:, 0]
+    except np.linalg.LinAlgError:
+        return np.array([svd(a).singular_values[0] for a in stack])
+
+
 def spectral_radius(a) -> float:
     """Largest eigenvalue modulus of a square matrix.
 
@@ -110,14 +126,18 @@ def spectral_radius(a) -> float:
     a = _as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"spectral_radius needs a square matrix, got {a.shape}")
+    return float(np.max(np.abs(_eigvals(a))))
+
+
+def _eigvals(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a finite square matrix."""
     try:
-        eigs = np.linalg.eigvals(a)
+        return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(
             f"eigenvalue QR iteration did not converge for "
             f"{a.shape[0]}x{a.shape[1]} matrix"
         ) from exc
-    return float(np.max(np.abs(eigs)))
 
 
 def rank(a) -> int:

@@ -63,11 +63,6 @@ class AffineMap:
     def __call__(self, x) -> np.ndarray:
         return self.linear @ np.asarray(x, dtype=float) + self.offset
 
-    def relaxed(self, lam: float) -> "AffineMap":
-        """The averaged map (1 - lam) Id + lam T."""
-        m = self.linear.shape[0]
-        return AffineMap((1.0 - lam) * np.eye(m) + lam * self.linear, lam * self.offset)
-
 
 @dataclass
 class FixDecomposition:

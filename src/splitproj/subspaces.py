@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NumericalFailure, _kept, pseudoinverse, rank, svd
+from .linalg import NumericalFailure, _kept, pseudoinverse, svd
 
 _SYMMETRY_TOL = 1e-10
 _IDEMPOTENCE_TOL = 1e-8
@@ -55,12 +55,17 @@ class Subspace:
 
     def dimension(self) -> int:
         """Dimension of the subspace (numerical rank of the projector)."""
-        return rank(self.projector)
+        return self.basis().shape[1]
 
     def basis(self) -> np.ndarray:
-        """Orthonormal basis as a d x k column matrix (k may be 0)."""
+        """Orthonormal basis as a d x k column matrix (k may be 0).
+
+        The rank cutoff is taken relative to 1, the largest singular value
+        of every nonzero projector, so that the roundoff of a computed
+        zero projector does not count as rank.
+        """
         res = svd(self.projector)
-        return res.u[:, :_kept(res.singular_values)]
+        return res.u[:, :_kept(res.singular_values, 1.0)]
 
 
 @dataclass

@@ -16,6 +16,7 @@ from splitproj import (
     Subspace,
     forward_blocks,
     governing_limit,
+    operator_matrix,
     random_subspace,
     shadow,
     shadow_limit,
@@ -60,6 +61,12 @@ def random_mt(rng, d=6, dims=None, n=3) -> MTProblem:
 
 def whole_space(d) -> Subspace:
     return Subspace(np.eye(d))
+
+
+def relaxed_matrix(problem, lam) -> np.ndarray:
+    """Linear part of the relaxed operator, (1 - lam) Id + lam T."""
+    t = operator_matrix(problem).linear
+    return (1.0 - lam) * np.eye(t.shape[0]) + lam * t
 
 
 def frobenius(a) -> float:

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from helpers import nullspace_intersection, random_instance
+from helpers import nullspace_intersection, random_instance, relaxed_matrix
 from splitproj import (
     IterationConfig,
     MTProblem,
@@ -96,7 +96,7 @@ def test_criterion_3_mt_shadow_limit_general_n():
             problem = MTProblem(random_instance(rng, dims=(5,) * n))
             m = problem.governing_dim
             pz = problem.intersection().projector
-            t_lam = operator_matrix(problem).relaxed(lam).linear
+            t_lam = relaxed_matrix(problem, lam)
             fwd = _forward_matrix(problem)
             x0 = rng.standard_normal(6)
             arbitrary = rng.standard_normal(m)
@@ -136,7 +136,7 @@ def test_criterion_4_fix_projector_correctness():
             assert np.linalg.norm(p @ p - p) <= 1e-8
             z = rng.standard_normal(m)
             assert np.linalg.norm(step(problem, p @ z) - p @ z) <= 1e-8
-            t_lam = operator_matrix(problem).relaxed(lam).linear
+            t_lam = relaxed_matrix(problem, lam)
             long_run = np.linalg.matrix_power(t_lam, 100_000) @ z
             assert np.linalg.norm(long_run - p @ z) <= 1e-6
     elapsed = time.perf_counter() - t0

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import splitproj.linalg as linalg
 from helpers import (
     random_instance,
     random_mt,
     random_ryu,
+    relaxed_matrix,
     scalar_iterate,
     scalar_iteration_counts,
     whole_space,
@@ -12,16 +14,21 @@ from helpers import (
 from splitproj import (
     IterationConfig,
     MTProblem,
+    NumericalFailure,
     RyuProblem,
+    Subspace,
     asymptotic_contraction,
     batch_iteration_counts,
     fix_decomposition,
     governing_limit,
     iterate,
     iteration_counts,
+    operator_norm,
     rate_bounds,
+    rate_curve,
     shadow,
     shadow_limit,
+    spectral_radius,
     tail_contraction,
 )
 
@@ -37,6 +44,25 @@ def test_config_validation():
         IterationConfig(0.5, tol=float("nan"))
     with pytest.raises(ValueError, match="got inf"):
         IterationConfig(0.5, tol=float("inf"))
+
+
+def test_max_iters_must_be_a_nonnegative_integer():
+    rng = np.random.default_rng(26)
+    p = random_ryu(rng)
+    start = rng.standard_normal(12)
+    # 2.5 made the counts raise TypeError and iterate loop forever
+    with pytest.raises(ValueError, match="max_iters must be an integer >= 0, got 2.5"):
+        batch_iteration_counts(p, start[:, None], [0.5], tol=1e-300, max_iters=2.5)
+    with pytest.raises(ValueError, match="got 2.5"):
+        iteration_counts(p, IterationConfig(0.5, tol=1e-300, max_iters=2.5), start)
+    with pytest.raises(ValueError, match="got 2.5"):
+        iterate(p, IterationConfig(0.5, tol=1e-300, max_iters=2.5), start)
+    for bad in (True, -1, 3.0, "3"):
+        with pytest.raises(ValueError, match="max_iters"):
+            IterationConfig(0.5, max_iters=bad)
+    config = IterationConfig(0.5, tol=1e-300, max_iters=np.int64(3))
+    assert iteration_counts(p, config, start) == (3, 3)
+    assert iterate(p, config, start).iterations == 3
 
 
 def test_iterate_from_fixed_point():
@@ -142,6 +168,101 @@ def test_rate_bounds_rejects_affine():
     with pytest.raises(ValueError):
         rate_bounds(p, 0.5)
     assert rate_bounds(p.parallel(), 0.5).lower < 1.0
+
+
+def _full_error_bounds(problem, lam):
+    """Both rate bounds from the full error matrix T_lam - P_Fix."""
+    err = relaxed_matrix(problem, lam) - fix_decomposition(problem).fix_projector
+    return spectral_radius(err), operator_norm(err)
+
+
+def test_rate_curve_matches_full_error_matrix():
+    rng = np.random.default_rng(22)
+    lams = [round(0.01 * k, 12) for k in range(1, 100)]
+    zero = Subspace(np.zeros((4, 4)))
+    problems = [random_ryu(rng) for _ in range(3)]
+    problems += [random_mt(rng, n=n) for n in (3, 4, 5) for _ in range(2)]
+    # B = 0 for whole-space subspaces; zero subspaces give T = Id, so Fix T
+    # is the whole space
+    problems += [RyuProblem(whole_space(3), whole_space(3), whole_space(3)),
+                 RyuProblem(zero, zero, zero), MTProblem([zero] * 4)]
+    for p in problems:
+        lower, upper = rate_curve(p, lams)
+        assert lower.shape == upper.shape == (len(lams),)
+        want = np.array([_full_error_bounds(p, lam) for lam in lams])
+        assert np.max(np.abs(lower - want[:, 0])) <= 1e-12
+        assert np.max(np.abs(upper - want[:, 1])) <= 1e-12
+        for i in (0, 49, 98):
+            bounds = rate_bounds(p, lams[i])
+            assert (bounds.lower, bounds.upper) == (lower[i], upper[i])
+    assert np.allclose(rate_curve(problems[-3], [0.3, 0.8]), [[0.7, 0.2]] * 2, atol=1e-12)
+    assert not np.any(rate_curve(problems[-1], lams))
+
+
+def test_rate_curve_validation():
+    rng = np.random.default_rng(23)
+    p = random_ryu(rng)
+    with pytest.raises(ValueError, match=r"relaxation must lie in \(0, 1\), got 1.0"):
+        rate_curve(p, [0.5, 1.0])
+    with pytest.raises(ValueError, match="linear problems"):
+        rate_curve(RyuProblem(*p.subspaces, affine_anchors=[np.zeros(6)] * 3), [0.5])
+
+
+def _fix_complement_dim(p):
+    return Subspace(np.eye(p.governing_dim) - p._fix.fix_projector).dimension()
+
+
+def test_rate_curve_retries_a_failed_stacked_svd_one_matrix_at_a_time(monkeypatch):
+    rng = np.random.default_rng(24)
+    p = random_mt(rng, n=4)
+    r = _fix_complement_dim(p)
+    lams = [0.2, 0.5, 0.8]
+    want = rate_curve(p, lams)
+    real_svd, real_linalg_svd = np.linalg.svd, linalg.svd
+    shapes = []
+
+    def fail_stacked(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_svd(a, *args, **kwargs)
+
+    def recorded(a):
+        shapes.append(np.shape(a))
+        return real_linalg_svd(a)
+
+    monkeypatch.setattr(np.linalg, "svd", fail_stacked)
+    monkeypatch.setattr(linalg, "svd", recorded)
+    lower, upper = rate_curve(p, lams)
+    assert shapes == [(r, r)] * len(lams)
+    assert np.array_equal(lower, want[0])
+    assert np.allclose(upper, want[1], rtol=1e-13, atol=0.0)
+
+
+def test_rate_curve_failures_are_numerical(monkeypatch):
+    rng = np.random.default_rng(25)
+    p = random_ryu(rng)
+    r = _fix_complement_dim(p)
+    assert r < p.governing_dim  # so that only the SVDs of the error maps fail
+    real_svd = np.linalg.svd
+
+    def svd_or_fail(a, *args, **kwargs):
+        if np.ndim(a) == 3 or np.shape(a) == (r, r):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_svd(a, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "svd", svd_or_fail)
+        with pytest.raises(NumericalFailure, match=f"{r}x{r}"):
+            rate_curve(p, [0.5])
+
+    def eigvals_fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals_fail)
+    with pytest.raises(NumericalFailure, match=f"{r}x{r}"):
+        rate_curve(p, [0.5])
+    with pytest.raises(NumericalFailure, match="12x12"):
+        spectral_radius(np.eye(12))
 
 
 def test_tail_contraction_between_bounds():

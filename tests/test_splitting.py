@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from helpers import nullspace_intersection, random_instance, random_mt, random_ryu, whole_space
+from helpers import (
+    nullspace_intersection,
+    random_instance,
+    random_mt,
+    random_ryu,
+    relaxed_matrix,
+    whole_space,
+)
 from splitproj import (
     AffineMap,
     InconsistentAffineError,
@@ -169,7 +176,7 @@ def test_ryu_fix_projector_iterate_limit_oracle():
     for _ in range(3):
         p = random_ryu(rng)
         fix = ryu_fix_projector(p)
-        t_lam = operator_matrix(p).relaxed(0.5).linear
+        t_lam = relaxed_matrix(p, 0.5)
         z = rng.standard_normal(12)
         limit = np.linalg.matrix_power(t_lam, 100_000) @ z
         assert np.linalg.norm(limit - fix.fix_projector @ z) <= 1e-6
@@ -270,7 +277,7 @@ def test_mt_fix_projector_iterate_limit_oracle():
     for n in (3, 4):
         p = random_mt(rng, n=n)
         fix = mt_fix_projector(p)
-        t_lam = operator_matrix(p).relaxed(0.5).linear
+        t_lam = relaxed_matrix(p, 0.5)
         z = rng.standard_normal(p.governing_dim)
         limit = np.linalg.matrix_power(t_lam, 100_000) @ z
         assert np.linalg.norm(limit - fix.fix_projector @ z) <= 1e-6

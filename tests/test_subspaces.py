@@ -51,6 +51,18 @@ def test_basis_has_dimension_orthonormal_columns(k):
     assert np.allclose(b @ b.T, s.projector, atol=1e-12)
 
 
+def test_trivial_intersection_has_dimension_zero():
+    # the computed projector is roundoff of about 1e-15; a cutoff relative
+    # to its own largest singular value counted all of it as rank
+    rng = np.random.default_rng(30)
+    for dims in ((2, 2, 2), (3, 3, 3), (4, 4, 4)):
+        subs = [random_subspace(6, k, rng) for k in dims]
+        z = intersect_all(subs)
+        assert not np.any(nullspace_intersection([s.projector for s in subs]))
+        assert z.dimension() == 0 and z.basis().shape == (6, 0)
+        assert complement(z).dimension() == 6
+
+
 def test_projector_validation():
     with pytest.raises(ValueError):
         Subspace(np.array([[1.0, 0.5], [0.0, 1.0]]))  # not symmetric
