@@ -16,6 +16,7 @@ from .driver import (
     governing_limit,
     iterate,
     iteration_counts,
+    orbit,
     rate_bounds,
     rate_curve,
     shadow,
@@ -43,7 +44,6 @@ from .splitting import (
     mt_fix_projector,
     operator_matrix,
     ryu_fix_projector,
-    step,
 )
 from .subspaces import (
     AffineSubspace,

@@ -33,6 +33,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .driver import (
     IterationConfig,
     batch_iteration_counts,
     iterate,
+    orbit,
     rate_bounds,
     rate_curve,
     shadow_limit,
@@ -264,8 +266,8 @@ def exp2(n_sets: int = 100, n_points: int = 100, lambda_grid=None,
 # ---------------------------------------------------------------------------
 
 def _exp3_worker(args):
-    """Shadow distances of all start points of one set, stepped as columns
-    through the step matrix ``[F; Id; T - Id]`` of the linear problem."""
+    """Shadow distances after steps 1..n_iters of all start points of one
+    set, stepped together as the columns of one `orbit`."""
     seed, set_index, d, dims, lam, algorithms, n_points, n_iters = args
     subs = _instance_subspaces(seed, set_index, d, dims)
     points = [_start_point(seed, j, d) for j in range(n_points)]
@@ -274,15 +276,8 @@ def _exp3_worker(args):
         problem = _build_problem(algorithm, subs)
         z = np.column_stack([_lift_start(x0, problem.n) for x0 in points])
         limit = shadow_limit(problem, z)
-        matrix, _ = problem._step
-        nd, m = limit.shape[0], problem.governing_dim
-        w = matrix @ z
-        dists = np.empty((n_points, n_iters))
-        for k in range(n_iters):
-            z = z + lam * w[nd + m:]
-            w = matrix @ z
-            dists[:, k] = np.linalg.norm(w[:nd] - limit, axis=0)
-        out[algorithm] = dists
+        steps = islice(orbit(problem, z, lam), 1, n_iters + 1)  # yield 0 is the start
+        out[algorithm] = np.array([np.linalg.norm(y[:len(limit)] - limit, axis=0) for y in steps]).T
     return out
 
 

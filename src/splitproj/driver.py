@@ -49,13 +49,24 @@ class IterationConfig:
     max_iters: int = 10_000
 
     def __post_init__(self):
-        if not 0.0 < self.lam < 1.0:
-            raise ValueError(f"relaxation must lie in (0, 1), got {self.lam}")
-        if not 0.0 < self.tol < np.inf:
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, Integral)
-                or self.max_iters < 0):
-            raise ValueError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
+        _relaxations(self.lam)
+        _check_stop(self.tol, self.max_iters)
+
+
+def _relaxations(lams) -> np.ndarray:
+    """``lams`` as a float array, after checking that every value lies in (0, 1)."""
+    lam = np.asarray(lams, dtype=float)
+    bad = lam[~((0.0 < lam) & (lam < 1.0))]
+    if bad.size:
+        raise ValueError(f"relaxation must lie in (0, 1), got {bad[0]}")
+    return lam
+
+
+def _check_stop(tol, max_iters) -> None:
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if isinstance(max_iters, bool) or not isinstance(max_iters, Integral) or max_iters < 0:
+        raise ValueError(f"max_iters must be an integer >= 0, got {max_iters!r}")
 
 
 @dataclass
@@ -120,6 +131,32 @@ def shadow(problem, z) -> np.ndarray:
     return np.concatenate(forward_blocks(problem, z))
 
 
+def orbit(problem, starts, lam):
+    """Relaxed iterates of a block of start columns, with their shadows.
+
+    ``starts`` is a ``(governing_dim, k)`` matrix and ``lam`` one relaxation
+    or one per column.  Yields ``[F z_k; z_k]`` (shadow rows over iterate
+    rows) for k = 0, 1, ..., each from one product with the problem's step
+    matrix ``[F; Id; T - Id]``, and sets z_{k+1} = z_k + lam (T - Id) z_k in
+    between.  Sending a boolean mask over the current columns keeps only
+    those columns from then on.
+    """
+    z = _governing(problem, starts)
+    lam = np.asarray(lam, dtype=float)
+    matrix, offset = problem._step
+    affine = problem.is_affine
+    m = problem.governing_dim
+    while True:
+        w = matrix @ z
+        if affine:
+            w += offset[:, None]
+        keep = yield w[:-m]
+        if keep is not None:
+            z, w = z[:, keep], w[:, keep]
+            lam = lam[keep] if lam.ndim else lam
+        z = z + lam * w[-m:]
+
+
 def iterate(problem, config: IterationConfig, start, record_history: bool = True) -> IterationTrace:
     """Run the relaxed iteration until the iterate is within ``tol`` of its limit.
 
@@ -127,42 +164,25 @@ def iterate(problem, config: IterationConfig, start, record_history: bool = True
     Hitting ``max_iters`` yields ``converged=False`` rather than an
     exception.  Per-iteration distance histories are recorded only when
     requested (long runs over many instances would otherwise hold every
-    trace in memory).
-
-    Each step is one product with the step matrix of `batch_iteration_counts`:
-    ``w = [F; Id; T - Id] z`` (plus the affine offsets) holds the shadow,
-    the iterate and its displacement.
+    trace in memory).  This is the one-column run of `orbit`.
     """
-    z = _governing(problem, np.ravel(start)).copy()
+    z = _governing(problem, np.ravel(start))
     gov_lim = governing_limit(problem, z)
     sh_lim = shadow_limit(problem, z)
-    matrix, offset = problem._step
     nd = sh_lim.shape[0]
-    m = z.shape[0]
-
-    gov_hist: list = []
-    sh_hist: list = []
-    k = 0
-    while True:
-        w = matrix @ z + offset
-        gov_dist = float(np.linalg.norm(w[nd:nd + m] - gov_lim))
+    gov_hist, sh_hist = [], []
+    for k, y in enumerate(orbit(problem, z[:, None], config.lam)):
+        y = y[:, 0]
+        gov_dist = float(np.linalg.norm(y[nd:] - gov_lim))
         if record_history:
             gov_hist.append(gov_dist)
-            sh_hist.append(float(np.linalg.norm(w[:nd] - sh_lim)))
+            sh_hist.append(float(np.linalg.norm(y[:nd] - sh_lim)))
         converged = gov_dist <= config.tol
         if converged or k == config.max_iters:
             break
-        z = z + config.lam * w[nd + m:]
-        k += 1
 
-    return IterationTrace(
-        iterations=k,
-        converged=converged,
-        governing_distances=np.asarray(gov_hist),
-        shadow_distances=np.asarray(sh_hist),
-        final_governing=z,
-        final_shadow=w[:nd],
-    )
+    return IterationTrace(k, converged, np.asarray(gov_hist), np.asarray(sh_hist),
+                          final_governing=y[nd:], final_shadow=y[:nd])
 
 
 def iteration_counts(problem, config: IterationConfig, start) -> tuple:
@@ -190,43 +210,37 @@ def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
     governing and the shadow counts of each column.  Every column's
     governing and shadow limit comes from one matrix product each.
 
-    All columns advance together through the operator written as one
-    matrix: ``W = [F; Id; T - Id] Z`` (plus the affine offsets) gives every
-    column's shadow ``F z``, the iterate itself and its displacement, so
-    that one product and one subtraction of the stacked limits give both
-    distances, and ``Z <- Z + lam * (T - Id) Z``.  A column leaves the
-    working set as soon as both its counts are known, so a slow relaxation
-    does not keep the fast ones stepping.  Every column is checked at
-    k = 0, 1, ..., ``max_iters``; a count still unknown after ``max_iters``
-    steps is reported as ``max_iters``.
+    All columns advance together through `orbit`, whose yields stack every
+    column's shadow over its iterate, so that one subtraction of the stacked
+    limits gives both distances.  A column leaves the working set as soon as
+    both its counts are known, so a slow relaxation does not keep the fast
+    ones stepping.  Every column is checked at k = 0, 1, ..., ``max_iters``;
+    a count still unknown after ``max_iters`` steps is reported as
+    ``max_iters``.
     """
-    z = np.array(_governing(problem, starts), dtype=float)
+    z = _governing(problem, starts)
     if z.ndim != 2:
         raise ValueError("starts must be a (governing_dim, k) matrix")
     k = z.shape[1]
-    lam = np.asarray(lams, dtype=float).reshape(-1)
+    lam = _relaxations(lams).reshape(-1)
     if lam.shape[0] != k:
         raise ValueError(f"need one relaxation per column, got {lam.shape[0]} for {k}")
-    for value in set(lam.tolist()):  # the checks of a single run's config
-        IterationConfig(value, tol=tol, max_iters=max_iters)
-    # rows [0, nd) of W are the shadow and rows [nd, nd + m) the iterate, so
-    # the two distances are the norms of these row ranges of W - limits;
-    # row 0 of counts and open_ is the shadow, row 1 the governing sequence
-    limits = np.vstack([shadow_limit(problem, z), governing_limit(problem, z)])
-    matrix, offset = problem._step
-    affine = problem.is_affine
-    m = problem.governing_dim
-    nd = limits.shape[0] - m
-
+    _check_stop(tol, max_iters)
     counts = np.full((2, k), max_iters, dtype=np.int64)
+    if k == 0:
+        return counts[1], counts[0]
+    # a yield's rows [0, nd) are the shadow and the rest the iterate; row 0
+    # of counts and open_ is the shadow, row 1 the governing sequence
+    limits = np.vstack([shadow_limit(problem, z), governing_limit(problem, z)])
+    nd = limits.shape[0] - problem.governing_dim
     open_ = np.ones((2, k), dtype=bool)
     cols = np.arange(k)
+    ys = orbit(problem, z, lam)
+    y = next(ys)
     for it in range(max_iters + 1):
-        w = matrix @ z
-        if affine:
-            w += offset[:, None]
-        gap = w[:nd + m] - limits
+        gap = y - limits
         hit = open_ & (np.sqrt(np.add.reduceat(gap * gap, [0, nd], axis=0)) <= tol)
+        keep = None
         if hit.any():
             rows, j = np.nonzero(hit)
             counts[rows, cols[j]] = it
@@ -235,11 +249,11 @@ def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
             if not live.all():
                 if not live.any():
                     break
-                cols, z, w, lam, limits, open_ = (
-                    a[..., live] for a in (cols, z, w, lam, limits, open_))
+                keep = live
+                cols, limits, open_ = (a[..., live] for a in (cols, limits, open_))
         if it == max_iters:
             break
-        z = z + lam * w[nd + m:]
+        y = ys.send(keep)
     return counts[1], counts[0]
 
 
@@ -269,10 +283,7 @@ def rate_curve(problem, lams) -> tuple:
     """
     if problem.is_affine:
         raise ValueError("rate bounds are defined on linear problems; use problem.parallel()")
-    lam = np.asarray(lams, dtype=float).reshape(-1)
-    bad = lam[~((0.0 < lam) & (lam < 1.0))]
-    if bad.size:
-        raise ValueError(f"relaxation must lie in (0, 1), got {bad[0]}")
+    lam = _relaxations(lams).reshape(-1)
     p_fix = problem._fix.fix_projector
     m = p_fix.shape[0]
     q = _computed(np.eye(m) - p_fix).basis()
@@ -310,6 +321,7 @@ def asymptotic_contraction(problem, lam: float, probe) -> float:
     bounded by the operator norm and, for a generic probe, matches the
     spectral radius to high accuracy.
     """
+    _relaxations(lam)
     probe = np.asarray(probe, dtype=float).reshape(-1)
     t = operator_matrix(problem).linear
     a = (1.0 - lam) * np.eye(t.shape[0]) + lam * t - problem._fix.fix_projector

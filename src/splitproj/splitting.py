@@ -15,7 +15,7 @@ reduce internally to the parallel linear problem plus a shift.
 
 Block vector layout: governing vectors are contiguous blocks of size d in
 index order (z_1, ..., z_{n-1}); forward passes return n blocks.  The
-forward pass, the displacement and the operator step also take a
+forward pass and the displacement also take a
 ``(governing_dim, k)`` matrix whose columns are k governing vectors; every
 block is then a ``(d, k)`` matrix.  The operators are (affine) linear, so
 their matrix forms are the forward pass run on the identity.
@@ -307,13 +307,6 @@ def displacement(problem, blocks) -> np.ndarray:
         x1, x2, x3 = blocks
         return np.concatenate([x3 - x1, x3 - x2])
     return np.concatenate([blocks[i + 1] - blocks[i] for i in range(len(blocks) - 1)])
-
-
-def step(problem, z) -> np.ndarray:
-    """One application of the problem's splitting operator on a stacked z
-    (or on each column of a ``(governing_dim, k)`` matrix)."""
-    z = _governing(problem, z)
-    return z + displacement(problem, forward_blocks(problem, z))
 
 
 def operator_matrix(problem) -> AffineMap:

@@ -73,6 +73,13 @@ def frobenius(a) -> float:
     return float(np.linalg.norm(a))
 
 
+def step(problem, z) -> np.ndarray:
+    """Oracle for one application of the splitting operator: z plus the
+    displacement of its forward pass (z a vector or a matrix of columns)."""
+    z = np.asarray(z, dtype=float)
+    return z + displacement(problem, forward_blocks(problem, z))
+
+
 def scalar_iteration_counts(problem, config, start) -> tuple:
     """Oracle for the column kernel: one run, one vector, one step at a time.
 

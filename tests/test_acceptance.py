@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from helpers import nullspace_intersection, random_instance, relaxed_matrix
+from helpers import nullspace_intersection, random_instance, relaxed_matrix, step
 from splitproj import (
     IterationConfig,
     MTProblem,
@@ -22,7 +22,6 @@ from splitproj import (
     iterate,
     operator_matrix,
     rate_bounds,
-    step,
 )
 from splitproj.cli import exp1, exp2, records_to_csv
 

@@ -312,6 +312,16 @@ def test_counts_below_one_are_usage_errors(argv, flag, capsys):
     assert f"argument {flag}: must be at least 1" in err
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("seed5", []),
+    ("seed5_mt4", ["--algorithm", "mt", "--sub-dims", "5,5,5,5"]),
+], ids=["seed5", "seed5_mt4"])
+def test_exp3_csv_matches_golden_file(name, argv, capsys):
+    # written by the loop over the step matrix that `orbit` replaced
+    assert main(["exp3", "--n", "5", "--n-points", "4", "--seed", "5", *argv]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"exp3_{name}.csv").read_text()
+
+
 def test_exp2_csv_matches_golden_file():
     # written by the step-by-step loop that the column kernel replaced
     golden = GOLDEN / "exp2_seed7.csv"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import splitproj.driver as driver
 import splitproj.linalg as linalg
 from helpers import (
     random_instance,
@@ -9,6 +10,7 @@ from helpers import (
     relaxed_matrix,
     scalar_iterate,
     scalar_iteration_counts,
+    step,
     whole_space,
 )
 from splitproj import (
@@ -24,6 +26,7 @@ from splitproj import (
     iterate,
     iteration_counts,
     operator_norm,
+    orbit,
     rate_bounds,
     rate_curve,
     shadow,
@@ -288,6 +291,14 @@ def test_asymptotic_contraction_matches_spectral_radius():
             assert bounds.lower - 1e-4 <= est <= bounds.upper + 1e-9
 
 
+@pytest.mark.parametrize("lam", [0.0, 1.0, 1.5, float("nan")])
+def test_asymptotic_contraction_rejects_relaxation_outside_unit_interval(lam):
+    rng = np.random.default_rng(27)
+    p = random_ryu(rng)
+    with pytest.raises(ValueError, match=rf"relaxation must lie in \(0, 1\), got {lam}"):
+        asymptotic_contraction(p, lam, rng.standard_normal(p.governing_dim))
+
+
 def test_limit_independent_of_relaxation():
     rng = np.random.default_rng(12)
     p = random_mt(rng)
@@ -382,6 +393,29 @@ def test_batch_counts_zero_iterations_budget():
     assert (gov[0], sh[0]) == scalar_iteration_counts(p, config, start) == (0, 0)
 
 
+def test_batch_counts_of_no_columns(monkeypatch):
+    # an empty block once skipped every check and stepped max_iters times
+    rng = np.random.default_rng(28)
+    p = random_ryu(rng)
+    empty = np.zeros((p.governing_dim, 0))
+    with pytest.raises(ValueError, match="max_iters must be an integer >= 0, got 2.5"):
+        batch_iteration_counts(p, empty, [], max_iters=2.5)
+    with pytest.raises(ValueError, match="tol must be positive and finite, got nan"):
+        batch_iteration_counts(p, empty, [], tol=float("nan"))
+    starts = []
+
+    def counted(*args):
+        starts.append(args)
+        return orbit(*args)
+
+    monkeypatch.setattr(driver, "orbit", counted)
+    gov, sh = batch_iteration_counts(p, empty, [], max_iters=100_000)
+    assert not starts
+    assert gov.dtype == sh.dtype == np.int64 and gov.shape == sh.shape == (0,)
+    batch_iteration_counts(p, rng.standard_normal((p.governing_dim, 1)), [0.5])
+    assert len(starts) == 1
+
+
 def test_batch_counts_validation():
     rng = np.random.default_rng(19)
     p = random_ryu(rng)
@@ -428,3 +462,47 @@ def test_iterate_matches_forward_pass_oracle():
             stopped += want.converged
             capped += not want.converged
     assert stopped > 0 and capped > 0
+
+
+def test_orbit_starts_at_the_start_and_its_shadow():
+    rng = np.random.default_rng(29)
+    for p in _kernel_problems(rng):
+        starts = rng.standard_normal((p.governing_dim, 3))
+        first = next(orbit(p, starts, [0.2, 0.5, 0.9]))
+        want = np.vstack([np.column_stack([shadow(p, z) for z in starts.T]), starts])
+        assert first.shape == want.shape
+        assert np.max(np.abs(first - want)) <= 1e-12, (type(p).__name__, p.n, p.is_affine)
+        assert np.array_equal(first[-p.governing_dim:], starts)
+
+
+@pytest.mark.parametrize("lams", [[0.1, 0.4, 0.7, 0.95], 0.6], ids=["per-column", "scalar"])
+def test_orbit_mask_keeps_the_kept_columns_on_their_own_course(lams):
+    rng = np.random.default_rng(30)
+    lams = np.asarray(lams)
+    keep = np.array([True, False, True, True])
+    for p in _kernel_problems(rng):
+        starts = rng.standard_normal((p.governing_dim, 4))
+        whole = orbit(p, starts, lams)
+        for _ in range(5):
+            next(whole)
+        fresh = orbit(p, starts[:, keep], lams[keep] if lams.ndim else lams)
+        for _ in range(5):
+            next(fresh)
+        got = [whole.send(keep)] + [next(whole) for _ in range(20)]
+        want = [next(fresh) for _ in range(21)]
+        case = (type(p).__name__, p.n, p.is_affine)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape == (p.n * p.d + p.governing_dim, 3), case
+            assert np.max(np.abs(a - b)) <= 1e-12, case
+
+
+def test_orbit_steps_the_relaxed_operator():
+    rng = np.random.default_rng(31)
+    lams = np.array([0.3, 0.8])
+    for p in _kernel_problems(rng):
+        z = rng.standard_normal((p.governing_dim, 2))
+        ys = orbit(p, z, lams)
+        for _ in range(10):
+            next(ys)
+            z = z + lams * (step(p, z) - z)
+        assert np.max(np.abs(next(ys)[-p.governing_dim:] - z)) <= 1e-12

@@ -7,6 +7,7 @@ from helpers import (
     random_mt,
     random_ryu,
     relaxed_matrix,
+    step,
     whole_space,
 )
 from splitproj import (
@@ -21,7 +22,6 @@ from splitproj import (
     operator_matrix,
     ryu_fix_projector,
     shadow,
-    step,
 )
 from splitproj.linalg import spectral_radius
 
