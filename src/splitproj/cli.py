@@ -33,7 +33,6 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -276,8 +275,13 @@ def _exp3_worker(args):
         problem = _build_problem(algorithm, subs)
         z = np.column_stack([_lift_start(x0, problem.n) for x0 in points])
         limit = shadow_limit(problem, z)
-        steps = islice(orbit(problem, z, lam), 1, n_iters + 1)  # yield 0 is the start
-        out[algorithm] = np.array([np.linalg.norm(y[:len(limit)] - limit, axis=0) for y in steps]).T
+        dists, steps = [], 0
+        for block in orbit(problem, z, lam):
+            dists.append(np.linalg.norm(block[:, :len(limit)] - limit, axis=1))
+            steps += len(block)
+            if steps > n_iters:
+                break
+        out[algorithm] = np.concatenate(dists)[1:n_iters + 1].T  # slice 0 is the start
     return out
 
 

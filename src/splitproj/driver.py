@@ -21,6 +21,7 @@ call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from numbers import Integral
 
 import numpy as np
@@ -38,6 +39,11 @@ from .subspaces import _computed
 _TAIL_WINDOW = 50
 #: `asymptotic_contraction` runs 2**_DOUBLINGS steps by repeated squaring.
 _DOUBLINGS = 20
+#: `orbit` yields at most this many steps per block, and fewer when a block
+#: of that many would hold more than ``_BLOCK_ENTRIES`` step-product
+#: entries; a column set too wide for two steps gets one step per block.
+_BLOCK_STEPS = 32
+_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass
@@ -135,26 +141,31 @@ def orbit(problem, starts, lam):
     """Relaxed iterates of a block of start columns, with their shadows.
 
     ``starts`` is a ``(governing_dim, k)`` matrix and ``lam`` one relaxation
-    or one per column.  Yields ``[F z_k; z_k]`` (shadow rows over iterate
-    rows) for k = 0, 1, ..., each from one product with the problem's step
-    matrix ``[F; Id; T - Id]``, and sets z_{k+1} = z_k + lam (T - Id) z_k in
-    between.  Sending a boolean mask over the current columns keeps only
-    those columns from then on.
+    or one per column.  Yields blocks of consecutive steps, ``(j, rows, k)``
+    arrays whose slices are ``[F z_i; z_i]`` (shadow rows over iterate rows)
+    for i = 0, 1, ... in order across blocks.  Each step is one product with
+    the problem's step matrix ``[F; Id; T - Id]``, followed by
+    z_{i+1} = z_i + lam (T - Id) z_i.  Sending a boolean mask over the
+    current columns keeps only those columns from the next block on.
     """
     z = _governing(problem, starts)
     lam = np.asarray(lam, dtype=float)
     matrix, offset = problem._step
     affine = problem.is_affine
     m = problem.governing_dim
+    rows = matrix.shape[0]
     while True:
-        w = matrix @ z
-        if affine:
-            w += offset[:, None]
-        keep = yield w[:-m]
+        j = max(1, min(_BLOCK_STEPS, _BLOCK_ENTRIES // max(1, rows * z.shape[1])))
+        block = np.empty((j, rows, z.shape[1]))
+        for w in block:
+            np.matmul(matrix, z, out=w)
+            if affine:
+                w += offset[:, None]
+            z = z + lam * w[-m:]
+        keep = yield block[:, :-m]
         if keep is not None:
-            z, w = z[:, keep], w[:, keep]
+            z = z[:, keep]
             lam = lam[keep] if lam.ndim else lam
-        z = z + lam * w[-m:]
 
 
 def iterate(problem, config: IterationConfig, start, record_history: bool = True) -> IterationTrace:
@@ -164,14 +175,15 @@ def iterate(problem, config: IterationConfig, start, record_history: bool = True
     Hitting ``max_iters`` yields ``converged=False`` rather than an
     exception.  Per-iteration distance histories are recorded only when
     requested (long runs over many instances would otherwise hold every
-    trace in memory).  This is the one-column run of `orbit`.
+    trace in memory).  This is the one-column run of `orbit`; the steps
+    of its last block past the stop are discarded.
     """
     z = _governing(problem, np.ravel(start))
     gov_lim = governing_limit(problem, z)
     sh_lim = shadow_limit(problem, z)
     nd = sh_lim.shape[0]
     gov_hist, sh_hist = [], []
-    for k, y in enumerate(orbit(problem, z[:, None], config.lam)):
+    for k, y in enumerate(chain.from_iterable(orbit(problem, z[:, None], config.lam))):
         y = y[:, 0]
         gov_dist = float(np.linalg.norm(y[nd:] - gov_lim))
         if record_history:
@@ -210,13 +222,13 @@ def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
     governing and the shadow counts of each column.  Every column's
     governing and shadow limit comes from one matrix product each.
 
-    All columns advance together through `orbit`, whose yields stack every
+    All columns advance together through `orbit`, whose blocks stack every
     column's shadow over its iterate, so that one subtraction of the stacked
-    limits gives both distances.  A column leaves the working set as soon as
-    both its counts are known, so a slow relaxation does not keep the fast
-    ones stepping.  Every column is checked at k = 0, 1, ..., ``max_iters``;
-    a count still unknown after ``max_iters`` steps is reported as
-    ``max_iters``.
+    limits gives both distances for a whole block of steps.  A column leaves
+    the working set after the block in which both its counts become known,
+    so a slow relaxation does not keep the fast ones stepping.  Every column
+    is checked at k = 0, 1, ..., ``max_iters``; a count still unknown after
+    ``max_iters`` steps is reported as ``max_iters``.
     """
     z = _governing(problem, starts)
     if z.ndim != 2:
@@ -229,31 +241,35 @@ def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
     counts = np.full((2, k), max_iters, dtype=np.int64)
     if k == 0:
         return counts[1], counts[0]
-    # a yield's rows [0, nd) are the shadow and the rest the iterate; row 0
+    # a block's rows [0, nd) are the shadow and the rest the iterate; row 0
     # of counts and open_ is the shadow, row 1 the governing sequence
     limits = np.vstack([shadow_limit(problem, z), governing_limit(problem, z)])
     nd = limits.shape[0] - problem.governing_dim
     open_ = np.ones((2, k), dtype=bool)
     cols = np.arange(k)
-    ys = orbit(problem, z, lam)
-    y = next(ys)
-    for it in range(max_iters + 1):
-        gap = y - limits
-        hit = open_ & (np.sqrt(np.add.reduceat(gap * gap, [0, nd], axis=0)) <= tol)
+    blocks = orbit(problem, z, lam)
+    block = next(blocks)
+    it = 0
+    while True:
+        block = block[:max_iters + 1 - it]
+        gap = block - limits
+        hit = open_ & (np.sqrt(np.add.reduceat(gap * gap, [0, nd], axis=1)) <= tol)
+        done = hit.any(axis=0)
         keep = None
-        if hit.any():
-            rows, j = np.nonzero(hit)
-            counts[rows, cols[j]] = it
-            open_ &= ~hit
+        if done.any():
+            rows, j = np.nonzero(done)
+            counts[rows, cols[j]] = it + hit.argmax(axis=0)[rows, j]
+            open_ &= ~done
             live = open_.any(axis=0)
             if not live.all():
                 if not live.any():
                     break
                 keep = live
                 cols, limits, open_ = (a[..., live] for a in (cols, limits, open_))
-        if it == max_iters:
+        it += block.shape[0]
+        if it > max_iters:
             break
-        y = ys.send(keep)
+        block = blocks.send(keep)
     return counts[1], counts[0]
 
 

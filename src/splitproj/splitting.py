@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import pseudoinverse
+from .linalg import NumericalFailure, pseudoinverse
 from .subspaces import (
     AffineSubspace,
     Subspace,
@@ -68,33 +68,22 @@ class AffineMap:
 class FixDecomposition:
     """Closed-form projector onto the operator's fixed-point set.
 
-    ``fix_projector = z_block + e_projector`` is an orthogonal
-    decomposition: the z_block carries the intersection projector (the
-    part that produces the solution), e_projector the start-dependent
-    residual directions.  For affine problems ``shift`` translates the
-    linear fixed-point projector: P_FixT(x) = fix_projector @ x + shift.
+    For affine problems ``shift`` translates the linear fixed-point
+    projector: P_FixT(x) = fix_projector @ x + shift.
     """
 
     fix_projector: np.ndarray
     shift: np.ndarray
-    z_block: np.ndarray
-    e_projector: np.ndarray
 
     def __post_init__(self):
         self.fix_projector = np.asarray(self.fix_projector, dtype=float)
         self.shift = np.asarray(self.shift, dtype=float).reshape(-1)
-        self.z_block = np.asarray(self.z_block, dtype=float)
-        self.e_projector = np.asarray(self.e_projector, dtype=float)
         p = self.fix_projector
         m = p.shape[0]
         if np.linalg.norm(p - p.T) > _FIX_TOL * m:
             raise ValueError("fixed-point projector is not symmetric")
         if np.linalg.norm(p @ p - p) > _FIX_TOL * m:
             raise ValueError("fixed-point projector is not idempotent")
-        if np.linalg.norm(self.z_block + self.e_projector - p) > _FIX_TOL * m:
-            raise ValueError("z_block + e_projector does not reproduce the projector")
-        if np.linalg.norm(self.z_block @ self.e_projector) > _FIX_TOL * m:
-            raise ValueError("z_block and e_projector are not orthogonal")
 
     def __call__(self, x) -> np.ndarray:
         """P_FixT(x) for a vector x, or for each column of a matrix x."""
@@ -210,7 +199,7 @@ class _SplittingProblem:
             fix = affine_lift(operator_matrix(self), self.parallel()._fix)
         else:
             fix = fix_decomposition(self)
-        _read_only(fix.fix_projector, fix.shift, fix.z_block, fix.e_projector)
+        _read_only(fix.fix_projector, fix.shift)
         return fix
 
     def resolvent(self, i: int, x: np.ndarray) -> np.ndarray:
@@ -354,7 +343,7 @@ def ryu_fix_projector(p: RyuProblem) -> FixDecomposition:
     right = sum_projector(complement(Subspace(p_diag)), Subspace(w_axis))
 
     e_proj = intersect_pair(Subspace(left), right).projector
-    return FixDecomposition(z_block + e_proj, np.zeros(2 * d), z_block, e_proj)
+    return _computed_fix(z_block + e_proj, np.zeros(2 * d))
 
 
 def mt_fix_projector(p: MTProblem) -> FixDecomposition:
@@ -387,7 +376,7 @@ def mt_fix_projector(p: MTProblem) -> FixDecomposition:
     last_axis[-d:, -d:] = eye - p.subspaces[n - 1].projector
 
     e_proj = intersect_pair(ran_psi, Subspace(last_axis)).projector
-    return FixDecomposition(z_block + e_proj, np.zeros(m), z_block, e_proj)
+    return _computed_fix(z_block + e_proj, np.zeros(m))
 
 
 def fix_decomposition(problem) -> FixDecomposition:
@@ -413,7 +402,15 @@ def affine_lift(amap: AffineMap, fix: FixDecomposition) -> FixDecomposition:
             f"no fixed point: ||(Id - L)a - b|| = {residual:.3e} exceeds {bound:.1e} "
             "(the affine intersection is empty)"
         )
-    return FixDecomposition(fix.fix_projector, a, fix.z_block, fix.e_projector)
+    return FixDecomposition(fix.fix_projector, a)
+
+
+def _computed_fix(projector, shift) -> FixDecomposition:
+    """A fixed-point projector built by a closed form; failing a check is numerical."""
+    try:
+        return FixDecomposition(projector, shift)
+    except ValueError as exc:
+        raise NumericalFailure(str(exc)) from exc
 
 
 def _read_only(*arrays) -> None:

@@ -132,3 +132,54 @@ def scalar_iterate(problem, config, start) -> IterationTrace:
     sh_hist.append(float(np.linalg.norm(final_shadow - sh_lim)))
     return IterationTrace(k, converged, np.asarray(gov_hist), np.asarray(sh_hist),
                           z, final_shadow)
+
+
+def stepwise_batch_counts(problem, starts, lams, tol, max_iters) -> tuple:
+    """Oracle for `batch_iteration_counts`: its arithmetic, one step at a time.
+
+    Every step is one product with the problem's step matrix, every column
+    is tested after every step, and a column leaves as soon as both its
+    counts are known, so a blocked kernel must give the same counts bit for
+    bit.  Returns the governing and the shadow counts.
+    """
+    z = np.array(starts, dtype=float)
+    lam = np.asarray(lams, dtype=float).reshape(-1)
+    k = z.shape[1]
+    counts = np.full((2, k), max_iters, dtype=np.int64)
+    if k == 0:
+        return counts[1], counts[0]
+    matrix, offset = problem._step
+    m = problem.governing_dim
+    limits = np.vstack([shadow_limit(problem, z), governing_limit(problem, z)])
+    nd = limits.shape[0] - m
+    open_ = np.ones((2, k), dtype=bool)
+    cols = np.arange(k)
+    for it in range(max_iters + 1):
+        w = matrix @ z
+        if problem.is_affine:
+            w += offset[:, None]
+        gap = w[:-m] - limits
+        hit = open_ & (np.sqrt(np.add.reduceat(gap * gap, [0, nd], axis=0)) <= tol)
+        rows, j = np.nonzero(hit)
+        counts[rows, cols[j]] = it
+        open_ &= ~hit
+        live = open_.any(axis=0)
+        if not live.any():
+            break
+        if not live.all():
+            z, w, lam = z[:, live], w[:, live], lam[live]
+            cols, limits, open_ = cols[live], limits[:, live], open_[:, live]
+        z = z + lam * w[-m:]
+    return counts[1], counts[0]
+
+
+def stepwise_shadow_distances(problem, starts, lam, n_iters) -> np.ndarray:
+    """Oracle for exp3's traces: shadow distances after steps 1..n_iters,
+    one forward pass per step, as a ``(k, n_iters)`` matrix."""
+    z = np.array(starts, dtype=float)
+    limit = shadow_limit(problem, z)
+    out = []
+    for _ in range(n_iters):
+        z = z + lam * (step(problem, z) - z)
+        out.append(np.linalg.norm(np.concatenate(forward_blocks(problem, z)) - limit, axis=0))
+    return np.array(out).T

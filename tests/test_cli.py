@@ -472,3 +472,16 @@ def test_failed_projector_check_is_a_numerical_failure(capsys):
     argv = ["exp1", "--n", "4", "--seed", "1444635452", "--dim", "6", "--sub-dims", "5,5,5"]
     assert main(argv) == 3
     assert "projector not idempotent: ||P^2 - P||_F = " in capsys.readouterr().err
+
+
+def test_failed_fixed_point_projector_check_is_a_numerical_failure(monkeypatch, capsys):
+    # an E part that is the whole space makes Z + E fail its idempotence check
+    from splitproj import FixDecomposition
+    from splitproj.subspaces import Subspace
+
+    monkeypatch.setattr(splitting, "intersect_pair", lambda u, v: Subspace(np.eye(u.ambient_dim)))
+    assert main(["exp1", "--n", "1", "--lambda", "0.5"]) == 3
+    assert "fixed-point projector is not idempotent" in capsys.readouterr().err
+    # a projector built by the caller is still an input error
+    with pytest.raises(ValueError, match="not idempotent"):
+        FixDecomposition(2.0 * np.eye(2), np.zeros(2))

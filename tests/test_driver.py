@@ -11,6 +11,8 @@ from helpers import (
     scalar_iterate,
     scalar_iteration_counts,
     step,
+    stepwise_batch_counts,
+    stepwise_shadow_distances,
     whole_space,
 )
 from splitproj import (
@@ -469,10 +471,13 @@ def test_orbit_starts_at_the_start_and_its_shadow():
     for p in _kernel_problems(rng):
         starts = rng.standard_normal((p.governing_dim, 3))
         first = next(orbit(p, starts, [0.2, 0.5, 0.9]))
-        want = np.vstack([np.column_stack([shadow(p, z) for z in starts.T]), starts])
-        assert first.shape == want.shape
-        assert np.max(np.abs(first - want)) <= 1e-12, (type(p).__name__, p.n, p.is_affine)
-        assert np.array_equal(first[-p.governing_dim:], starts)
+        case = (type(p).__name__, p.n, p.is_affine)
+        assert first.shape == (driver._BLOCK_STEPS, p.n * p.d + p.governing_dim, 3), case
+        for y in first:
+            z = y[-p.governing_dim:]
+            want = np.vstack([np.column_stack([shadow(p, c) for c in z.T]), z])
+            assert np.max(np.abs(y - want)) <= 1e-12, case
+        assert np.array_equal(first[0, -p.governing_dim:], starts)
 
 
 @pytest.mark.parametrize("lams", [[0.1, 0.4, 0.7, 0.95], 0.6], ids=["per-column", "scalar"])
@@ -483,14 +488,12 @@ def test_orbit_mask_keeps_the_kept_columns_on_their_own_course(lams):
     for p in _kernel_problems(rng):
         starts = rng.standard_normal((p.governing_dim, 4))
         whole = orbit(p, starts, lams)
-        for _ in range(5):
-            next(whole)
+        skipped = len(next(whole))
+        got = np.concatenate([whole.send(keep), next(whole)])
         fresh = orbit(p, starts[:, keep], lams[keep] if lams.ndim else lams)
-        for _ in range(5):
-            next(fresh)
-        got = [whole.send(keep)] + [next(whole) for _ in range(20)]
-        want = [next(fresh) for _ in range(21)]
+        want = np.concatenate([next(fresh) for _ in range(3)])[skipped:]
         case = (type(p).__name__, p.n, p.is_affine)
+        assert len(got) == len(want) == 2 * driver._BLOCK_STEPS, case
         for a, b in zip(got, want):
             assert a.shape == b.shape == (p.n * p.d + p.governing_dim, 3), case
             assert np.max(np.abs(a - b)) <= 1e-12, case
@@ -502,7 +505,67 @@ def test_orbit_steps_the_relaxed_operator():
     for p in _kernel_problems(rng):
         z = rng.standard_normal((p.governing_dim, 2))
         ys = orbit(p, z, lams)
-        for _ in range(10):
-            next(ys)
+        for y in np.concatenate([next(ys), next(ys)]):
+            assert np.max(np.abs(y[-p.governing_dim:] - z)) <= 1e-12
             z = z + lams * (step(p, z) - z)
-        assert np.max(np.abs(next(ys)[-p.governing_dim:] - z)) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 99, 1200])
+def test_orbit_blocks_stay_within_their_entry_budget(k):
+    rng = np.random.default_rng(32)
+    for p in _kernel_problems(rng):
+        rows = p._step[0].shape[0]
+        blocks = orbit(p, rng.standard_normal((p.governing_dim, k)), 0.5)
+        first = next(blocks)
+        halved = blocks.send(np.arange(k) < k // 2)  # takes effect at this block
+        for width, block in ((k, first), (k // 2, halved)):
+            steps = len(block)
+            assert block.shape[2] == width
+            assert 1 <= steps <= driver._BLOCK_STEPS
+            assert steps == 1 or steps * rows * width <= driver._BLOCK_ENTRIES, (k, width)
+        if k <= 7:
+            assert len(first) == driver._BLOCK_STEPS
+        if k == 1200:
+            assert len(first) == 1
+
+
+def test_batch_counts_equal_the_stepwise_oracle_at_block_edges():
+    # the oracle is the kernel's own arithmetic one step at a time, so the
+    # counts must agree exactly, across block edges and a budget that ends
+    # inside a block
+    rng = np.random.default_rng(33)
+    mid_block = 0
+    for p in _kernel_problems(rng):
+        m = p.governing_dim
+        for k in (1, 99, 400):  # 400 columns take one step per block
+            starts = rng.standard_normal((m, k))
+            starts[:, ::5] = governing_limit(p, starts[:, ::5])  # converged at step 0
+            lams = rng.uniform(0.05, 0.99, k)
+            assert k < 400 or len(next(orbit(p, starts, lams))) == 1
+            for max_iters in (0, 1, 31, 32, 33):
+                for tol in (1e-1, 1e-6):
+                    got = batch_iteration_counts(p, starts, lams, tol, max_iters)
+                    want = stepwise_batch_counts(p, starts, lams, tol, max_iters)
+                    case = (type(p).__name__, p.n, p.is_affine, k, max_iters, tol)
+                    assert np.array_equal(got[0], want[0]), case
+                    assert np.array_equal(got[1], want[1]), case
+                    c = np.concatenate(want)
+                    mid_block += np.count_nonzero((c < max_iters) & (c % 32 != 0))
+        got = batch_iteration_counts(p, starts[:, :40], lams[:40], 1e-6, 200)
+        assert all(map(np.array_equal, got, stepwise_batch_counts(p, starts[:, :40], lams[:40],
+                                                                  1e-6, 200)))
+    assert mid_block > 0
+
+
+@pytest.mark.parametrize("n_iters", [1, 32, 33])
+def test_exp3_traces_follow_the_stepwise_oracle(n_iters):
+    from splitproj.cli import _build_problem, _exp3_worker, _instance_subspaces, _start_point
+
+    out = _exp3_worker((2, 1, 6, (5, 5, 5), 0.9, ("ryu", "mt"), 7, n_iters))
+    subs = _instance_subspaces(2, 1, 6, (5, 5, 5))
+    x0 = np.column_stack([_start_point(2, j, 6) for j in range(7)])
+    for algorithm in ("ryu", "mt"):
+        p = _build_problem(algorithm, subs)
+        want = stepwise_shadow_distances(p, np.tile(x0, (2, 1)), 0.9, n_iters)
+        assert out[algorithm].shape == want.shape == (7, n_iters)
+        assert np.max(np.abs(out[algorithm] - want)) <= 1e-12

@@ -12,6 +12,8 @@ from helpers import (
 )
 from splitproj import (
     AffineMap,
+    complement,
+    from_basis,
     InconsistentAffineError,
     MTProblem,
     RyuProblem,
@@ -269,7 +271,7 @@ def test_mt_fix_projector_whole_space():
     eye = np.eye(d)
     want = 0.5 * np.block([[eye, eye], [eye, eye]])
     assert np.allclose(fix.fix_projector, want, atol=1e-10)
-    assert np.allclose(fix.e_projector, 0.0, atol=1e-10)
+    assert np.allclose(_fix_split(p)[1], 0.0, atol=1e-10)
 
 
 def test_mt_fix_projector_iterate_limit_oracle():
@@ -308,6 +310,59 @@ def test_operator_matrix_matches_closed_forms():
                 amap = operator_matrix(make(subs, anchored))
                 assert np.linalg.norm(amap.linear - want) <= 1e-12 * (1 + np.linalg.norm(want))
                 assert np.linalg.norm(amap.offset - offset) <= 1e-12 * (1 + np.linalg.norm(offset))
+
+
+def _fix_split(p):
+    """Oracle for the two parts of Fix T: the intersection part Z and the
+    residual part E, each from null spaces rather than the closed forms.
+
+    Ryu: Z x {0}, and E = {(x, y): x in U^perp, y in V^perp, x + y in W^perp}.
+    MT: the diagonal copy of the intersection, and E = ran(S) cut with the
+    last block's complement, S the block lower-triangular matrix of the
+    complement projectors.
+    """
+    d, n = p.d, p.n
+    eye = np.eye(d)
+    projs = [s.projector for s in p.subspaces]
+    pz = nullspace_intersection(projs)
+    if isinstance(p, RyuProblem):
+        z_block = np.zeros((2 * d, 2 * d))
+        z_block[:d, :d] = pz
+        comps = np.zeros((2 * d, 2 * d))
+        comps[:d, :d] = eye - projs[0]
+        comps[d:, d:] = eye - projs[1]
+        pw = projs[2]
+        return z_block, nullspace_intersection([comps, np.eye(2 * d) - 0.5 * np.block([[pw, pw], [pw, pw]])])
+    m = (n - 1) * d
+    z_block = np.tile(pz, (n - 1, n - 1)) / (n - 1)
+    s = np.zeros((m, m))
+    for i in range(n - 1):
+        for j in range(i + 1):
+            s[i * d:(i + 1) * d, j * d:(j + 1) * d] = eye - projs[j]
+    u, sv, _ = np.linalg.svd(s)
+    q = u[:, :int(np.sum(sv > 1e-10 * sv[0]))]
+    last_axis = np.eye(m)
+    last_axis[-d:, -d:] = eye - projs[-1]
+    return z_block, nullspace_intersection([q @ q.T, last_axis])
+
+
+def test_fix_projector_is_the_orthogonal_sum_of_its_two_parts():
+    rng = np.random.default_rng(34)
+    # generic draws have an empty E; the complements of a_1, ..., a_{n-1}
+    # and of their span give E of dimension n - 1
+    cases = [(random_ryu(rng), 0)] + [(random_mt(rng, n=n), 0) for n in (3, 4, 5)]
+    for n in (3, 4, 5):
+        a = rng.standard_normal((6, n - 1))
+        subs = [complement(from_basis(a[:, [i]])) for i in range(n - 1)] + [complement(from_basis(a))]
+        cases.append((MTProblem(subs), n - 1))
+    cases.append((RyuProblem(*cases[4][0].subspaces), 2))
+    for p, e_dim in cases:
+        z_block, e = _fix_split(p)
+        fix = fix_decomposition(p).fix_projector
+        case = (type(p).__name__, p.n, e_dim)
+        assert np.linalg.norm(z_block + e - fix) <= 1e-8, case
+        assert np.linalg.norm(z_block @ e) <= 1e-8, case
+        assert round(np.trace(e)) == e_dim, case
 
 
 def test_fix_projector_commutes_and_contracts():
@@ -435,7 +490,7 @@ def test_affine_lift_rejects_inconsistency():
     # fixed point (T shifts that axis forever)
     amap = AffineMap(np.diag([1.0, 0.0]), np.array([1.0, 0.0]))
     zero = np.zeros((2, 2))
-    fix_stub = FixDecomposition(zero, np.zeros(2), zero, zero)
+    fix_stub = FixDecomposition(zero, np.zeros(2))
     with pytest.raises(InconsistentAffineError):
         affine_lift(amap, fix_stub)
 
