@@ -41,9 +41,10 @@ _TAIL_WINDOW = 50
 _DOUBLINGS = 20
 #: `orbit` yields at most this many steps per block, and fewer when a block
 #: of that many would hold more than ``_BLOCK_ENTRIES`` step-product
-#: entries; a column set too wide for two steps gets one step per block.
+#: entries (128 KiB); a column set too wide for two steps gets one step per
+#: block.  Larger blocks cost memory and gain no speed.
 _BLOCK_STEPS = 32
-_BLOCK_ENTRIES = 1 << 15
+_BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass

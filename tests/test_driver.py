@@ -523,7 +523,7 @@ def test_orbit_blocks_stay_within_their_entry_budget(k):
             assert block.shape[2] == width
             assert 1 <= steps <= driver._BLOCK_STEPS
             assert steps == 1 or steps * rows * width <= driver._BLOCK_ENTRIES, (k, width)
-        if k <= 7:
+        if k == 1:
             assert len(first) == driver._BLOCK_STEPS
         if k == 1200:
             assert len(first) == 1
@@ -539,7 +539,7 @@ def test_batch_counts_equal_the_stepwise_oracle_at_block_edges():
         m = p.governing_dim
         for k in (1, 99, 400):  # 400 columns take one step per block
             starts = rng.standard_normal((m, k))
-            starts[:, ::5] = governing_limit(p, starts[:, ::5])  # converged at step 0
+            starts[:, 1::5] = governing_limit(p, starts[:, 1::5])  # converged at step 0
             lams = rng.uniform(0.05, 0.99, k)
             assert k < 400 or len(next(orbit(p, starts, lams))) == 1
             for max_iters in (0, 1, 31, 32, 33):
@@ -549,8 +549,9 @@ def test_batch_counts_equal_the_stepwise_oracle_at_block_edges():
                     case = (type(p).__name__, p.n, p.is_affine, k, max_iters, tol)
                     assert np.array_equal(got[0], want[0]), case
                     assert np.array_equal(got[1], want[1]), case
-                    c = np.concatenate(want)
-                    mid_block += np.count_nonzero((c < max_iters) & (c % 32 != 0))
+                    if k == 1:  # one block of 32 steps, then the next
+                        c = np.concatenate(want)
+                        mid_block += np.count_nonzero((0 < c) & (c < min(max_iters, 32)))
         got = batch_iteration_counts(p, starts[:, :40], lams[:40], 1e-6, 200)
         assert all(map(np.array_equal, got, stepwise_batch_counts(p, starts[:, :40], lams[:40],
                                                                   1e-6, 200)))
