@@ -39,10 +39,9 @@ from .subspaces import _computed
 _TAIL_WINDOW = 50
 #: `asymptotic_contraction` runs 2**_DOUBLINGS steps by repeated squaring.
 _DOUBLINGS = 20
-#: `orbit` yields at most this many steps per block, and fewer when a block
-#: of that many would hold more than ``_BLOCK_ENTRIES`` step-product
-#: entries (128 KiB); a column set too wide for two steps gets one step per
-#: block.  Larger blocks cost memory and gain no speed.
+#: `orbit` yields at most this many steps per block, fewer when a block would
+#: hold more than ``_BLOCK_ENTRIES`` entries (128 KiB; larger blocks cost memory
+#: and gain no speed), and one when a column set is too wide for two.
 _BLOCK_STEPS = 32
 _BLOCK_ENTRIES = 1 << 14
 
