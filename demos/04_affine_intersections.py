@@ -44,7 +44,7 @@ print(f"shadow limit error vs v + P(x0 - v): "
 amap = operator_matrix(affine)
 lifted = affine_lift(amap, fix_decomposition(affine.parallel()))
 print("offset norm ||b|| =", f"{np.linalg.norm(amap.offset):.4f}",
-      " shift norm ||a|| =", f"{np.linalg.norm(lifted.shift):.4f}")
+      " shift norm ||a|| =", f"{np.linalg.norm(lifted.offset):.4f}")
 print("governing limit check:",
       f"{np.linalg.norm(trace.final_governing - lifted(start)):.2e}")
 

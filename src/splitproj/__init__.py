@@ -34,7 +34,6 @@ from .linalg import (
 )
 from .splitting import (
     AffineMap,
-    FixDecomposition,
     InconsistentAffineError,
     MTProblem,
     RyuProblem,

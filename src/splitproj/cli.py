@@ -38,6 +38,7 @@ import numpy as np
 
 from .driver import (
     IterationConfig,
+    _relaxations,
     batch_iteration_counts,
     iterate,
     orbit,
@@ -47,7 +48,7 @@ from .driver import (
 )
 from .linalg import NumericalFailure
 from .splitting import InconsistentAffineError, MTProblem, RyuProblem
-from .subspaces import GenerationError, _spanned_draw, feasible_dims, subspace_from_dict
+from .subspaces import GenerationError, _ambient_dim, _spanned_draw, feasible_dims, subspace_from_dict
 
 CSV_HEADER = ("experiment", "algorithm", "lambda", "instance_seed",
               "metric_name", "iteration", "metric_value")
@@ -290,8 +291,7 @@ def exp3(n_sets: int = 100, n_points: int = 100, lam: float = 0.99,
          algorithms=_ALGORITHMS, jobs: int = 1):
     """Median shadow distance to the limit at each iteration 1..n_iters."""
     dims = _checked_dims(d, dims)
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"lambda must lie in (0, 1), got {lam}")
+    _relaxations(lam)
     results = _run_parallel(
         _exp3_worker,
         [(seed, i, d, dims, lam, tuple(algorithms), n_points, n_iters)
@@ -327,14 +327,13 @@ def load_problem(path: str):
         algorithm = data["algorithm"]
         if algorithm not in _ALGORITHMS:
             raise ValueError(f"algorithm must be one of {_ALGORITHMS}, got {algorithm!r}")
-        d = int(data["d"])
+        d = _ambient_dim(data)
         subs = [subspace_from_dict(obj) for obj in data["subspaces"]]
         if any(s.ambient_dim != d for s in subs):
             raise ValueError("subspace ambient dimensions disagree with d")
         anchors = data.get("anchors")
         lam = float(data["lambda"])
-        if not 0.0 < lam < 1.0:
-            raise ValueError(f"lambda must lie in (0, 1), got {lam}")
+        _relaxations(lam)
         problem = _build_problem(algorithm, subs, anchors)
         blocks = [np.asarray(b, dtype=float) for b in data["start"]]
         if len(blocks) != problem.n - 1 or any(b.shape != (d,) for b in blocks):
@@ -455,14 +454,14 @@ def _parse_grid(text: str):
     return values
 
 
-def _count(text: str) -> int:
-    """A count argument: an integer of at least 1."""
+def _count(text: str, minimum: int = 1) -> int:
+    """An integer argument of at least ``minimum`` (a count by default)."""
     try:
         value = int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
     return value
 
 
@@ -485,7 +484,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dim", type=int, default=6, help="ambient dimension d")
         p.add_argument("--sub-dims", type=_parse_dims, default=(5, 5, 5),
                        metavar="a,b,c", help="subspace dimensions per instance")
-        p.add_argument("--seed", type=int, default=0, help="master seed (nonnegative)")
+        p.add_argument("--seed", type=lambda t: _count(t, 0), default=0, help="master seed (nonnegative)")
         p.add_argument("--algorithm", choices=("ryu", "mt", "both"), default="both")
         p.add_argument("--jobs", type=_count, default=1, help="parallel worker processes")
         p.add_argument("--out", help="output path (default stdout)")
@@ -554,6 +553,12 @@ def _dispatch(args) -> list:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "out", None):
+        try:  # fail before any work; append mode truncates nothing
+            open(args.out, "a").close()
+        except OSError as exc:
+            print(f"error: cannot write --out: {exc}", file=sys.stderr)
+            return 2
     try:
         records = _dispatch(args)
     except InconsistentAffineError as exc:

@@ -300,7 +300,7 @@ def rate_curve(problem, lams) -> tuple:
     if problem.is_affine:
         raise ValueError("rate bounds are defined on linear problems; use problem.parallel()")
     lam = _relaxations(lams).reshape(-1)
-    p_fix = problem._fix.fix_projector
+    p_fix = problem._fix.linear
     m = p_fix.shape[0]
     q = _computed(np.eye(m) - p_fix).basis()
     if q.shape[1] == 0:
@@ -340,7 +340,7 @@ def asymptotic_contraction(problem, lam: float, probe) -> float:
     _relaxations(lam)
     probe = np.asarray(probe, dtype=float).reshape(-1)
     t = operator_matrix(problem).linear
-    a = (1.0 - lam) * np.eye(t.shape[0]) + lam * t - problem._fix.fix_projector
+    a = (1.0 - lam) * np.eye(t.shape[0]) + lam * t - problem._fix.linear
     if probe.shape[0] != a.shape[0]:
         raise ValueError(f"probe has dimension {probe.shape[0]}, expected {a.shape[0]}")
     norm0 = np.linalg.norm(probe)

@@ -28,17 +28,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import NumericalFailure, pseudoinverse
+from .linalg import pseudoinverse
 from .subspaces import (
     AffineSubspace,
     Subspace,
+    _computed,
     complement,
     intersect_all,
     intersect_pair,
     sum_projector,
 )
 
-_FIX_TOL = 1e-8
 _AFFINE_TOL = 1e-8
 
 
@@ -48,7 +48,7 @@ class InconsistentAffineError(Exception):
 
 @dataclass
 class AffineMap:
-    """A map x -> linear @ x + offset on R^m (offset zero in the linear case)."""
+    """x -> linear @ x + offset on R^m (T or P_FixT), for a vector or each column of a matrix."""
 
     linear: np.ndarray
     offset: np.ndarray
@@ -61,34 +61,8 @@ class AffineMap:
             raise ValueError(f"need square linear part matching offset, got {m} and {self.offset.shape}")
 
     def __call__(self, x) -> np.ndarray:
-        return self.linear @ np.asarray(x, dtype=float) + self.offset
-
-
-@dataclass
-class FixDecomposition:
-    """Closed-form projector onto the operator's fixed-point set.
-
-    For affine problems ``shift`` translates the linear fixed-point
-    projector: P_FixT(x) = fix_projector @ x + shift.
-    """
-
-    fix_projector: np.ndarray
-    shift: np.ndarray
-
-    def __post_init__(self):
-        self.fix_projector = np.asarray(self.fix_projector, dtype=float)
-        self.shift = np.asarray(self.shift, dtype=float).reshape(-1)
-        p = self.fix_projector
-        m = p.shape[0]
-        if np.linalg.norm(p - p.T) > _FIX_TOL * m:
-            raise ValueError("fixed-point projector is not symmetric")
-        if np.linalg.norm(p @ p - p) > _FIX_TOL * m:
-            raise ValueError("fixed-point projector is not idempotent")
-
-    def __call__(self, x) -> np.ndarray:
-        """P_FixT(x) for a vector x, or for each column of a matrix x."""
         x = np.asarray(x, dtype=float)
-        return self.fix_projector @ x + (self.shift if x.ndim == 1 else self.shift[:, None])
+        return self.linear @ x + (self.offset if x.ndim == 1 else self.offset[:, None])
 
 
 class _SplittingProblem:
@@ -193,13 +167,20 @@ class _SplittingProblem:
         return matrix, offset
 
     @cached_property
-    def _fix(self) -> FixDecomposition:
-        """Projector onto Fix T, shifted by `affine_lift` for affine problems."""
+    def _fix_space(self) -> Subspace:
+        """Fix T of the (linear) problem, from its closed form."""
+        fix = fix_decomposition(self)
+        _read_only(fix.projector)
+        return fix
+
+    @cached_property
+    def _fix(self) -> AffineMap:
+        """P_FixT: the Fix T projector, shifted by `affine_lift` for affine problems."""
         if self.is_affine:
-            fix = affine_lift(operator_matrix(self), self.parallel()._fix)
+            fix = affine_lift(operator_matrix(self), self.parallel()._fix_space)
         else:
-            fix = fix_decomposition(self)
-        _read_only(fix.fix_projector, fix.shift)
+            fix = AffineMap(self._fix_space.projector, np.zeros(self.governing_dim))
+        _read_only(fix.linear, fix.offset)
         return fix
 
     def resolvent(self, i: int, x: np.ndarray) -> np.ndarray:
@@ -314,7 +295,7 @@ def operator_matrix(problem) -> AffineMap:
 # Fixed-point projectors
 # ---------------------------------------------------------------------------
 
-def ryu_fix_projector(p: RyuProblem) -> FixDecomposition:
+def ryu_fix_projector(p: RyuProblem) -> Subspace:
     """Closed-form projector onto the fixed-point set of the Ryu operator.
 
     Fix T decomposes orthogonally as (Z x {0}) + E where Z is the
@@ -343,10 +324,10 @@ def ryu_fix_projector(p: RyuProblem) -> FixDecomposition:
     right = sum_projector(complement(Subspace(p_diag)), Subspace(w_axis))
 
     e_proj = intersect_pair(Subspace(left), right).projector
-    return _computed_fix(z_block + e_proj, np.zeros(2 * d))
+    return _computed(z_block + e_proj)
 
 
-def mt_fix_projector(p: MTProblem) -> FixDecomposition:
+def mt_fix_projector(p: MTProblem) -> Subspace:
     """Closed-form projector onto the fixed-point set of the MT operator.
 
     Fix T decomposes orthogonally as D + E: D is the diagonal copy of the
@@ -376,16 +357,16 @@ def mt_fix_projector(p: MTProblem) -> FixDecomposition:
     last_axis[-d:, -d:] = eye - p.subspaces[n - 1].projector
 
     e_proj = intersect_pair(ran_psi, Subspace(last_axis)).projector
-    return _computed_fix(z_block + e_proj, np.zeros(m))
+    return _computed(z_block + e_proj)
 
 
-def fix_decomposition(problem) -> FixDecomposition:
+def fix_decomposition(problem) -> Subspace:
     return (ryu_fix_projector(problem) if isinstance(problem, RyuProblem)
             else mt_fix_projector(problem))
 
 
-def affine_lift(amap: AffineMap, fix: FixDecomposition) -> FixDecomposition:
-    """The affine fixed-point projector: ``fix`` shifted by a = (Id - L)^+ b.
+def affine_lift(amap: AffineMap, fix: Subspace) -> AffineMap:
+    """The affine fixed-point projector: P_fix shifted by a = (Id - L)^+ b.
 
     For T x = L x + b with nonempty fixed-point set, the shift a satisfies
     P_FixT(x) = P_FixL(x) + a and T^k x = L^k (x - a) + a.  A residual
@@ -402,15 +383,7 @@ def affine_lift(amap: AffineMap, fix: FixDecomposition) -> FixDecomposition:
             f"no fixed point: ||(Id - L)a - b|| = {residual:.3e} exceeds {bound:.1e} "
             "(the affine intersection is empty)"
         )
-    return FixDecomposition(fix.fix_projector, a)
-
-
-def _computed_fix(projector, shift) -> FixDecomposition:
-    """A fixed-point projector built by a closed form; failing a check is numerical."""
-    try:
-        return FixDecomposition(projector, shift)
-    except ValueError as exc:
-        raise NumericalFailure(str(exc)) from exc
+    return AffineMap(fix.projector, a)
 
 
 def _read_only(*arrays) -> None:

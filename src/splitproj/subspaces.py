@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -216,7 +217,7 @@ def to_dict(s: Subspace) -> dict:
 
 
 def subspace_from_dict(obj: dict) -> Subspace:
-    d = int(obj["d"])
+    d = _ambient_dim(obj)
     cols = obj.get("basis", [])
     if not cols:
         return Subspace(np.zeros((d, d)))
@@ -224,6 +225,14 @@ def subspace_from_dict(obj: dict) -> Subspace:
     if b.shape[0] != d:
         raise ValueError(f"basis columns have length {b.shape[0]}, expected d={d}")
     return from_basis(b)
+
+
+def _ambient_dim(obj: dict) -> int:
+    """The ``"d"`` entry of a JSON object: an integer (not a bool) of at least 1."""
+    d = obj["d"]
+    if isinstance(d, bool) or not isinstance(d, Integral) or d < 1:
+        raise ValueError(f"d must be an integer >= 1, got {d!r}")
+    return d
 
 
 def _check_same_ambient(u: Subspace, v: Subspace) -> None:

@@ -129,7 +129,7 @@ def test_criterion_4_fix_projector_correctness():
         for _ in range(20):
             problem = make(random_instance(rng))
             fix = fix_decomposition(problem)
-            p = fix.fix_projector
+            p = fix.projector
             m = p.shape[0]
             assert np.linalg.norm(p - p.T) <= 1e-8
             assert np.linalg.norm(p @ p - p) <= 1e-8

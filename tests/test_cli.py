@@ -27,6 +27,7 @@ from splitproj.cli import (
     records_to_json,
     run_single,
 )
+import splitproj.cli as cli
 import splitproj.splitting as splitting
 from splitproj.splitting import displacement
 
@@ -392,6 +393,47 @@ def test_non_finite_input_is_a_format_error(tmp_path, capsys, field, overrides):
     assert f"{field} must be finite" in err and "nan.json" in err
 
 
+@pytest.mark.parametrize("where", ["top", "subspace"])
+@pytest.mark.parametrize("d", [2.0, 2.5, True, 0])
+def test_non_integer_d_is_a_format_error(tmp_path, capsys, where, d):
+    x_basis = {"d": 2, "basis": [[1.0, 0.0]]}
+    overrides = ({"d": d} if where == "top"
+                 else {"subspaces": [x_basis, {"d": d, "basis": [[1.0, 1.0]]}, x_basis]})
+    path = write_problem(tmp_path / "d.json", **overrides)
+    assert main(["run", "--problem", path]) == 2
+    assert f"d must be an integer >= 1, got {d!r}" in capsys.readouterr().err
+
+
+def test_negative_seed_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["exp1", "--n", "1", "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
+
+
+def test_unwritable_out_fails_before_any_work(tmp_path, monkeypatch, capsys):
+    def no_work(args):
+        raise AssertionError("dispatched despite an unwritable --out")
+
+    monkeypatch.setattr(cli, "_dispatch", no_work)
+    out = tmp_path / "missing" / "rows.csv"
+    assert main(["exp1", "--n", "1", "--lambda", "0.5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write --out: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_failed_run_keeps_an_existing_out_file(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    out.write_text("earlier rows\n")
+    argv = ["exp1", "--n", "1", "--sub-dims", "4,5,5", "--lambda", "0.5", "--out", str(out)]
+    assert main(argv) == 2
+    assert out.read_text() == "earlier rows\n"
+    path = write_problem(tmp_path / "problem.json")
+    assert main(["run", "--problem", path, "--out", str(out)]) == 0
+    assert out.read_text().startswith(",".join(CSV_HEADER))
+
+
 @pytest.mark.parametrize("argv, value", [
     (["exp2", "--n", "1", "--n-points", "2", "--lambda", "0.5", "--tol", "nan",
       "--max-iters", "50", "--algorithm", "ryu"], "nan"),
@@ -476,12 +518,8 @@ def test_failed_projector_check_is_a_numerical_failure(capsys):
 
 def test_failed_fixed_point_projector_check_is_a_numerical_failure(monkeypatch, capsys):
     # an E part that is the whole space makes Z + E fail its idempotence check
-    from splitproj import FixDecomposition
     from splitproj.subspaces import Subspace
 
     monkeypatch.setattr(splitting, "intersect_pair", lambda u, v: Subspace(np.eye(u.ambient_dim)))
     assert main(["exp1", "--n", "1", "--lambda", "0.5"]) == 3
-    assert "fixed-point projector is not idempotent" in capsys.readouterr().err
-    # a projector built by the caller is still an input error
-    with pytest.raises(ValueError, match="not idempotent"):
-        FixDecomposition(2.0 * np.eye(2), np.zeros(2))
+    assert "projector not idempotent: ||P^2 - P||_F = " in capsys.readouterr().err

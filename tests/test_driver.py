@@ -73,7 +73,7 @@ def test_max_iters_must_be_a_nonnegative_integer():
 def test_iterate_from_fixed_point():
     rng = np.random.default_rng(0)
     p = random_ryu(rng)
-    start = fix_decomposition(p).fix_projector @ rng.standard_normal(12)
+    start = fix_decomposition(p).projector @ rng.standard_normal(12)
     trace = iterate(p, IterationConfig(0.5), start)
     assert trace.iterations == 0
     assert trace.converged
@@ -116,7 +116,7 @@ def test_history_lengths_and_memory_guard():
 def test_shadow_of_fixed_point_is_consensus_in_intersection():
     rng = np.random.default_rng(4)
     p = random_mt(rng, n=4)
-    z = fix_decomposition(p).fix_projector @ rng.standard_normal(p.governing_dim)
+    z = fix_decomposition(p).projector @ rng.standard_normal(p.governing_dim)
     blocks = shadow(p, z).reshape(4, 6)
     pz = p.intersection().projector
     for b in blocks:
@@ -177,7 +177,7 @@ def test_rate_bounds_rejects_affine():
 
 def _full_error_bounds(problem, lam):
     """Both rate bounds from the full error matrix T_lam - P_Fix."""
-    err = relaxed_matrix(problem, lam) - fix_decomposition(problem).fix_projector
+    err = relaxed_matrix(problem, lam) - fix_decomposition(problem).projector
     return spectral_radius(err), operator_norm(err)
 
 
@@ -214,7 +214,7 @@ def test_rate_curve_validation():
 
 
 def _fix_complement_dim(p):
-    return Subspace(np.eye(p.governing_dim) - p._fix.fix_projector).dimension()
+    return Subspace(np.eye(p.governing_dim) - p._fix.linear).dimension()
 
 
 def test_rate_curve_retries_a_failed_stacked_svd_one_matrix_at_a_time(monkeypatch):

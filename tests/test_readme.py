@@ -1,0 +1,14 @@
+"""The README's Python examples run as written against the package."""
+
+import pathlib
+import re
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
+    assert blocks, "README.md has no python blocks"
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)

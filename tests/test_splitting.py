@@ -17,6 +17,7 @@ from splitproj import (
     InconsistentAffineError,
     MTProblem,
     RyuProblem,
+    Subspace,
     affine_lift,
     fix_decomposition,
     forward_blocks,
@@ -122,7 +123,7 @@ def test_ryu_step_fixes_fixed_points():
     rng = np.random.default_rng(4)
     p = random_ryu(rng)
     fix = ryu_fix_projector(p)
-    z = fix.fix_projector @ rng.standard_normal(12)
+    z = fix.projector @ rng.standard_normal(12)
     assert np.linalg.norm(step(p, z) - z) <= 1e-12
 
 
@@ -161,7 +162,7 @@ def test_ryu_fix_projector_whole_space():
     fix = ryu_fix_projector(p)
     want = np.zeros((2 * d, 2 * d))
     want[:d, :d] = np.eye(d)
-    assert np.allclose(fix.fix_projector, want, atol=1e-10)
+    assert np.allclose(fix.projector, want, atol=1e-10)
 
 
 def test_ryu_fix_projector_range_is_fixed():
@@ -169,7 +170,7 @@ def test_ryu_fix_projector_range_is_fixed():
     for _ in range(10):
         p = random_ryu(rng)
         fix = ryu_fix_projector(p)
-        z = fix.fix_projector @ rng.standard_normal(12)
+        z = fix.projector @ rng.standard_normal(12)
         assert np.linalg.norm(step(p, z) - z) <= 1e-8
 
 
@@ -181,7 +182,7 @@ def test_ryu_fix_projector_iterate_limit_oracle():
         t_lam = relaxed_matrix(p, 0.5)
         z = rng.standard_normal(12)
         limit = np.linalg.matrix_power(t_lam, 100_000) @ z
-        assert np.linalg.norm(limit - fix.fix_projector @ z) <= 1e-6
+        assert np.linalg.norm(limit - fix.projector @ z) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +224,7 @@ def test_mt_step_fixes_fixed_points():
     for n in (3, 4, 5):
         p = random_mt(rng, n=n)
         fix = mt_fix_projector(p)
-        z = fix.fix_projector @ rng.standard_normal(p.governing_dim)
+        z = fix.projector @ rng.standard_normal(p.governing_dim)
         assert np.linalg.norm(step(p, z) - z) <= 1e-10
 
 
@@ -270,7 +271,7 @@ def test_mt_fix_projector_whole_space():
     fix = mt_fix_projector(p)
     eye = np.eye(d)
     want = 0.5 * np.block([[eye, eye], [eye, eye]])
-    assert np.allclose(fix.fix_projector, want, atol=1e-10)
+    assert np.allclose(fix.projector, want, atol=1e-10)
     assert np.allclose(_fix_split(p)[1], 0.0, atol=1e-10)
 
 
@@ -282,7 +283,7 @@ def test_mt_fix_projector_iterate_limit_oracle():
         t_lam = relaxed_matrix(p, 0.5)
         z = rng.standard_normal(p.governing_dim)
         limit = np.linalg.matrix_power(t_lam, 100_000) @ z
-        assert np.linalg.norm(limit - fix.fix_projector @ z) <= 1e-6
+        assert np.linalg.norm(limit - fix.projector @ z) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +359,7 @@ def test_fix_projector_is_the_orthogonal_sum_of_its_two_parts():
     cases.append((RyuProblem(*cases[4][0].subspaces), 2))
     for p, e_dim in cases:
         z_block, e = _fix_split(p)
-        fix = fix_decomposition(p).fix_projector
+        fix = fix_decomposition(p).projector
         case = (type(p).__name__, p.n, e_dim)
         assert np.linalg.norm(z_block + e - fix) <= 1e-8, case
         assert np.linalg.norm(z_block @ e) <= 1e-8, case
@@ -370,7 +371,7 @@ def test_fix_projector_commutes_and_contracts():
     for make in (random_ryu, random_mt):
         p = make(rng)
         t = operator_matrix(p).linear
-        fix = fix_decomposition(p).fix_projector
+        fix = fix_decomposition(p).projector
         assert np.linalg.norm(t @ fix - fix) <= 1e-8
         for lam in (0.3, 0.7):
             t_lam = (1 - lam) * np.eye(t.shape[0]) + lam * t
@@ -448,11 +449,11 @@ def test_problem_keeps_its_derived_forms_read_only(make):
     assert affine.intersection() is linear.intersection()
     assert affine._step[0] is linear._step[0]
     # the kept forms are those the pure builders give
-    assert np.array_equal(affine._fix.fix_projector, fix_decomposition(linear).fix_projector)
-    assert np.array_equal(affine._fix.shift, affine_lift(operator_matrix(affine),
-                                                         fix_decomposition(linear)).shift)
+    assert np.array_equal(affine._fix.linear, fix_decomposition(linear).projector)
+    assert np.array_equal(affine._fix.offset, affine_lift(operator_matrix(affine),
+                                                         fix_decomposition(linear)).offset)
     for array in (affine.intersection().projector, affine._step[0], affine._step[1],
-                  affine._fix.fix_projector, affine._fix.shift):
+                  affine._fix.linear, affine._fix.offset):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
 
@@ -463,8 +464,8 @@ def test_affine_lift_zero_offset():
     fix = fix_decomposition(p)
     amap = operator_matrix(p)
     lifted = affine_lift(amap, fix)
-    assert np.allclose(lifted.shift, 0.0)
-    assert np.array_equal(lifted.fix_projector, fix.fix_projector)
+    assert np.allclose(lifted.offset, 0.0)
+    assert np.array_equal(lifted.linear, fix.projector)
 
 
 def test_affine_lift_solves_displacement_equation():
@@ -479,20 +480,31 @@ def test_affine_lift_solves_displacement_equation():
     fix = fix_decomposition(p.parallel())
     lifted = affine_lift(amap, fix)
     eye = np.eye(12)
-    assert np.linalg.norm((eye - amap.linear) @ lifted.shift - amap.offset) <= 1e-8
-    assert np.array_equal(lifted.fix_projector, fix.fix_projector)
+    assert np.linalg.norm((eye - amap.linear) @ lifted.offset - amap.offset) <= 1e-8
+    assert np.array_equal(lifted.linear, fix.projector)
 
 
 def test_affine_lift_rejects_inconsistency():
-    from splitproj import FixDecomposition
-
     # Id - L is singular along the first axis, so an offset there has no
     # fixed point (T shifts that axis forever)
     amap = AffineMap(np.diag([1.0, 0.0]), np.array([1.0, 0.0]))
-    zero = np.zeros((2, 2))
-    fix_stub = FixDecomposition(zero, np.zeros(2))
     with pytest.raises(InconsistentAffineError):
-        affine_lift(amap, fix_stub)
+        affine_lift(amap, Subspace(np.zeros((2, 2))))
+
+
+@pytest.mark.parametrize("make", [lambda s, a: RyuProblem(*s[:3], affine_anchors=a[:3]),
+                                  lambda s, a: MTProblem(s, affine_anchors=a)],
+                         ids=["ryu", "mt"])
+def test_affine_map_applies_to_each_column(make):
+    rng = np.random.default_rng(35)
+    subs = random_instance(rng, dims=(5, 5, 5, 5))
+    v = rng.standard_normal(6)
+    p = make(subs, [v + s.projector @ rng.standard_normal(6) for s in subs])
+    columns = rng.standard_normal((p.governing_dim, 5))
+    for amap in (operator_matrix(p), p._fix):
+        assert np.linalg.norm(amap.offset) > 0.0
+        images = np.column_stack([amap(c) for c in columns.T])
+        assert np.allclose(amap(columns), images, rtol=0.0, atol=1e-12)
 
 
 def test_ryu_shadow_limit_across_relaxations():
@@ -547,7 +559,7 @@ def test_affine_iteration_is_shifted_linear_iteration():
                    MTProblem(subs, affine_anchors=anchors)):
         linear = affine.parallel()
         amap = operator_matrix(affine)
-        a = affine_lift(amap, fix_decomposition(linear)).shift
+        a = affine_lift(amap, fix_decomposition(linear)).offset
         lam = 0.5
         z_aff = rng.standard_normal(12)
         z_lin = z_aff - a
