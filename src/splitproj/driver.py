@@ -14,8 +14,8 @@ distances in R^{(n-1)d}, shadow distances in R^{nd}.
 The rate bounds are the spectral radius and the operator norm of the error
 map T_lam - P_Fix.  It is zero on Fix T, so `rate_curve` takes both on the
 orthogonal complement of Fix T, for a whole relaxation grid from one
-eigenvalue solve and one stacked SVD; `rate_bounds` is its one-relaxation
-call.
+eigenvalue solve and one stacked symmetric eigensolve; `rate_bounds` is its
+one-relaxation call.
 """
 
 from __future__ import annotations
@@ -294,8 +294,8 @@ def rate_curve(problem, lams) -> tuple:
     Fix^perp.  Its spectrum is {0} and the values 1 - lam + lam mu over the
     eigenvalues mu of B, so one eigenvalue solve gives the whole lower
     curve; the upper curve is the largest singular value of each
-    (1 - lam) Id + lam B, from one stacked SVD.  Both bounds are 0 when
-    Fix T is the whole space.
+    (1 - lam) Id + lam B, from one stacked eigensolve of their Gram
+    matrices.  Both bounds are 0 when Fix T is the whole space.
     """
     if problem.is_affine:
         raise ValueError("rate bounds are defined on linear problems; use problem.parallel()")

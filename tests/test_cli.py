@@ -285,6 +285,20 @@ def test_main_exp_smoke(tmp_path):
     assert len(lines) == 1 + 12
 
 
+def test_exp1_means_equal_the_1d_mean_of_each_lambda():
+    # from 8 instances up, numpy's pairwise sum over a strided axis groups
+    # the terms differently from the 1-D mean of the same values
+    n, seed, grid = 9, 3, default_lambda_grid()
+    got = {(r.algorithm, r.lam, r.metric_name): r.metric_value
+           for r in exp1(n_instances=n, seed=seed)}
+    results = [cli._exp1_worker((seed, i, 6, (5, 5, 5), grid, ("ryu", "mt"))) for i in range(n)]
+    for algorithm in ("ryu", "mt"):
+        for k, metric in enumerate(("mean_spectral_radius", "mean_operator_norm")):
+            for i, lam in enumerate(grid):
+                want = np.mean(np.array([res[algorithm][k][i] for res in results]))
+                assert got[(algorithm, lam, metric)] == want, (algorithm, lam, metric)
+
+
 def test_json_records_roundtrip():
     records = exp1(n_instances=2, lambda_grid=[0.5], seed=4)
     rows = json.loads(records_to_json(records))
@@ -311,6 +325,44 @@ def test_counts_below_one_are_usage_errors(argv, flag, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}: must be at least 1" in err
+
+
+@pytest.mark.parametrize("grid", ["nan:0.1:0.5", "0.1:0.1:inf", "0.2:nan:0.5",
+                                  "-inf:0.1:0.5", "0.1:inf:0.5"])
+def test_non_finite_lambda_grid_is_a_usage_error(grid, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["exp1", "--n", "1", f"--lambda-grid={grid}"])
+    assert exc.value.code == 2
+    assert "argument --lambda-grid: start, step and end must be finite" in capsys.readouterr().err
+
+
+def _outcome(argv, capsys):
+    """Exit code, stdout and stderr of one `main` call."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys):
+    calls = [
+        ["exp1", "--n", "0"],
+        ["exp1", "--n", "1", "--lambda", "0.5", "--algorithm", "mt", "--format", "json"],
+        ["exp1", "--n", "2", "--lambda-grid", "0.2:0.3:0.8"],
+        ["exp2", "--bogus"],
+        ["exp3", "--n", "1", "--n-points", "2", "--iters", "3", "--seed", "4"],
+        ["run", "--problem", str(GOLDEN / "run_affine_mt.json")],
+        ["exp2", "--n", "1", "--n-points", "2", "--lambda", "0.9", "--algorithm", "ryu"],
+    ]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(_outcome(argv, capsys))
+    cli._build_parser.cache_clear()
+    assert [_outcome(argv, capsys) for argv in calls] == fresh
+    assert cli._build_parser.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("name, argv", [

@@ -223,19 +223,17 @@ def test_rate_curve_retries_a_failed_stacked_svd_one_matrix_at_a_time(monkeypatc
     r = _fix_complement_dim(p)
     lams = [0.2, 0.5, 0.8]
     want = rate_curve(p, lams)
-    real_svd, real_linalg_svd = np.linalg.svd, linalg.svd
+    real_linalg_svd = linalg.svd
     shapes = []
 
-    def fail_stacked(a, *args, **kwargs):
-        if np.ndim(a) == 3:
-            raise np.linalg.LinAlgError("SVD did not converge")
-        return real_svd(a, *args, **kwargs)
+    def fail_stacked(a, *args, **kwargs):  # the stacked Gram eigensolve
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     def recorded(a):
         shapes.append(np.shape(a))
         return real_linalg_svd(a)
 
-    monkeypatch.setattr(np.linalg, "svd", fail_stacked)
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail_stacked)
     monkeypatch.setattr(linalg, "svd", recorded)
     lower, upper = rate_curve(p, lams)
     assert shapes == [(r, r)] * len(lams)
@@ -250,12 +248,16 @@ def test_rate_curve_failures_are_numerical(monkeypatch):
     assert r < p.governing_dim  # so that only the SVDs of the error maps fail
     real_svd = np.linalg.svd
 
+    def eigvalsh_fail(a, *args, **kwargs):  # the stacked Gram eigensolve
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
     def svd_or_fail(a, *args, **kwargs):
-        if np.ndim(a) == 3 or np.shape(a) == (r, r):
+        if np.shape(a) == (r, r):
             raise np.linalg.LinAlgError("SVD did not converge")
         return real_svd(a, *args, **kwargs)
 
     with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", eigvalsh_fail)
         patch.setattr(np.linalg, "svd", svd_or_fail)
         with pytest.raises(NumericalFailure, match=f"{r}x{r}"):
             rate_curve(p, [0.5])

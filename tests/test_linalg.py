@@ -3,6 +3,7 @@ import pytest
 
 from splitproj.linalg import (
     NumericalFailure,
+    _operator_norms,
     operator_norm,
     pseudoinverse,
     rank,
@@ -90,6 +91,28 @@ def test_operator_norm_examples():
     assert operator_norm(np.eye(5)) == pytest.approx(1.0)
     assert operator_norm(np.diag([1.0, -3.0])) == pytest.approx(3.0)
     assert operator_norm(np.array([[3.0], [4.0]])) == pytest.approx(5.0)
+
+
+def _orthogonal(rng, m):
+    return np.linalg.qr(rng.standard_normal((m, m)))[0]
+
+
+def test_stacked_operator_norms_match_the_svd():
+    rng = np.random.default_rng(19)
+    stacks = {
+        "random": rng.standard_normal((20, 9, 9)),
+        "rank-deficient": np.array([random_with_rank(rng, 9, 9, r) for r in range(1, 9)]),
+        "zero": np.zeros((3, 9, 9)),
+        # symmetric, and scaled orthogonal (every singular value equal)
+        "normal": np.array([q @ np.diag(rng.standard_normal(9)) @ q.T
+                            for q in (_orthogonal(rng, 9) for _ in range(5))]
+                           + [c * _orthogonal(rng, 9) for c in (0.5, 1.0, 3.0)]),
+        "100x100": rng.standard_normal((3, 100, 100)),
+    }
+    for name, stack in stacks.items():
+        want = np.array([svd(a).singular_values[0] for a in stack])
+        np.testing.assert_allclose(_operator_norms(stack), want, rtol=1e-13, atol=0.0,
+                                   err_msg=name)
 
 
 def test_spectral_radius_examples():
