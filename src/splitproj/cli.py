@@ -136,8 +136,7 @@ def _run_parallel(worker, arglist, jobs: int):
     """The worker's results, in argument order."""
     if jobs <= 1:
         return [worker(args) for args in arglist]
-    # imported here: process pools cost about 20 ms of import time
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import ProcessPoolExecutor  # ~20 ms to import, so only here
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, arglist))
 
@@ -170,8 +169,7 @@ def exp1(n_instances: int = 1000, lambda_grid=None, d: int = 6, dims=(5, 5, 5),
     )
     records = []
     for algorithm in algorithms:
-        # (lambda, instance) rows: the mean runs along the contiguous axis,
-        # so it sums exactly as the 1-D mean of each lambda's values would
+        # (lambda, instance) rows, so each mean sums as the 1-D mean of its lambda
         lowers, uppers = (np.column_stack([res[algorithm][k] for res in results]).mean(axis=1)
                           for k in (0, 1))
         for lam, lo, up in zip(grid, lowers.tolist(), uppers.tolist()):

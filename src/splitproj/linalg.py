@@ -105,13 +105,10 @@ def operator_norm(a) -> float:
 def _operator_norms(stack: np.ndarray) -> np.ndarray:
     """`operator_norm` of each matrix of a finite ``(k, m, m)`` stack.
 
-    sigma_max(A) is the square root of the largest eigenvalue of A^T A,
-    from one batched symmetric eigensolve.  That eigenvalue is off by a few
-    m * eps * sigma_max^2 at most, so sigma_max keeps ~eps relative accuracy
-    while sigma_max^2 neither overflows nor underflows (the error maps of
-    `rate_curve` have sigma_max of order 1).  If the solve fails to
-    converge, each matrix is retried through `svd` and its transpose
-    fallback.
+    sigma_max(A) is the square root of the largest eigenvalue of A^T A, from
+    one batched symmetric eigensolve: ~eps relative accuracy while sigma_max^2
+    neither overflows nor underflows.  If the solve fails to converge, each
+    matrix is retried through `svd` and its transpose fallback.
     """
     try:
         gram = np.swapaxes(stack, 1, 2) @ stack
