@@ -20,6 +20,10 @@ digits, so equal seeds give byte-identical output at any parallelism level.
 A start point x0 in R^d is lifted diagonally into the governing space, so
 both algorithms share the shadow limit: n copies of the projection of x0.
 
+Each subcommand calls `exp1`, `exp2`, `exp3` or `run_single` with the
+flags it was given as keywords, so a flag that is left out takes that
+function's default.
+
 Exit codes: 0 success, 2 usage or input-format error, 3 numerical failure,
 4 inconsistent (empty-intersection) affine input.
 """
@@ -89,9 +93,10 @@ def default_lambda_grid() -> list:
 
 
 def lower_median(values):
-    """Deterministic median: the lower of the two middle values when even."""
-    ordered = sorted(values)
-    if not ordered:
+    """Deterministic median along axis 0: the lower of the two middle values
+    when their number is even."""
+    ordered = np.sort(values, axis=0)
+    if not len(ordered):
         raise ValueError("median of empty sequence")
     return ordered[(len(ordered) - 1) // 2]
 
@@ -123,13 +128,23 @@ def _start_point(seed: int, point_index: int, d: int) -> np.ndarray:
 def _build_problem(algorithm: str, subs, anchors=None):
     if algorithm == "ryu":
         if len(subs) != 3:
-            raise ValueError(f"the ryu operator needs exactly 3 subspaces, got {len(subs)}")
+            raise ValueError(f"the ryu operator needs exactly 3 subspaces, got {len(subs)}; use "
+                             '--algorithm mt (in a problem file, "algorithm": "mt") for other counts')
         return RyuProblem(*subs, affine_anchors=anchors)
     return MTProblem(subs, affine_anchors=anchors)
 
 
-def _lift_start(x0: np.ndarray, n: int) -> np.ndarray:
-    return np.tile(x0, n - 1)
+def _instances(seed: int, index: int, d: int, dims, algorithms, n_points: int = 0):
+    """(algorithm, problem, starts) for each algorithm on instance ``index``.
+
+    Column j of ``starts`` is start point j lifted diagonally into the
+    governing space: x0 in each of the problem's n - 1 blocks.
+    """
+    subs = _instance_subspaces(seed, index, d, dims)
+    points = np.array([_start_point(seed, j, d) for j in range(n_points)]).reshape(n_points, d).T
+    for algorithm in algorithms:
+        problem = _build_problem(algorithm, subs)
+        yield algorithm, problem, np.tile(points, (problem.n - 1, 1))
 
 
 def _run_parallel(worker, arglist, jobs: int):
@@ -148,9 +163,8 @@ def _run_parallel(worker, arglist, jobs: int):
 def _exp1_worker(args):
     """The (lower, upper) rate curves over the grid, per algorithm."""
     seed, index, d, dims, grid, algorithms = args
-    subs = _instance_subspaces(seed, index, d, dims)
-    return {algorithm: rate_curve(_build_problem(algorithm, subs), grid)
-            for algorithm in algorithms}
+    return {algorithm: rate_curve(problem, grid)
+            for algorithm, problem, _ in _instances(seed, index, d, dims, algorithms)}
 
 
 def exp1(n_instances: int = 1000, lambda_grid=None, d: int = 6, dims=(5, 5, 5),
@@ -192,14 +206,10 @@ def _exp2_worker(args):
     rows stays in point order.
     """
     seed, set_index, d, dims, grid, algorithms, n_points, tol, max_iters = args
-    subs = _instance_subspaces(seed, set_index, d, dims)
-    points = [_start_point(seed, j, d) for j in range(n_points)]
+    lams = np.tile(grid, n_points)
     out = {}
-    for algorithm in algorithms:
-        problem = _build_problem(algorithm, subs)
-        starts = np.repeat(np.column_stack([_lift_start(x0, problem.n) for x0 in points]),
-                           len(grid), axis=1)
-        lams = np.tile(grid, n_points)
+    for algorithm, problem, starts in _instances(seed, set_index, d, dims, algorithms, n_points):
+        starts = np.repeat(starts, len(grid), axis=1)
         pairs = np.column_stack(batch_iteration_counts(problem, starts, lams, tol, max_iters))
         for i, lam in enumerate(grid):
             out[(algorithm, lam)] = pairs[i::len(grid)]
@@ -251,8 +261,7 @@ def exp2(n_sets: int = 100, n_points: int = 100, lambda_grid=None,
                          dims, seed, algorithms, jobs)
     records = []
     for (algorithm, lam), values in counts.items():
-        gov = lower_median(values[:, 0].tolist())
-        sh = lower_median(values[:, 1].tolist())
+        gov, sh = lower_median(values).tolist()
         records.append(ExperimentRecord("exp2", algorithm, lam, seed,
                                         "median_governing_iterations", float(gov)))
         records.append(ExperimentRecord("exp2", algorithm, lam, seed,
@@ -268,12 +277,8 @@ def _exp3_worker(args):
     """Shadow distances after steps 1..n_iters of all start points of one
     set, stepped together as the columns of one `orbit`."""
     seed, set_index, d, dims, lam, algorithms, n_points, n_iters = args
-    subs = _instance_subspaces(seed, set_index, d, dims)
-    points = [_start_point(seed, j, d) for j in range(n_points)]
     out = {}
-    for algorithm in algorithms:
-        problem = _build_problem(algorithm, subs)
-        z = np.column_stack([_lift_start(x0, problem.n) for x0 in points])
+    for algorithm, problem, z in _instances(seed, set_index, d, dims, algorithms, n_points):
         limit = shadow_limit(problem, z)
         dists, steps = [], 0
         for block in orbit(problem, z, lam):
@@ -299,12 +304,10 @@ def exp3(n_sets: int = 100, n_points: int = 100, lam: float = 0.99,
     )
     records = []
     for algorithm in algorithms:
-        stacked = np.vstack([out[algorithm] for out in results])
-        for k in range(n_iters):
-            med = lower_median(stacked[:, k].tolist())
-            records.append(ExperimentRecord("exp3", algorithm, lam, seed,
-                                            "median_shadow_distance", float(med),
-                                            iteration=k + 1))
+        medians = lower_median(np.vstack([out[algorithm] for out in results]))
+        records += [ExperimentRecord("exp3", algorithm, lam, seed, "median_shadow_distance",
+                                     med, iteration=k + 1)
+                    for k, med in enumerate(medians.tolist())]
     return records
 
 
@@ -435,6 +438,9 @@ def _checked_grid(grid):
     return grid
 
 
+_MAX_GRID = 10_000  # values in a --lambda-grid: about 100 times the default grid
+
+
 def _parse_grid(text: str):
     parts = text.split(":")
     if len(parts) != 3:
@@ -444,14 +450,16 @@ def _parse_grid(text: str):
         raise argparse.ArgumentTypeError("start, step and end must be finite")
     if step <= 0 or end < start:
         raise argparse.ArgumentTypeError("need step > 0 and end >= start")
-    values = []
-    i = 0
-    while True:
-        v = round(start + i * step, 12)
-        if v > end + 1e-12:
-            break
-        values.append(v)
-        i += 1
+    # value i is round(start + i * step, 12) while that is at most end + 1e-12;
+    # the quotient may miss the last one by rounding, so count on from it
+    count = int(min((end - start) / step, _MAX_GRID)) + 1
+    while count <= _MAX_GRID and round(start + count * step, 12) <= end + 1e-12:
+        count += 1
+    if count > _MAX_GRID:
+        raise argparse.ArgumentTypeError(f"more than {_MAX_GRID} values")
+    values = [round(start + i * step, 12) for i in range(count)]
+    if len(set(values)) < count:
+        raise argparse.ArgumentTypeError("values repeat after rounding to 12 decimal places")
     return values
 
 
@@ -473,6 +481,13 @@ def _parse_dims(text: str):
         raise argparse.ArgumentTypeError("expected comma-separated integers") from exc
 
 
+def _parse_algorithms(text: str):
+    if text not in ("ryu", "mt", "both"):
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from 'ryu', 'mt', 'both')")
+    return _ALGORITHMS if text == "both" else (text,)
+
+
 @cache  # parsing leaves the parser unchanged, so one per process serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -481,88 +496,69 @@ def _build_parser() -> argparse.ArgumentParser:
                     "splitting: experiment harness and single-problem runner.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_instances=True):
-        p.add_argument("--dim", type=int, default=6, help="ambient dimension d")
-        p.add_argument("--sub-dims", type=_parse_dims, default=(5, 5, 5),
-                       metavar="a,b,c", help="subspace dimensions per instance")
-        p.add_argument("--seed", type=lambda t: _count(t, 0), default=0, help="master seed (nonnegative)")
-        p.add_argument("--algorithm", choices=("ryu", "mt", "both"), default="both")
-        p.add_argument("--jobs", type=_count, default=1, help="parallel worker processes")
+    # a flag that is left out stays out of the namespace, so the function
+    # that the subcommand calls applies its own default
+    p1, p2, p3, pr = (sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+                      for name, text in (("exp1", "mean rate bounds over a lambda grid"),
+                                         ("exp2", "median iterations to reach tolerance"),
+                                         ("exp3", "median shadow distance per iteration"),
+                                         ("run", "solve a single problem file")))
+    p1.add_argument("--n", dest="n_instances", type=_count, metavar="N",
+                    help="number of random instances")
+    for p in (p2, p3):
+        p.add_argument("--n", dest="n_sets", type=_count, metavar="N",
+                       help="number of subspace sets")
+        p.add_argument("--n-points", type=_count, help="start points per subspace set")
+    for p in (p1, p2, p3):
+        p.add_argument("--dim", dest="d", type=int, metavar="DIM", help="ambient dimension d")
+        p.add_argument("--sub-dims", dest="dims", type=_parse_dims, metavar="a,b,c",
+                       help="subspace dimensions per instance")
+        p.add_argument("--seed", type=lambda t: _count(t, 0), help="master seed (nonnegative)")
+        p.add_argument("--algorithm", dest="algorithms", type=_parse_algorithms,
+                       metavar="{ryu,mt,both}")
+        p.add_argument("--jobs", type=_count, help="parallel worker processes")
+    for p in (p1, p2):
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--lambda", dest="lambda_grid", type=float, nargs=1, metavar="LAM",
+                           help="single relaxation value")
+        group.add_argument("--lambda-grid", dest="lambda_grid", type=_parse_grid,
+                           metavar="start:step:end", help="relaxation grid")
+    p3.add_argument("--lambda", dest="lam", type=float, metavar="LAM")
+    p3.add_argument("--iters", dest="n_iters", type=_count, metavar="ITERS",
+                    help="iterations per run")
+    pr.add_argument("--problem", dest="path", required=True, metavar="PROBLEM",
+                    help="problem JSON file")
+    for p in (p2, pr):
+        p.add_argument("--tol", type=float)
+        p.add_argument("--max-iters", type=int)
+    pr.add_argument("--trace", dest="include_trace", action="store_true",
+                    help="include per-iteration rows")
+    for p in (p1, p2, p3, pr):
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        if with_instances:
-            p.add_argument("--n", type=_count,
-                           help="number of random instances / subspace sets")
-
-    p1 = sub.add_parser("exp1", help="mean rate bounds over a lambda grid")
-    add_common(p1)
-    group1 = p1.add_mutually_exclusive_group()
-    group1.add_argument("--lambda", dest="lam", type=float, help="single relaxation value")
-    group1.add_argument("--lambda-grid", dest="grid", type=_parse_grid,
-                        metavar="start:step:end", help="relaxation grid (default 0.01:0.01:0.99)")
-
-    p2 = sub.add_parser("exp2", help="median iterations to reach tolerance")
-    add_common(p2)
-    group2 = p2.add_mutually_exclusive_group()
-    group2.add_argument("--lambda", dest="lam", type=float)
-    group2.add_argument("--lambda-grid", dest="grid", type=_parse_grid, metavar="start:step:end")
-    p2.add_argument("--n-points", type=_count, default=100, help="start points per subspace set")
-    p2.add_argument("--tol", type=float, default=1e-6)
-    p2.add_argument("--max-iters", type=int, default=10_000)
-
-    p3 = sub.add_parser("exp3", help="median shadow distance per iteration")
-    add_common(p3)
-    p3.add_argument("--lambda", dest="lam", type=float, default=0.99)
-    p3.add_argument("--n-points", type=_count, default=100)
-    p3.add_argument("--iters", type=_count, default=150, help="iterations per run")
-
-    pr = sub.add_parser("run", help="solve a single problem file")
-    pr.add_argument("--problem", required=True, help="problem JSON file")
-    pr.add_argument("--tol", type=float, default=1e-6)
-    pr.add_argument("--max-iters", type=int, default=10_000)
-    pr.add_argument("--trace", action="store_true", help="include per-iteration rows")
-    pr.add_argument("--out", help="output path (default stdout)")
-    pr.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--format", choices=("csv", "json"))
     return parser
 
 
-def _dispatch(args) -> list:
-    if args.command == "run":
-        return run_single(args.problem, tol=args.tol, max_iters=args.max_iters,
-                          include_trace=args.trace)
-    algorithms = _ALGORITHMS if args.algorithm == "both" else (args.algorithm,)
-    if "ryu" in algorithms and len(args.sub_dims) != 3:
-        raise ValueError("the ryu operator needs exactly 3 subspaces; "
-                         "use --algorithm mt for other counts")
-    if args.command == "exp1":
-        grid = [args.lam] if args.lam is not None else args.grid
-        return exp1(n_instances=args.n if args.n is not None else 1000,
-                    lambda_grid=grid, d=args.dim, dims=args.sub_dims,
-                    seed=args.seed, algorithms=algorithms, jobs=args.jobs)
-    if args.command == "exp2":
-        grid = [args.lam] if args.lam is not None else args.grid
-        return exp2(n_sets=args.n if args.n is not None else 100,
-                    n_points=args.n_points, lambda_grid=grid, tol=args.tol,
-                    max_iters=args.max_iters, d=args.dim, dims=args.sub_dims,
-                    seed=args.seed, algorithms=algorithms, jobs=args.jobs)
-    return exp3(n_sets=args.n if args.n is not None else 100,
-                n_points=args.n_points, lam=args.lam, n_iters=args.iters,
-                d=args.dim, dims=args.sub_dims, seed=args.seed,
-                algorithms=algorithms, jobs=args.jobs)
+def _dispatch(kwargs) -> list:
+    """Call the subcommand's function with the parsed flags as keywords."""
+    # looked up at each call, so that wrappers installed on this module's
+    # globals are what runs
+    functions = {"exp1": exp1, "exp2": exp2, "exp3": exp3, "run": run_single}
+    return functions[kwargs.pop("command")](**kwargs)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "out", None):
+    kwargs = vars(_build_parser().parse_args(argv))
+    out = kwargs.pop("out", None)
+    as_json = kwargs.pop("format", "csv") == "json"
+    if out:
         try:  # fail before any work; append mode truncates nothing
-            open(args.out, "a").close()
+            open(out, "a").close()
         except OSError as exc:
             print(f"error: cannot write --out: {exc}", file=sys.stderr)
             return 2
     try:
-        records = _dispatch(args)
+        records = _dispatch(kwargs)
     except InconsistentAffineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
@@ -572,9 +568,9 @@ def main(argv=None) -> int:
     except (ProblemFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = records_to_csv(records) if args.format == "csv" else records_to_json(records)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
+    text = records_to_json(records) if as_json else records_to_csv(records)
+    if out:
+        with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

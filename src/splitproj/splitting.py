@@ -116,10 +116,6 @@ class _SplittingProblem:
         return self._anchors is not None
 
     @property
-    def affine_anchors(self):
-        return self._anchors
-
-    @property
     def intersection_point(self) -> np.ndarray:
         """A point in the intersection (the origin for linear problems)."""
         return self._intersection_point

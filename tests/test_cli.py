@@ -13,7 +13,6 @@ from splitproj.cli import (
     _exp2_worker,
     _exp3_worker,
     _instance_subspaces,
-    _lift_start,
     _start_point,
     default_lambda_grid,
     exp1,
@@ -131,7 +130,7 @@ def test_exp3_columns_match_one_start_at_a_time():
         problem = _build_problem(algorithm, subs)
         want = np.empty((n_points, n_iters))
         for j in range(n_points):
-            z = _lift_start(_start_point(seed, j, d), problem.n)
+            z = np.tile(_start_point(seed, j, d), problem.n - 1)
             limit = shadow_limit(problem, z)
             blocks = forward_blocks(problem, z)
             for k in range(n_iters):
@@ -334,6 +333,59 @@ def test_non_finite_lambda_grid_is_a_usage_error(grid, capsys):
         main(["exp1", "--n", "1", f"--lambda-grid={grid}"])
     assert exc.value.code == 2
     assert "argument --lambda-grid: start, step and end must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--algorithm", "mt", "--lambda-grid", "0.5:1e-13:0.5000000000003"],
+     "values repeat after rounding to 12 decimal places"),
+    (["--lambda-grid", "0.1:1e-9:0.9"], "more than 10000 values"),
+], ids=["repeats", "too-many"])
+def test_repeating_or_oversized_lambda_grid_is_a_usage_error(argv, message, capsys):
+    # both used to be accepted: the first printed the lambda = 0.5 rows 5
+    # times, the second built 8e8 values before any work
+    with pytest.raises(SystemExit) as exc:
+        main(["exp1", "--n", "1", *argv])
+    assert exc.value.code == 2
+    assert f"argument --lambda-grid: {message}" in capsys.readouterr().err
+
+
+def test_lambda_grid_of_the_largest_size_is_accepted():
+    grid = cli._parse_grid("0.0001:0.0001:1")
+    assert len(grid) == cli._MAX_GRID == 10_000 and grid[-1] == 1.0
+
+
+@pytest.mark.parametrize("argv, function, kwargs", [
+    (["exp1", "--n", "2"], exp1, dict(n_instances=2)),
+    (["exp2", "--n", "1", "--n-points", "2", "--lambda", "0.9"], exp2,
+     dict(n_sets=1, n_points=2, lambda_grid=[0.9])),
+    (["exp3", "--n", "2", "--n-points", "2", "--iters", "5"], exp3,
+     dict(n_sets=2, n_points=2, n_iters=5)),
+    (["run", "--problem", str(GOLDEN / "run_affine_ryu.json")], run_single,
+     dict(path=str(GOLDEN / "run_affine_ryu.json"))),
+], ids=["exp1", "exp2", "exp3", "run"])
+def test_an_omitted_flag_takes_the_default_of_the_function(argv, function, kwargs, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == records_to_csv(function(**kwargs))
+
+
+def test_main_calls_the_functions_bound_on_the_module(monkeypatch, capsys):
+    # the benchmark's tracer wraps these module attributes; a dispatch table
+    # taken at import would run the originals and leave its cli spans empty
+    calls = _count_calls(monkeypatch, cli, "exp3", "run_single")
+    assert main(["exp3", "--n", "1", "--n-points", "2", "--iters", "3"]) == 0
+    assert main(["run", "--problem", str(GOLDEN / "run_affine_mt.json")]) == 0
+    assert calls == {"exp3": 1, "run_single": 1}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["exp3", "--n", "1", "--sub-dims", "5,5,5,5"],
+     "the ryu operator needs exactly 3 subspaces, got 4; use --algorithm mt"),
+    (["exp2", "--n", "1", "--algorithm", "dr"],
+     "argument --algorithm: invalid choice: 'dr' (choose from 'ryu', 'mt', 'both')"),
+], ids=["ryu-needs-three", "unknown-algorithm"])
+def test_algorithm_choice_errors(argv, message, capsys):
+    code, _, err = _outcome(argv, capsys)
+    assert code == 2 and message in err
 
 
 def _outcome(argv, capsys):
