@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 
 import numpy as np
@@ -432,6 +433,26 @@ def test_exp2_csv_matches_golden_file():
     golden = GOLDEN / "exp2_seed7.csv"
     records = exp2(n_sets=2, n_points=3, lambda_grid=[0.05, 0.5, 0.95], seed=7)
     assert records_to_csv(records) == golden.read_text()
+
+
+# The *_default.csv goldens are the paper-size runs (every flag at its
+# default, seed 0), written by the code that stepped the iterate in exp2.
+
+def test_exp1_at_full_defaults_matches_golden_file(capsys):
+    assert main(["exp1"]) == 0
+    assert_csv_close(capsys.readouterr().out, (GOLDEN / "exp1_default.csv").read_text())
+
+
+def test_exp3_at_full_defaults_matches_golden_file(capsys):
+    assert main(["exp3"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "exp3_default.csv").read_text()
+
+
+@pytest.mark.skipif(not os.environ.get("SPLITPROJ_FULL_EXP2"),
+                    reason="full-default exp2 takes minutes; set SPLITPROJ_FULL_EXP2=1 to run it")
+def test_exp2_at_full_defaults_matches_golden_file(capsys):
+    assert main(["exp2"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "exp2_default.csv").read_text()
 
 
 def _d60_reproducer():
