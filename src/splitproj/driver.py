@@ -213,22 +213,38 @@ def iteration_counts(problem, config: IterationConfig, start) -> tuple:
     return int(gov[0]), int(sh[0])
 
 
+def _propagator(d, lam) -> np.ndarray:
+    """[M; M^2; ...; M^J] for M = Id + lam D and J = ``_BLOCK_STEPS``: the
+    errors of the next J steps from one error, by one product."""
+    step = np.eye(d.shape[0]) + lam * d
+    powers = [step]
+    for _ in range(_BLOCK_STEPS - 1):
+        powers.append(step @ powers[-1])
+    return np.vstack(powers)
+
+
 def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
                            max_iters: int = 10_000) -> tuple:
     """`iteration_counts` for many runs of one problem, stepped together.
 
     Column j of the ``(governing_dim, k)`` matrix ``starts`` is run with
     relaxation ``lams[j]``; returns two integer arrays of length k, the
-    governing and the shadow counts of each column.  Every column's
-    governing and shadow limit comes from one matrix product each.
+    governing and the shadow counts of each column.  The columns' limits
+    come from one matrix product.
 
-    All columns advance together through `orbit`, whose blocks stack every
-    column's shadow over its iterate, so that one subtraction of the stacked
-    limits gives both distances for a whole block of steps.  A column leaves
-    the working set after the block in which both its counts become known,
-    so a slow relaxation does not keep the fast ones stepping.  Every column
-    is checked at k = 0, 1, ..., ``max_iters``; a count still unknown after
-    ``max_iters`` steps is reported as ``max_iters``.
+    T is affine and z* = P_FixT z0 is a fixed point, so the error
+    e = z - z* of a column obeys e <- e + lam D e, D the linear part of
+    T - Id, and its shadow error is F e, F the linear forward pass.  The
+    columns step their errors together through `orbit` of the linear
+    problem, whose blocks stack F e over e, so a block's distances are
+    plain column norms.  A column leaves the working set after the block in
+    which both its counts become known, so a slow relaxation does not keep
+    the fast ones stepping.  Once the live columns fit a full block, each
+    block comes from the last tested error instead: one `_propagator`
+    product per run of equal relaxations (the columns are sorted by lam),
+    and one product with F.  Every column is checked at k = 0, 1, ...,
+    ``max_iters``; a count still unknown after ``max_iters`` steps is
+    reported as ``max_iters``.
     """
     z = _governing(problem, starts)
     if z.ndim != 2:
@@ -241,19 +257,22 @@ def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
     counts = np.full((2, k), max_iters, dtype=np.int64)
     if k == 0:
         return counts[1], counts[0]
-    # a block's rows [0, nd) are the shadow and the rest the iterate; row 0
-    # of counts and open_ is the shadow, row 1 the governing sequence
-    limits = np.vstack([shadow_limit(problem, z), governing_limit(problem, z)])
-    nd = limits.shape[0] - problem.governing_dim
+    # a block's rows [0, nd) are the shadow error and the rest the error;
+    # row 0 of counts and open_ is the shadow, row 1 the governing sequence
+    linear = problem.parallel()
+    matrix = linear._step[0]
+    m = problem.governing_dim
+    nd = matrix.shape[0] - 2 * m
     open_ = np.ones((2, k), dtype=bool)
-    cols = np.arange(k)
-    blocks = orbit(problem, z, lam)
+    cols = np.argsort(lam, kind="stable")  # equal relaxations side by side
+    lam = lam[cols]
+    blocks = orbit(linear, (z - governing_limit(problem, z))[:, cols], lam)
     block = next(blocks)
+    propagators, runs = {}, None
     it = 0
     while True:
         block = block[:max_iters + 1 - it]
-        gap = block - limits
-        hit = open_ & (np.sqrt(np.add.reduceat(gap * gap, [0, nd], axis=1)) <= tol)
+        hit = open_ & (np.sqrt(np.add.reduceat(block * block, [0, nd], axis=1)) <= tol)
         done = hit.any(axis=0)
         keep = None
         if done.any():
@@ -265,11 +284,23 @@ def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
                 if not live.any():
                     break
                 keep = live
-                cols, limits, open_ = (a[..., live] for a in (cols, limits, open_))
+                cols, open_, lam = cols[live], open_[:, live], lam[live]
         it += block.shape[0]
         if it > max_iters:
             break
-        block = blocks.send(keep)
+        if cols.size * matrix.shape[0] * _BLOCK_STEPS > _BLOCK_ENTRIES:
+            block = blocks.send(keep)
+            continue
+        last = block[-1, nd:] if keep is None else block[-1, nd:][:, keep]
+        if keep is not None or not runs:  # (a, b, propagator) per run of equal lam
+            cuts = [0, *(np.flatnonzero(lam[1:] != lam[:-1]) + 1).tolist(), lam.size]
+            for a in cuts[:-1]:
+                if lam[a] not in propagators:
+                    propagators[lam[a]] = _propagator(matrix[-m:], lam[a])
+            runs = [(a, b, propagators[lam[a]]) for a, b in zip(cuts, cuts[1:])]
+        errors = np.concatenate([p @ last[:, a:b] for a, b, p in runs], axis=1)
+        errors = errors.reshape(_BLOCK_STEPS, m, -1)
+        block = np.concatenate([matrix[:nd] @ errors, errors], axis=1)
     return counts[1], counts[0]
 
 

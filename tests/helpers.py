@@ -135,12 +135,16 @@ def scalar_iterate(problem, config, start) -> IterationTrace:
 
 
 def stepwise_batch_counts(problem, starts, lams, tol, max_iters) -> tuple:
-    """Oracle for `batch_iteration_counts`: its arithmetic, one step at a time.
+    """Oracle for `batch_iteration_counts`: the iterate, one step at a time.
 
-    Every step is one product with the problem's step matrix, every column
-    is tested after every step, and a column leaves as soon as both its
-    counts are known, so a blocked kernel must give the same counts bit for
-    bit.  Returns the governing and the shadow counts.
+    Every step is one product with the problem's step matrix ``[F; Id;
+    T - Id]``, every column's iterate and shadow are tested against their
+    closed-form limits after every step, and a column leaves as soon as both
+    its counts are known.  The kernel steps the error z - z* instead, and
+    takes slow runs' last steps from powers of the relaxed step, so its
+    distances differ from these in the last bits: the counts agree unless
+    a distance lies within rounding of ``tol`` (`longdouble_distances`
+    settles such a case).  Returns the governing and the shadow counts.
     """
     z = np.array(starts, dtype=float)
     lam = np.asarray(lams, dtype=float).reshape(-1)
@@ -183,3 +187,27 @@ def stepwise_shadow_distances(problem, starts, lam, n_iters) -> np.ndarray:
         z = z + lam * (step(problem, z) - z)
         out.append(np.linalg.norm(np.concatenate(forward_blocks(problem, z)) - limit, axis=0))
     return np.array(out).T
+
+
+def longdouble_distances(problem, start, lam, n_steps) -> tuple:
+    """Oracle for the counts kernel's distances, in extended precision.
+
+    Steps the error recurrence e <- e + lam D e from e_0 = z_0 - P_FixT z_0
+    in ``np.longdouble``, with D and the forward pass F taken as the
+    problem's stored float64 matrices.  Returns the governing distances
+    ||e_k|| and the shadow distances ||F e_k|| for k = 0..n_steps, so a
+    count at ``tol`` is the first k whose distance is at most ``tol``.
+    """
+    matrix = problem.parallel()._step[0].astype(np.longdouble)
+    m = problem.governing_dim
+    f, d = matrix[:-2 * m], matrix[-m:]
+    z = np.asarray(start, dtype=float).reshape(-1)
+    fix = problem._fix
+    e = z.astype(np.longdouble) - (fix.linear.astype(np.longdouble) @ z + fix.offset)
+    errors = [e]
+    for _ in range(n_steps):
+        e = e + np.longdouble(lam) * (d @ e)
+        errors.append(e)
+    errors = np.array(errors)
+    return (np.sqrt(np.sum(errors * errors, axis=1)),
+            np.sqrt(np.sum((errors @ f.T) ** 2, axis=1)))

@@ -4,6 +4,7 @@ import pytest
 import splitproj.driver as driver
 import splitproj.linalg as linalg
 from helpers import (
+    longdouble_distances,
     random_instance,
     random_mt,
     random_ryu,
@@ -532,9 +533,9 @@ def test_orbit_blocks_stay_within_their_entry_budget(k):
 
 
 def test_batch_counts_equal_the_stepwise_oracle_at_block_edges():
-    # the oracle is the kernel's own arithmetic one step at a time, so the
-    # counts must agree exactly, across block edges and a budget that ends
-    # inside a block
+    # the oracle steps the iterate, the kernel the error; away from rounding
+    # ties at tol the counts agree exactly, across block edges and a budget
+    # that ends inside a block
     rng = np.random.default_rng(33)
     mid_block = 0
     for p in _kernel_problems(rng):
@@ -558,6 +559,91 @@ def test_batch_counts_equal_the_stepwise_oracle_at_block_edges():
         assert all(map(np.array_equal, got, stepwise_batch_counts(p, starts[:, :40], lams[:40],
                                                                   1e-6, 200)))
     assert mid_block > 0
+
+
+def _orbit_steps(monkeypatch):
+    """Patch `driver.orbit` to count the steps it yields; returns the count."""
+    steps = [0]
+
+    def counted(*args):
+        blocks = orbit(*args)
+        keep = None
+        while True:
+            block = blocks.send(keep)
+            steps[0] += len(block)
+            keep = yield block
+
+    monkeypatch.setattr(driver, "orbit", counted)
+    return steps
+
+
+def test_batch_counts_switch_to_propagators_mid_run(monkeypatch):
+    # 40 columns step through orbit until the six slow ones are all that is
+    # live (they fit a full block up to n = 5); those finish on propagated
+    # blocks
+    steps = _orbit_steps(monkeypatch)
+    rng = np.random.default_rng(34)
+    for p in _kernel_problems(rng):
+        starts = rng.standard_normal((p.governing_dim, 40))
+        lams = np.r_[rng.uniform(0.3, 0.99, 34), 0.05, 0.06, 0.06, 0.07, 0.08, 0.08]
+        rows = p._step[0].shape[0]
+        assert 40 * rows * driver._BLOCK_STEPS > driver._BLOCK_ENTRIES
+        assert 6 * rows * driver._BLOCK_STEPS <= driver._BLOCK_ENTRIES
+        steps[0] = 0
+        got = batch_iteration_counts(p, starts, lams, 1e-6, 20_000)
+        want = stepwise_batch_counts(p, starts, lams, 1e-6, 20_000)
+        case = (type(p).__name__, p.n, p.is_affine)
+        assert all(map(np.array_equal, got, want)), case
+        assert 0 < steps[0] < np.max(want) // 2, case
+
+
+@pytest.mark.parametrize("max_iters", [33, 50, 63, 64, 65, 100])
+def test_batch_counts_budget_ends_inside_a_propagated_block(max_iters, monkeypatch):
+    steps = _orbit_steps(monkeypatch)
+    rng = np.random.default_rng(35)
+    capped = 0
+    for p in _kernel_problems(rng):
+        starts = rng.standard_normal((p.governing_dim, 3))
+        lams = [0.01, 0.2, 0.02]
+        for tol in (1e-6, 1e-2):
+            got = batch_iteration_counts(p, starts, lams, tol, max_iters)
+            want = stepwise_batch_counts(p, starts, lams, tol, max_iters)
+            assert all(map(np.array_equal, got, want)), (type(p).__name__, p.n, tol)
+            capped += np.count_nonzero(np.concatenate(want) == max_iters)
+    assert capped > 0
+    assert steps[0] == len(_kernel_problems(rng)) * 2 * driver._BLOCK_STEPS
+
+
+def test_batch_counts_of_columns_that_share_a_relaxation():
+    # exp2's layout: every point at every relaxation, column j * len(grid) + l
+    rng = np.random.default_rng(36)
+    grid = np.array([0.05, 0.3, 0.97])
+    for p in _kernel_problems(rng):
+        points = rng.standard_normal((p.governing_dim, 3))
+        starts = np.repeat(points, len(grid), axis=1)
+        lams = np.tile(grid, 3)
+        got = batch_iteration_counts(p, starts, lams, 1e-6, 10_000)
+        want = stepwise_batch_counts(p, starts, lams, 1e-6, 10_000)
+        case = (type(p).__name__, p.n, p.is_affine)
+        assert all(map(np.array_equal, got, want)), case
+        for j in range(starts.shape[1]):
+            one = batch_iteration_counts(p, starts[:, j:j + 1], lams[j:j + 1], 1e-6, 10_000)
+            assert (got[0][j], got[1][j]) == (one[0][0], one[1][0]), case
+
+
+def test_counts_that_moved_with_error_stepping_match_extended_precision():
+    # the only two of exp2_counts(n_sets=3, n_points=10, seed=4, tol=1e-9,
+    # max_iters=3000) that iterate stepping counted one step early: its
+    # distance at the step before lies within rounding of tol, above it
+    from splitproj.cli import _instances, exp2_counts
+
+    counts = exp2_counts(n_sets=3, n_points=10, seed=4, tol=1e-9, max_iters=3000)
+    for algorithm, lam, row, want in (("ryu", 0.07, 1, 1149), ("mt", 0.87, 0, 258)):
+        assert counts[(algorithm, lam)][22, row] == want  # set 2, point 2
+        (_, p, starts), = _instances(4, 2, 6, (5, 5, 5), (algorithm,), 10)
+        dist = longdouble_distances(p, starts[:, 2], lam, want)[row]
+        assert np.flatnonzero(dist <= 1e-9).tolist() == [want]
+        assert dist[want - 1] < 1.00002e-9
 
 
 @pytest.mark.parametrize("n_iters", [1, 32, 33])
