@@ -39,12 +39,15 @@ print(f"shadow limit error vs v + P(x0 - v): "
       f"{np.linalg.norm(trace.final_shadow[:6] - want):.2e} "
       f"({trace.iterations} iterations)")
 
-# the affine operator is the linear one plus an offset; the shift vector a
-# relates their fixed-point projectors
+# the affine operator is the linear one plus an offset; (x*, 0), the lift of
+# the common point x*, is a fixed point, and shifting the linear fixed-point
+# projector through it gives the affine one, P_FixT z = P z + (z* - P z*)
 amap = operator_matrix(affine)
-lifted = affine_lift(amap, fix_decomposition(affine.parallel()))
+fixed_point = np.concatenate([affine.intersection_point, np.zeros(6)])
+print("fixed point check ||T z* - z*|| =", f"{np.linalg.norm(amap(fixed_point) - fixed_point):.2e}")
+lifted = affine_lift(amap, fix_decomposition(affine.parallel()), fixed_point)
 print("offset norm ||b|| =", f"{np.linalg.norm(amap.offset):.4f}",
-      " shift norm ||a|| =", f"{np.linalg.norm(lifted.offset):.4f}")
+      " shift norm ||z* - P z*|| =", f"{np.linalg.norm(lifted.offset):.4f}")
 print("governing limit check:",
       f"{np.linalg.norm(trace.final_governing - lifted(start)):.2e}")
 

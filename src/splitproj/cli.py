@@ -433,8 +433,9 @@ def _checked_dims(d: int, dims):
 
 def _checked_grid(grid):
     grid = list(default_lambda_grid() if grid is None else grid)
-    if not grid or any(not 0.0 < lam < 1.0 for lam in grid):
-        raise ValueError("lambda grid must be nonempty with all values in (0, 1)")
+    if not grid:
+        raise ValueError("lambda grid must be nonempty")
+    _relaxations(grid)
     return grid
 
 

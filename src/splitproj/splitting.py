@@ -171,11 +171,13 @@ class _SplittingProblem:
 
     @cached_property
     def _fix(self) -> AffineMap:
-        """P_FixT: the Fix T projector, shifted by `affine_lift` for affine problems."""
-        if self.is_affine:
-            fix = affine_lift(operator_matrix(self), self.parallel()._fix_space)
-        else:
-            fix = AffineMap(self._fix_space.projector, np.zeros(self.governing_dim))
+        """P_FixT: the linear Fix T projector shifted through a fixed point of T,
+        the lifted intersection point (x*, 0) for Ryu or (x*, ..., x*) for MT,
+        where every forward block is x* (the origin for linear problems)."""
+        x = self._intersection_point
+        point = (np.concatenate([x, np.zeros(self.d)]) if isinstance(self, RyuProblem)
+                 else np.tile(x, self.n - 1))
+        fix = affine_lift(operator_matrix(self), self.parallel()._fix_space, point)
         _read_only(fix.linear, fix.offset)
         return fix
 
@@ -299,9 +301,6 @@ def ryu_fix_projector(p: RyuProblem) -> Subspace:
     third complement; E is realized as an intersection of two explicit
     projectors in R^{2d}.
     """
-    if p.is_affine:
-        raise ValueError("fixed-point projector is defined for linear problems; "
-                         "use affine_lift for affine ones")
     pu, pv, pw = (s.projector for s in p.subspaces)
     d = p.d
     eye = np.eye(d)
@@ -333,9 +332,6 @@ def mt_fix_projector(p: MTProblem) -> Subspace:
     spaces.  ran(Psi) is realized as the range projector S S^+ of the
     block lower-triangular matrix S with (i, j) block Id - P_j for j <= i.
     """
-    if p.is_affine:
-        raise ValueError("fixed-point projector is defined for linear problems; "
-                         "use affine_lift for affine ones")
     n, d = p.n, p.d
     m = (n - 1) * d
     eye = np.eye(d)
@@ -361,25 +357,23 @@ def fix_decomposition(problem) -> Subspace:
             else mt_fix_projector(problem))
 
 
-def affine_lift(amap: AffineMap, fix: Subspace) -> AffineMap:
-    """The affine fixed-point projector: P_fix shifted by a = (Id - L)^+ b.
+def affine_lift(amap: AffineMap, fix: Subspace, point) -> AffineMap:
+    """P_FixT for T x = L x + b, from P = P_FixL and a fixed point of T.
 
-    For T x = L x + b with nonempty fixed-point set, the shift a satisfies
-    P_FixT(x) = P_FixL(x) + a and T^k x = L^k (x - a) + a.  A residual
-    ``(Id - L) a != b`` beyond ``_AFFINE_TOL * max(1, ||b||)`` means no
-    fixed point exists (empty affine intersection) and is rejected.
+    Fix T = point + Fix L, so P_FixT(x) = P x + (point - P point).  T has
+    a fixed point iff b lies in ran(Id - L), the complement of
+    ker(Id - L^T), which is Fix L because L is nonexpansive.  So
+    ``||P b|| > _AFFINE_TOL * max(1, ||b||)`` means no fixed point exists
+    (empty affine intersection) and is rejected.
     """
-    m = amap.linear.shape[0]
-    id_minus_l = np.eye(m) - amap.linear
-    a = pseudoinverse(id_minus_l) @ amap.offset
-    residual = np.linalg.norm(id_minus_l @ a - amap.offset)
+    gap = np.linalg.norm(fix.projector @ amap.offset)
     bound = _AFFINE_TOL * max(1.0, float(np.linalg.norm(amap.offset)))
-    if residual > bound:
+    if gap > bound:
         raise InconsistentAffineError(
-            f"no fixed point: ||(Id - L)a - b|| = {residual:.3e} exceeds {bound:.1e} "
+            f"no fixed point: ||P_FixL b|| = {gap:.3e} exceeds {bound:.1e} "
             "(the affine intersection is empty)"
         )
-    return AffineMap(fix.projector, a)
+    return AffineMap(fix.projector, point - fix.projector @ point)
 
 
 def _read_only(*arrays) -> None:

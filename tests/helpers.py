@@ -21,7 +21,8 @@ from splitproj import (
     shadow,
     shadow_limit,
 )
-from splitproj.splitting import displacement
+from splitproj.linalg import pseudoinverse
+from splitproj.splitting import _AFFINE_TOL, displacement
 
 
 def nullspace_intersection(projectors) -> np.ndarray:
@@ -67,6 +68,28 @@ def relaxed_matrix(problem, lam) -> np.ndarray:
     """Linear part of the relaxed operator, (1 - lam) Id + lam T."""
     t = operator_matrix(problem).linear
     return (1.0 - lam) * np.eye(t.shape[0]) + lam * t
+
+
+def lifted_point(problem) -> np.ndarray:
+    """The problem's intersection point x* lifted into the governing space:
+    (x*, 0) for Ryu and (x*, ..., x*) for MT, a fixed point of T."""
+    x = problem.intersection_point
+    if isinstance(problem, RyuProblem):
+        return np.concatenate([x, np.zeros(problem.d)])
+    return np.tile(x, problem.n - 1)
+
+
+def pseudoinverse_shift(amap) -> tuple:
+    """Oracle for `affine_lift`'s offset and its consistency rule.
+
+    For T x = L x + b, returns the minimum-norm shift a = (Id - L)^+ b,
+    which is P_FixT(0), and whether T has a fixed point by the residual
+    rule ||(Id - L) a - b|| <= _AFFINE_TOL * max(1, ||b||).
+    """
+    id_minus_l = np.eye(amap.linear.shape[0]) - amap.linear
+    a = pseudoinverse(id_minus_l) @ amap.offset
+    residual = np.linalg.norm(id_minus_l @ a - amap.offset)
+    return a, residual <= _AFFINE_TOL * max(1.0, float(np.linalg.norm(amap.offset)))
 
 
 def frobenius(a) -> float:

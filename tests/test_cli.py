@@ -252,6 +252,16 @@ def test_main_exit_codes(tmp_path, capsys):
     )
     assert main(["run", "--problem", inconsistent]) == 4
 
+    # anchors slid 1e6 along the lines pass the common-point check, and the
+    # fixed-point rule still finds the 1e-3 gap
+    slid = write_problem(
+        tmp_path / "slid.json",
+        subspaces=[x_basis, x_basis, x_basis],
+        anchors=[[1e6, 0.0], [1e6, 1e-3], [1e6, 0.0]],
+    )
+    assert main(["run", "--problem", slid]) == 4
+    assert "affine intersection is empty" in capsys.readouterr().err
+
     assert main(["exp1", "--n", "1", "--sub-dims", "4,5,5", "--lambda", "0.5"]) == 2
     err = capsys.readouterr().err
     assert "ceil" in err
@@ -334,6 +344,12 @@ def test_non_finite_lambda_grid_is_a_usage_error(grid, capsys):
         main(["exp1", "--n", "1", f"--lambda-grid={grid}"])
     assert exc.value.code == 2
     assert "argument --lambda-grid: start, step and end must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["exp1", "exp2"])
+def test_lambda_grid_outside_the_relaxation_range_is_a_usage_error(command, capsys):
+    assert main([command, "--n", "1", "--lambda-grid", "0:0.5:1"]) == 2
+    assert "relaxation must lie in (0, 1), got 0.0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -569,31 +585,35 @@ def test_non_finite_tol_is_a_usage_error(argv, value, capsys):
     assert f"tol must be positive and finite, got {value}" in capsys.readouterr().err
 
 
-def assert_csv_close(got, want, close_metrics=None, rel=1e-12):
+def assert_csv_close(got, want, close=None):
     """``got`` is the CSV text ``want``, except that the values of the rows
-    whose metric is in ``close_metrics`` (all rows when None) need only
-    agree to ``rel`` relative."""
+    whose metric is a key of ``close`` need only agree to within its
+    ``(rel, abs)`` tolerance (all rows to 1e-12 relative when None)."""
     got_rows, want_rows = got.split("\n"), want.split("\n")
     assert len(got_rows) == len(want_rows) and got_rows[0] == want_rows[0]
     for g, w in zip(got_rows[1:], want_rows[1:]):
         key, value = w.rpartition(",")[::2]
-        if value and (close_metrics is None or key.split(",")[4] in close_metrics):
+        metric = key.split(",")[4] if value else None
+        tol = (1e-12, 0.0) if close is None else close.get(metric)
+        if value and tol:
             got_key, got_value = g.rpartition(",")[::2]
             assert got_key == key
-            assert float(got_value) == pytest.approx(float(value), rel=rel, abs=0.0), key
+            assert float(got_value) == pytest.approx(float(value), rel=tol[0], abs=tol[1]), key
         else:
             assert g == w
 
 
 @pytest.mark.parametrize("algorithm", ["ryu", "mt"])
 def test_run_trace_matches_golden_file(algorithm, capsys):
-    # written by the code that rebuilt every derived form on each call and
-    # took the rate bounds from the full error matrix, whose last bits differ
+    # written by the code that rebuilt every derived form on each call, took
+    # the rate bounds from the full error matrix and shifted P_FixT by a
+    # pseudo-inverse of Id - L, so those rows differ in the last bits
     problem = GOLDEN / f"run_affine_{algorithm}.json"
     assert main(["run", "--problem", str(problem), "--trace"]) == 0
     assert_csv_close(capsys.readouterr().out,
                      (GOLDEN / f"run_affine_{algorithm}.csv").read_text(),
-                     close_metrics={"rate_lower_bound", "rate_upper_bound"})
+                     close={"rate_lower_bound": (1e-12, 0.0), "rate_upper_bound": (1e-12, 0.0),
+                            "governing_distance": (0.0, 1e-13)})
 
 
 @pytest.mark.parametrize("name, argv", [

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from helpers import (
+    lifted_point,
     nullspace_intersection,
+    pseudoinverse_shift,
     random_instance,
     random_mt,
     random_ryu,
@@ -21,8 +23,10 @@ from splitproj import (
     affine_lift,
     fix_decomposition,
     forward_blocks,
+    governing_limit,
     mt_fix_projector,
     operator_matrix,
+    random_subspace,
     ryu_fix_projector,
     shadow,
 )
@@ -449,9 +453,13 @@ def test_problem_keeps_its_derived_forms_read_only(make):
     assert affine.intersection() is linear.intersection()
     assert affine._step[0] is linear._step[0]
     # the kept forms are those the pure builders give
+    amap = operator_matrix(affine)
     assert np.array_equal(affine._fix.linear, fix_decomposition(linear).projector)
-    assert np.array_equal(affine._fix.offset, affine_lift(operator_matrix(affine),
-                                                         fix_decomposition(linear)).offset)
+    assert np.array_equal(fix_decomposition(affine).projector, fix_decomposition(linear).projector)
+    assert np.array_equal(affine._fix.offset, affine_lift(amap, fix_decomposition(linear),
+                                                         lifted_point(affine)).offset)
+    a = pseudoinverse_shift(amap)[0]
+    assert np.linalg.norm(affine._fix.offset - a) <= 1e-9 * max(1.0, np.linalg.norm(a))
     for array in (affine.intersection().projector, affine._step[0], affine._step[1],
                   affine._fix.linear, affine._fix.offset):
         with pytest.raises(ValueError, match="read-only"):
@@ -463,7 +471,7 @@ def test_affine_lift_zero_offset():
     p = random_ryu(rng)
     fix = fix_decomposition(p)
     amap = operator_matrix(p)
-    lifted = affine_lift(amap, fix)
+    lifted = affine_lift(amap, fix, lifted_point(p))
     assert np.allclose(lifted.offset, 0.0)
     assert np.array_equal(lifted.linear, fix.projector)
 
@@ -478,7 +486,7 @@ def test_affine_lift_solves_displacement_equation():
     p = RyuProblem(*subs, affine_anchors=anchors)
     amap = operator_matrix(p)
     fix = fix_decomposition(p.parallel())
-    lifted = affine_lift(amap, fix)
+    lifted = affine_lift(amap, fix, lifted_point(p))
     eye = np.eye(12)
     assert np.linalg.norm((eye - amap.linear) @ lifted.offset - amap.offset) <= 1e-8
     assert np.array_equal(lifted.linear, fix.projector)
@@ -489,7 +497,51 @@ def test_affine_lift_rejects_inconsistency():
     # fixed point (T shifts that axis forever)
     amap = AffineMap(np.diag([1.0, 0.0]), np.array([1.0, 0.0]))
     with pytest.raises(InconsistentAffineError):
-        affine_lift(amap, Subspace(np.zeros((2, 2))))
+        affine_lift(amap, Subspace(np.diag([1.0, 0.0])), np.zeros(2))
+
+
+def test_fixed_point_rule_agrees_with_the_pseudoinverse_residual():
+    # near-threshold families: one anchor of a consistent family moved off
+    # its subspace by 1e-11..1e-6 of the anchor scale, the anchors as drawn
+    # or slid by up to 1e8 along their subspaces
+    rng = np.random.default_rng(36)
+    decisions = []
+    for _ in range(300):
+        n, d = int(rng.integers(3, 6)), int(rng.integers(3, 9))
+        subs = [random_subspace(d, int(rng.integers(1, d)), rng) for _ in range(n)]
+        v = rng.standard_normal(d)
+        anchors = [v + s.projector @ rng.standard_normal(d) for s in subs]
+        off = rng.standard_normal(d)
+        off -= subs[0].projector @ off
+        scale = max(1.0, max(np.linalg.norm(a) for a in anchors))
+        anchors[0] = anchors[0] + 10 ** rng.uniform(-11, -6) * scale * off / np.linalg.norm(off)
+        if rng.random() < 0.5:
+            anchors = [a + 10 ** rng.uniform(0, 8) * s.projector @ rng.standard_normal(d)
+                       for s, a in zip(subs, anchors)]
+        try:
+            p = (RyuProblem(*subs, affine_anchors=anchors) if n == 3 and rng.random() < 0.5
+                 else MTProblem(subs, affine_anchors=anchors))
+        except InconsistentAffineError:
+            continue
+        amap = operator_matrix(p)
+        try:
+            affine_lift(amap, fix_decomposition(p), lifted_point(p))
+            accepted = True
+        except InconsistentAffineError:
+            accepted = False
+        decisions.append((accepted, pseudoinverse_shift(amap)[1]))
+    assert all(new == old for new, old in decisions)
+    assert {new for new, _ in decisions} == {True, False}
+
+
+def test_slid_anchors_do_not_hide_an_empty_intersection():
+    # three copies of the x-axis, the middle one 1e-3 above the others: the
+    # common-point check is relative to the anchors' 1e6, so it lets the
+    # family through, and only the fixed-point rule sees the gap
+    u = Subspace(np.diag([1.0, 0.0]))
+    p = RyuProblem(u, u, u, affine_anchors=([1e6, 0.0], [1e6, 1e-3], [1e6, 0.0]))
+    with pytest.raises(InconsistentAffineError):
+        governing_limit(p, np.zeros(4))
 
 
 @pytest.mark.parametrize("make", [lambda s, a: RyuProblem(*s[:3], affine_anchors=a[:3]),
@@ -559,7 +611,7 @@ def test_affine_iteration_is_shifted_linear_iteration():
                    MTProblem(subs, affine_anchors=anchors)):
         linear = affine.parallel()
         amap = operator_matrix(affine)
-        a = affine_lift(amap, fix_decomposition(linear)).offset
+        a = affine_lift(amap, fix_decomposition(linear), lifted_point(affine)).offset
         lam = 0.5
         z_aff = rng.standard_normal(12)
         z_lin = z_aff - a
