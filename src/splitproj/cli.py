@@ -34,6 +34,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 from functools import cache
@@ -41,6 +42,7 @@ from functools import cache
 import numpy as np
 
 from .driver import (
+    _BLOCK_ENTRIES,
     IterationConfig,
     _relaxations,
     batch_iteration_counts,
@@ -138,12 +140,18 @@ def _instances(seed: int, index: int, d: int, dims, algorithms, n_points: int = 
     """(algorithm, problem, starts) for each algorithm on instance ``index``.
 
     Column j of ``starts`` is start point j lifted diagonally into the
-    governing space: x0 in each of the problem's n - 1 blocks.
+    governing space: x0 in each of the problem's n - 1 blocks.  The
+    problems share one intersection of the subspaces, built by the first.
     """
     subs = _instance_subspaces(seed, index, d, dims)
     points = np.array([_start_point(seed, j, d) for j in range(n_points)]).reshape(n_points, d).T
+    first = None
     for algorithm in algorithms:
         problem = _build_problem(algorithm, subs)
+        if first is None:
+            first = problem
+        else:  # fills the cached property
+            problem._intersection = first._intersection
         yield algorithm, problem, np.tile(points, (problem.n - 1, 1))
 
 
@@ -274,32 +282,55 @@ def exp2(n_sets: int = 100, n_points: int = 100, lambda_grid=None,
 # ---------------------------------------------------------------------------
 
 def _exp3_worker(args):
-    """Shadow distances after steps 1..n_iters of all start points of one
-    set, stepped together as the columns of one `orbit`."""
-    seed, set_index, d, dims, lam, algorithms, n_points, n_iters = args
-    out = {}
-    for algorithm, problem, z in _instances(seed, set_index, d, dims, algorithms, n_points):
-        limit = shadow_limit(problem, z)
+    """Shadow distances after steps 1..n_iters of all start points of a run
+    of consecutive sets, one ``(points, n_iters)`` row block per set and
+    algorithm, stacked in set order.
+
+    The chunk's (set, algorithm) problems whose steps share one shape step
+    together, their start points as columns, through one stacked `orbit`.
+    """
+    seed, sets, d, dims, lam, algorithms, n_points, n_iters = args
+    groups = {}
+    for i in sets:
+        for run in _instances(seed, i, d, dims, algorithms, n_points):
+            groups.setdefault(run[1]._step[0].shape, []).append(run)
+    out = {algorithm: [] for algorithm in algorithms}
+    for group in groups.values():
+        names, problems, starts = zip(*group)
+        limit = np.stack([shadow_limit(p, z) for p, z in zip(problems, starts)])
         dists, steps = [], 0
-        for block in orbit(problem, z, lam):
-            dists.append(np.linalg.norm(block[:, :len(limit)] - limit, axis=1))
+        for block in orbit(problems, np.stack(starts), lam):
+            dists.append(np.linalg.norm(block[..., :limit.shape[-2], :] - limit, axis=-2))
             steps += len(block)
             if steps > n_iters:
                 break
-        out[algorithm] = np.concatenate(dists)[1:n_iters + 1].T  # slice 0 is the start
-    return out
+        # slice 0 is the start; then one (points, n_iters) trace per problem
+        for algorithm, trace in zip(names, np.concatenate(dists)[1:n_iters + 1].transpose(1, 2, 0)):
+            out[algorithm].append(trace)
+    return {algorithm: np.vstack(traces) for algorithm, traces in out.items()}
 
 
 def exp3(n_sets: int = 100, n_points: int = 100, lam: float = 0.99,
          n_iters: int = 150, d: int = 6, dims=(5, 5, 5), seed: int = 0,
          algorithms=_ALGORITHMS, jobs: int = 1):
-    """Median shadow distance to the limit at each iteration 1..n_iters."""
+    """Median shadow distance to the limit at each iteration 1..n_iters.
+
+    Each `_exp3_worker` call steps a contiguous chunk of sets together, so
+    the work per Python-level step grows with the chunk while every
+    distance keeps its bits.
+    """
     dims = _checked_dims(d, dims)
     _relaxations(lam)
+    # a chunk holds at most ceil(n_sets / jobs) sets, and no more than keep
+    # one stacked step within an orbit block (a larger set goes alone); a
+    # problem's step has (3n - 2) d rows: n shadow blocks, then the iterate
+    # and its displacement, n - 1 blocks each
+    per_set = len(algorithms) * n_points * (3 * len(dims) - 2) * d
+    size = max(1, min(-(-n_sets // jobs), _BLOCK_ENTRIES // per_set))
+    chunks = [range(i, min(i + size, n_sets)) for i in range(0, n_sets, size)]
     results = _run_parallel(
         _exp3_worker,
-        [(seed, i, d, dims, lam, tuple(algorithms), n_points, n_iters)
-         for i in range(n_sets)],
+        [(seed, sets, d, dims, lam, tuple(algorithms), n_points, n_iters) for sets in chunks],
         jobs,
     )
     records = []
@@ -552,12 +583,25 @@ def main(argv=None) -> int:
     kwargs = vars(_build_parser().parse_args(argv))
     out = kwargs.pop("out", None)
     as_json = kwargs.pop("format", "csv") == "json"
+    created = False
     if out:
         try:  # fail before any work; append mode truncates nothing
+            created = not os.path.exists(out)
             open(out, "a").close()
         except OSError as exc:
             print(f"error: cannot write --out: {exc}", file=sys.stderr)
             return 2
+    code = None
+    try:
+        code = _run(kwargs, out, as_json)
+    finally:  # a failed run leaves no --out file that it created
+        if created and code != 0:
+            os.remove(out)
+    return code
+
+
+def _run(kwargs, out, as_json) -> int:
+    """Run the subcommand and write its rows; the exit code."""
     try:
         records = _dispatch(kwargs)
     except InconsistentAffineError as exc:

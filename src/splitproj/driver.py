@@ -147,24 +147,44 @@ def orbit(problem, starts, lam):
     the problem's step matrix ``[F; Id; T - Id]``, followed by
     z_{i+1} = z_i + lam (T - Id) z_i.  Sending a boolean mask over the
     current columns keeps only those columns from the next block on.
+
+    ``problem`` may also be a list or tuple of S problems whose step
+    matrices share one shape.  ``starts`` is then ``(S, governing_dim, k)``
+    and each block ``(j, S, rows, k)``.  The S problems step together by
+    one stacked product, which makes the same products item by item, so
+    every problem's blocks keep the bits of its own `orbit`.
     """
-    z = _governing(problem, starts)
+    if isinstance(problem, (list, tuple)):
+        shapes = {p._step[0].shape for p in problem}
+        if len(shapes) != 1:
+            raise ValueError(f"stacked problems need one step shape, got {sorted(shapes)}")
+        if len(starts) != len(problem):
+            raise ValueError(f"need one start matrix per problem, got {len(starts)} "
+                             f"for {len(problem)}")
+        z = np.stack([_governing(p, s) for p, s in zip(problem, starts)])
+        matrix = np.stack([p._step[0] for p in problem])
+        offset = np.stack([p._step[1] for p in problem])
+        affine = any(p.is_affine for p in problem)
+        m = problem[0].governing_dim
+    else:
+        z = _governing(problem, starts)
+        matrix, offset = problem._step
+        affine = problem.is_affine
+        m = problem.governing_dim
     lam = np.asarray(lam, dtype=float)
-    matrix, offset = problem._step
-    affine = problem.is_affine
-    m = problem.governing_dim
-    rows = matrix.shape[0]
+    rows = matrix.shape[-2]
     while True:
-        j = max(1, min(_BLOCK_STEPS, _BLOCK_ENTRIES // max(1, rows * z.shape[1])))
-        block = np.empty((j, rows, z.shape[1]))
+        entries = rows * (z.size // m)  # of one step of every problem and column
+        j = max(1, min(_BLOCK_STEPS, _BLOCK_ENTRIES // max(1, entries)))
+        block = np.empty((j, *z.shape[:-2], rows, z.shape[-1]))
         for w in block:
             np.matmul(matrix, z, out=w)
             if affine:
-                w += offset[:, None]
-            z = z + lam * w[-m:]
-        keep = yield block[:, :-m]
+                w += offset[..., None]
+            z = z + lam * w[..., -m:, :]
+        keep = yield block[..., :-m, :]
         if keep is not None:
-            z = z[:, keep]
+            z = z[..., keep]
             lam = lam[keep] if lam.ndim else lam
 
 

@@ -125,7 +125,7 @@ def test_exp3_columns_match_one_start_at_a_time():
     # the loop over one start vector at a time that the column pass
     # replaced; only the rounding of the matrix products differs
     seed, d, dims, lam, n_points, n_iters = 5, 6, (5, 5, 5), 0.99, 4, 120
-    out = _exp3_worker((seed, 0, d, dims, lam, ("ryu", "mt"), n_points, n_iters))
+    out = _exp3_worker((seed, range(1), d, dims, lam, ("ryu", "mt"), n_points, n_iters))
     subs = _instance_subspaces(seed, 0, d, dims)
     for algorithm in ("ryu", "mt"):
         problem = _build_problem(algorithm, subs)
@@ -139,6 +139,38 @@ def test_exp3_columns_match_one_start_at_a_time():
                 blocks = forward_blocks(problem, z)
                 want[j, k] = np.linalg.norm(np.concatenate(blocks) - limit)
         np.testing.assert_allclose(out[algorithm], want, rtol=1e-9, atol=1e-13)
+
+
+def test_exp3_gives_the_same_bytes_for_every_chunking(monkeypatch):
+    # 5 sets run as one chunk, as 3 + 2 and as 2 + 2 + 1
+    chunks = []
+
+    def recorded(worker, arglist, jobs):
+        chunks.append([args[1] for args in arglist])
+        return run_parallel(worker, arglist, jobs)
+
+    run_parallel = cli._run_parallel
+    monkeypatch.setattr(cli, "_run_parallel", recorded)
+    kwargs = dict(n_sets=5, n_points=4, lam=0.9, n_iters=40, seed=3)
+    want = records_to_csv(exp3(**kwargs))
+    for jobs in (2, 3):
+        assert records_to_csv(exp3(**kwargs, jobs=jobs)) == want
+    assert chunks == [[range(5)], [range(3), range(3, 5)], [range(2), range(2, 4), range(4, 5)]]
+
+
+@pytest.mark.parametrize("n_points, size", [(50, 3), (100, 1), (200, 1)])
+def test_exp3_chunks_keep_one_stacked_step_within_an_orbit_block(n_points, size, monkeypatch):
+    # a set of two problems steps 2 * 42 * n_points entries; one of 200
+    # points exceeds the 2^14 of a block alone and still gets a chunk
+    chunks = []
+
+    def recorded(worker, arglist, jobs):  # one zero distance per chunk, no work
+        chunks.extend(args[1] for args in arglist)
+        return [dict.fromkeys(("ryu", "mt"), np.zeros((1, 1))) for _ in arglist]
+
+    monkeypatch.setattr(cli, "_run_parallel", recorded)
+    exp3(n_sets=7, n_points=n_points, n_iters=1)
+    assert chunks == [range(i, min(i + size, 7)) for i in range(0, 7, size)]
 
 
 def test_infeasible_dims_rejected():
@@ -575,6 +607,13 @@ def test_failed_run_keeps_an_existing_out_file(tmp_path, capsys):
     assert out.read_text().startswith(",".join(CSV_HEADER))
 
 
+def test_failed_run_removes_the_out_file_it_created(tmp_path, capsys):
+    out = tmp_path / "new.csv"
+    assert main(["exp1", "--n", "2", "--sub-dims", "3,3,3", "--out", str(out)]) == 2
+    assert "infeasible subspace dimensions" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, value", [
     (["exp2", "--n", "1", "--n-points", "2", "--lambda", "0.5", "--tol", "nan",
       "--max-iters", "50", "--algorithm", "ryu"], "nan"),
@@ -648,10 +687,10 @@ def test_run_single_builds_each_derived_form_once(algorithm, monkeypatch):
     assert counts == {"intersect_all": 1, "fix_decomposition": 1}
 
 
-def test_exp2_worker_builds_one_intersection_per_algorithm(monkeypatch):
+def test_exp2_worker_builds_one_intersection_per_instance(monkeypatch):
     counts = _count_calls(monkeypatch, splitting, "intersect_all", "fix_decomposition")
     _exp2_worker((3, 0, 6, (5, 5, 5), [0.3, 0.9], ("ryu", "mt"), 4, 1e-6, 10_000))
-    assert counts == {"intersect_all": 2, "fix_decomposition": 2}
+    assert counts == {"intersect_all": 1, "fix_decomposition": 2}
 
 
 def test_failed_projector_check_is_a_numerical_failure(capsys):

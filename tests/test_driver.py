@@ -532,6 +532,48 @@ def test_orbit_blocks_stay_within_their_entry_budget(k):
             assert len(first) == 1
 
 
+def _first_steps(blocks, n):
+    """The first ``n`` steps of an `orbit`, across its blocks."""
+    out = []
+    while sum(map(len, out)) < n:
+        out.append(next(blocks))
+    return np.concatenate(out)[:n]
+
+
+@pytest.mark.parametrize("k", [1, 3, 40])
+def test_stacked_orbit_equals_each_problem_s_own_orbit(k):
+    # linear and affine Ryu and MT problems of one step shape step as one
+    # stack, in blocks of other lengths than their own, to the same bits
+    rng = np.random.default_rng(34)
+    groups = {}
+    for p in _kernel_problems(rng):
+        groups.setdefault(p._step[0].shape, []).append(p)
+    assert sorted(map(len, groups.values())) == [2, 2, 4]  # Ryu and MT at n = 3
+    lams = rng.uniform(0.05, 0.99, k)
+    for problems in groups.values():
+        starts = rng.standard_normal((len(problems), problems[0].governing_dim, k))
+        got = _first_steps(orbit(problems, starts, lams), 70)
+        assert got.shape == (70, len(problems), problems[0]._step[0].shape[0]
+                             - problems[0].governing_dim, k)
+        for p, s, mine in zip(problems, starts, got.swapaxes(0, 1)):
+            assert np.array_equal(mine, _first_steps(orbit(p, s, lams), 70))
+        # a mask keeps the same columns of every problem
+        keep = np.arange(k) % 3 != 1
+        whole = orbit(problems, starts, lams)
+        skipped = len(next(whole))
+        kept = whole.send(keep)
+        fresh = _first_steps(orbit(problems, starts[..., keep], lams[keep]),
+                             skipped + len(kept))
+        assert np.max(np.abs(kept - fresh[skipped:])) <= 1e-12
+
+
+def test_stacked_orbit_needs_one_step_shape():
+    rng = np.random.default_rng(35)
+    problems = [random_ryu(rng), random_mt(rng, n=4)]
+    with pytest.raises(ValueError, match="one step shape"):
+        next(orbit(problems, [np.zeros((12, 1)), np.zeros((18, 1))], 0.5))
+
+
 def test_batch_counts_equal_the_stepwise_oracle_at_block_edges():
     # the oracle steps the iterate, the kernel the error; away from rounding
     # ties at tol the counts agree exactly, across block edges and a budget
@@ -652,7 +694,7 @@ def test_counts_that_moved_with_error_stepping_match_extended_precision():
 def test_exp3_traces_follow_the_stepwise_oracle(n_iters):
     from splitproj.cli import _build_problem, _exp3_worker, _instance_subspaces, _start_point
 
-    out = _exp3_worker((2, 1, 6, (5, 5, 5), 0.9, ("ryu", "mt"), 7, n_iters))
+    out = _exp3_worker((2, range(1, 2), 6, (5, 5, 5), 0.9, ("ryu", "mt"), 7, n_iters))
     subs = _instance_subspaces(2, 1, 6, (5, 5, 5))
     x0 = np.column_stack([_start_point(2, j, 6) for j in range(7)])
     for algorithm in ("ryu", "mt"):
