@@ -31,9 +31,8 @@ Exit codes: 0 success, 2 usage or input-format error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -83,7 +82,7 @@ class ExperimentRecord:
     iteration: int | None = None
 
     def __post_init__(self):
-        if not np.isfinite(self.metric_value):
+        if not math.isfinite(self.metric_value):
             raise ValueError(f"metric {self.metric_name} is not finite")
         if not 0.0 < self.lam < 1.0:
             raise ValueError(f"lambda must lie in (0, 1), got {self.lam}")
@@ -122,9 +121,10 @@ def _instance_subspaces(seed: int, index: int, d: int, dims):
     return [_spanned_draw(d, k, rng.random, "uniform") for k in dims]
 
 
-def _start_point(seed: int, point_index: int, d: int) -> np.ndarray:
-    rng = np.random.default_rng(seed ^ (_POINT_INDEX_BASE + point_index))
-    return rng.standard_normal(d)
+def _start_points(seed: int, n_points: int, d: int) -> np.ndarray:
+    """The ``(d, n_points)`` matrix whose column j is start point j."""
+    return np.array([np.random.default_rng(seed ^ (_POINT_INDEX_BASE + j)).standard_normal(d)
+                     for j in range(n_points)]).reshape(n_points, d).T
 
 
 def _build_problem(algorithm: str, subs, anchors=None):
@@ -136,15 +136,17 @@ def _build_problem(algorithm: str, subs, anchors=None):
     return MTProblem(subs, affine_anchors=anchors)
 
 
-def _instances(seed: int, index: int, d: int, dims, algorithms, n_points: int = 0):
+def _instances(seed: int, index: int, d: int, dims, algorithms, points=None):
     """(algorithm, problem, starts) for each algorithm on instance ``index``.
 
-    Column j of ``starts`` is start point j lifted diagonally into the
-    governing space: x0 in each of the problem's n - 1 blocks.  The
-    problems share one intersection of the subspaces, built by the first.
+    Column j of ``starts`` is column j of the ``(d, k)`` matrix ``points``
+    (none by default) lifted diagonally into the governing space: x0 in
+    each of the problem's n - 1 blocks.  The problems share one
+    intersection of the subspaces, built by the first.
     """
     subs = _instance_subspaces(seed, index, d, dims)
-    points = np.array([_start_point(seed, j, d) for j in range(n_points)]).reshape(n_points, d).T
+    if points is None:
+        points = np.empty((d, 0))
     first = None
     for algorithm in algorithms:
         problem = _build_problem(algorithm, subs)
@@ -182,6 +184,7 @@ def exp1(n_instances: int = 1000, lambda_grid=None, d: int = 6, dims=(5, 5, 5),
     Emits ``mean_spectral_radius`` (lower bound) and ``mean_operator_norm``
     (upper bound) rows; the instance_seed column carries the master seed.
     """
+    _check_counts(n_instances=n_instances, jobs=jobs)
     dims = _checked_dims(d, dims)
     grid = _checked_grid(lambda_grid)
     results = _run_parallel(
@@ -216,7 +219,8 @@ def _exp2_worker(args):
     seed, set_index, d, dims, grid, algorithms, n_points, tol, max_iters = args
     lams = np.tile(grid, n_points)
     out = {}
-    for algorithm, problem, starts in _instances(seed, set_index, d, dims, algorithms, n_points):
+    points = _start_points(seed, n_points, d)
+    for algorithm, problem, starts in _instances(seed, set_index, d, dims, algorithms, points):
         starts = np.repeat(starts, len(grid), axis=1)
         pairs = np.column_stack(batch_iteration_counts(problem, starts, lams, tol, max_iters))
         for i, lam in enumerate(grid):
@@ -240,6 +244,7 @@ def exp2_counts(n_sets: int = 100, n_points: int = 100, lambda_grid=None,
     count are known.  Runs that never reach ``tol`` contribute
     ``max_iters``.  Rows are ordered by (set index, point index).
     """
+    _check_counts(n_sets=n_sets, n_points=n_points, jobs=jobs)
     dims = _checked_dims(d, dims)
     grid = _checked_grid(lambda_grid)
     results = _run_parallel(
@@ -290,9 +295,10 @@ def _exp3_worker(args):
     together, their start points as columns, through one stacked `orbit`.
     """
     seed, sets, d, dims, lam, algorithms, n_points, n_iters = args
+    points = _start_points(seed, n_points, d)  # the same for every set
     groups = {}
     for i in sets:
-        for run in _instances(seed, i, d, dims, algorithms, n_points):
+        for run in _instances(seed, i, d, dims, algorithms, points):
             groups.setdefault(run[1]._step[0].shape, []).append(run)
     out = {algorithm: [] for algorithm in algorithms}
     for group in groups.values():
@@ -319,6 +325,7 @@ def exp3(n_sets: int = 100, n_points: int = 100, lam: float = 0.99,
     the work per Python-level step grows with the chunk while every
     distance keeps its bits.
     """
+    _check_counts(n_sets=n_sets, n_points=n_points, n_iters=n_iters, jobs=jobs)
     dims = _checked_dims(d, dims)
     _relaxations(lam)
     # a chunk holds at most ceil(n_sets / jobs) sets, and no more than keep
@@ -402,8 +409,10 @@ def run_single(path: str, tol: float = 1e-6, max_iters: int = 10_000,
                row("rate_lower_bound", bounds.lower), row("rate_upper_bound", bounds.upper)]
     records += [row(f"solution_{i}", v) for i, v in enumerate(trace.final_shadow[:problem.d])]
     if include_trace:
-        records += [row("governing_distance", v, k) for k, v in enumerate(trace.governing_distances)]
-        records += [row("shadow_distance", v, k) for k, v in enumerate(trace.shadow_distances)]
+        records += [row("governing_distance", v, k)
+                    for k, v in enumerate(trace.governing_distances.tolist())]
+        records += [row("shadow_distance", v, k)
+                    for k, v in enumerate(trace.shadow_distances.tolist())]
     return records
 
 
@@ -417,17 +426,16 @@ def _sort_key(record: ExperimentRecord):
 
 
 def records_to_csv(records) -> str:
-    """Stable CSV rendering: fixed sort order, 17-significant-digit floats."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for r in sorted(records, key=_sort_key):
-        writer.writerow([
-            r.experiment, r.algorithm, format(r.lam, ".17g"), r.instance_seed,
-            r.metric_name, "" if r.iteration is None else r.iteration,
-            format(r.metric_value, ".17g"),
-        ])
-    return buf.getvalue()
+    """Stable CSV rendering: fixed sort order, 17-significant-digit floats.
+
+    Each row is one ``%`` format, and the text one join.  The text fields
+    are the harness's own names, none of which needs CSV quoting.
+    """
+    rows = ["%s,%s,%.17g,%s,%s,%s,%.17g\n" % (
+        r.experiment, r.algorithm, r.lam, r.instance_seed, r.metric_name,
+        "" if r.iteration is None else r.iteration, r.metric_value)
+        for r in sorted(records, key=_sort_key)]
+    return ",".join(CSV_HEADER) + "\n" + "".join(rows)
 
 
 def records_to_json(records) -> str:
@@ -460,6 +468,13 @@ def _checked_dims(d: int, dims):
             "nontrivial intersection"
         )
     return dims
+
+
+def _check_counts(**counts) -> None:
+    """Raise a ValueError naming the first count below 1 (`_count`'s rule)."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 def _checked_grid(grid):

@@ -21,7 +21,6 @@ one-relaxation call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from numbers import Integral
 
 import numpy as np
@@ -195,26 +194,37 @@ def iterate(problem, config: IterationConfig, start, record_history: bool = True
     Hitting ``max_iters`` yields ``converged=False`` rather than an
     exception.  Per-iteration distance histories are recorded only when
     requested (long runs over many instances would otherwise hold every
-    trace in memory).  This is the one-column run of `orbit`; the steps
-    of its last block past the stop are discarded.
+    trace in memory).  This is the one-column run of `orbit`: the
+    distances of a block come from one stacked product, and the steps of
+    the last block past the stop are discarded.
     """
     z = _governing(problem, np.ravel(start))
     gov_lim = governing_limit(problem, z)
     sh_lim = shadow_limit(problem, z)
     nd = sh_lim.shape[0]
     gov_hist, sh_hist = [], []
-    for k, y in enumerate(chain.from_iterable(orbit(problem, z[:, None], config.lam))):
-        y = y[:, 0]
-        gov_dist = float(np.linalg.norm(y[nd:] - gov_lim))
+    it = 0
+    for block in orbit(problem, z[:, None], config.lam):
+        block = block[:config.max_iters + 1 - it, :, 0]
+        gov = _norms(block[:, nd:] - gov_lim)
+        hit = np.flatnonzero(gov <= config.tol)
+        end = int(hit[0]) + 1 if hit.size else len(block)
         if record_history:
-            gov_hist.append(gov_dist)
-            sh_hist.append(float(np.linalg.norm(y[:nd] - sh_lim)))
-        converged = gov_dist <= config.tol
-        if converged or k == config.max_iters:
+            gov_hist.append(gov[:end])
+            sh_hist.append(_norms(block[:end, :nd] - sh_lim))
+        it += end
+        if hit.size or it > config.max_iters:
             break
+    y = block[end - 1]
+    return IterationTrace(it - 1, bool(hit.size), np.concatenate(gov_hist or [[]]),
+                          np.concatenate(sh_hist or [[]]), final_governing=y[nd:],
+                          final_shadow=y[:nd])
 
-    return IterationTrace(k, converged, np.asarray(gov_hist), np.asarray(sh_hist),
-                          final_governing=y[nd:], final_shadow=y[:nd])
+
+def _norms(rows) -> np.ndarray:
+    """The Euclidean norm of each row of a matrix, from one stacked product
+    whose items are the dot products that `np.linalg.norm` makes for a row."""
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
 
 
 def iteration_counts(problem, config: IterationConfig, start) -> tuple:

@@ -153,12 +153,13 @@ class _SplittingProblem:
         m = self.governing_dim
         if self.is_affine:
             matrix = self.parallel()._step[0]
+            at_origin = forward_blocks(self, np.zeros((m, 1)))
+            offset = np.concatenate([np.concatenate(at_origin)[:, 0], np.zeros(m),
+                                     displacement(self, at_origin)[:, 0]])
         else:
             blocks = forward_blocks(self, np.eye(m))
             matrix = np.vstack([np.concatenate(blocks), np.eye(m), displacement(self, blocks)])
-        at_origin = forward_blocks(self, np.zeros((m, 1)))
-        offset = np.concatenate([np.concatenate(at_origin)[:, 0], np.zeros(m),
-                                 displacement(self, at_origin)[:, 0]])
+            offset = np.zeros(matrix.shape[0])
         _read_only(matrix, offset)
         return matrix, offset
 

@@ -7,6 +7,10 @@ orthonormal kernel basis of the stacked complements gives the intersection
 projector directly from one SVD.
 """
 
+import csv
+import io
+from itertools import chain
+
 import numpy as np
 
 from splitproj import (
@@ -17,12 +21,14 @@ from splitproj import (
     forward_blocks,
     governing_limit,
     operator_matrix,
+    orbit,
     random_subspace,
     shadow,
     shadow_limit,
 )
+from splitproj.cli import CSV_HEADER, _sort_key
 from splitproj.linalg import pseudoinverse
-from splitproj.splitting import _AFFINE_TOL, displacement
+from splitproj.splitting import _AFFINE_TOL, _governing, displacement
 
 
 def nullspace_intersection(projectors) -> np.ndarray:
@@ -157,6 +163,28 @@ def scalar_iterate(problem, config, start) -> IterationTrace:
                           z, final_shadow)
 
 
+def per_step_iterate(problem, config, start, record_history=True) -> IterationTrace:
+    """Oracle for `iterate`'s bits: the same `orbit` blocks, taken one step
+    at a time, with one `np.linalg.norm` per distance and a stop test after
+    every step."""
+    z = _governing(problem, np.ravel(start))
+    gov_lim = governing_limit(problem, z)
+    sh_lim = shadow_limit(problem, z)
+    nd = sh_lim.shape[0]
+    gov_hist, sh_hist = [], []
+    for k, y in enumerate(chain.from_iterable(orbit(problem, z[:, None], config.lam))):
+        y = y[:, 0]
+        gov_dist = float(np.linalg.norm(y[nd:] - gov_lim))
+        if record_history:
+            gov_hist.append(gov_dist)
+            sh_hist.append(float(np.linalg.norm(y[:nd] - sh_lim)))
+        converged = gov_dist <= config.tol
+        if converged or k == config.max_iters:
+            break
+    return IterationTrace(k, converged, np.asarray(gov_hist), np.asarray(sh_hist),
+                          final_governing=y[nd:], final_shadow=y[:nd])
+
+
 def stepwise_batch_counts(problem, starts, lams, tol, max_iters) -> tuple:
     """Oracle for `batch_iteration_counts`: the iterate, one step at a time.
 
@@ -234,3 +262,18 @@ def longdouble_distances(problem, start, lam, n_steps) -> tuple:
     errors = np.array(errors)
     return (np.sqrt(np.sum(errors * errors, axis=1)),
             np.sqrt(np.sum((errors @ f.T) ** 2, axis=1)))
+
+
+def csv_writer_rendering(records) -> str:
+    """Oracle for `records_to_csv`'s bytes: the rows written by `csv.writer`,
+    with the floats formatted to 17 significant digits."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for r in sorted(records, key=_sort_key):
+        writer.writerow([
+            r.experiment, r.algorithm, format(r.lam, ".17g"), r.instance_seed,
+            r.metric_name, "" if r.iteration is None else r.iteration,
+            format(r.metric_value, ".17g"),
+        ])
+    return buf.getvalue()

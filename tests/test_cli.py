@@ -14,7 +14,7 @@ from splitproj.cli import (
     _exp2_worker,
     _exp3_worker,
     _instance_subspaces,
-    _start_point,
+    _start_points,
     default_lambda_grid,
     exp1,
     exp2,
@@ -66,6 +66,16 @@ def test_record_validation():
         ExperimentRecord("exp1", "ryu", 1.5, 0, "x", 0.0)
     with pytest.raises(ValueError):
         ExperimentRecord("exp1", "ryu", 0.5, 0, "x", float("nan"))
+
+
+@pytest.mark.parametrize("kind", [float, np.float64])
+@pytest.mark.parametrize("lam, value", [
+    (0.5, "nan"), (0.5, "inf"), (0.5, "-inf"),
+    (0.0, 1.0), (1.0, 1.0), (-0.5, 1.0), (1.5, 1.0), ("nan", 1.0), ("inf", 1.0),
+])
+def test_record_rejects_non_finite_values_and_lambda_outside_the_open_interval(kind, lam, value):
+    with pytest.raises(ValueError):
+        ExperimentRecord("exp1", "ryu", kind(lam), 0, "x", kind(value))
 
 
 def test_csv_schema_and_float_precision():
@@ -131,7 +141,7 @@ def test_exp3_columns_match_one_start_at_a_time():
         problem = _build_problem(algorithm, subs)
         want = np.empty((n_points, n_iters))
         for j in range(n_points):
-            z = np.tile(_start_point(seed, j, d), problem.n - 1)
+            z = np.tile(_start_points(seed, n_points, d)[:, j], problem.n - 1)
             limit = shadow_limit(problem, z)
             blocks = forward_blocks(problem, z)
             for k in range(n_iters):
@@ -367,6 +377,23 @@ def test_counts_below_one_are_usage_errors(argv, flag, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}: must be at least 1" in err
+
+
+@pytest.mark.parametrize("function, kwargs, name", [
+    (exp1, dict(n_instances=0), "n_instances"),
+    (exp1, dict(jobs=0), "jobs"),
+    (exp2, dict(n_sets=0), "n_sets"),
+    (exp2, dict(n_points=0), "n_points"),
+    (exp2, dict(jobs=0), "jobs"),
+    (exp2_counts, dict(n_points=0), "n_points"),
+    (exp3, dict(n_sets=0), "n_sets"),
+    (exp3, dict(n_points=0), "n_points"),
+    (exp3, dict(n_iters=0), "n_iters"),
+    (exp3, dict(jobs=0), "jobs"),
+])
+def test_api_counts_below_one_raise_a_value_error_naming_the_argument(function, kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be at least 1, got 0$"):
+        function(**kwargs)
 
 
 @pytest.mark.parametrize("grid", ["nan:0.1:0.5", "0.1:0.1:inf", "0.2:nan:0.5",

@@ -5,6 +5,7 @@ import splitproj.driver as driver
 import splitproj.linalg as linalg
 from helpers import (
     longdouble_distances,
+    per_step_iterate,
     random_instance,
     random_mt,
     random_ryu,
@@ -354,6 +355,35 @@ def test_affine_governing_limit():
     assert np.linalg.norm(shadow_limit(p, start) - want) <= 1e-8
 
 
+def _assert_same_trace(got, want, case):
+    assert (got.iterations, got.converged) == (want.iterations, want.converged), case
+    assert type(got.iterations) is int and type(got.converged) is bool, case
+    for name in ("governing_distances", "shadow_distances", "final_governing", "final_shadow"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), (case, name)
+
+
+@pytest.mark.parametrize("max_iters", [0, 1, 31, 32, 33, 64])
+def test_iterate_keeps_the_bits_of_the_per_step_loop(max_iters):
+    # tol 1e-8 runs to max_iters; the distance at step max_iters // 2
+    # stops the run at or before that step, inside or at the edge of a block
+    rng = np.random.default_rng(22)
+    stops = 0
+    for problem in _kernel_problems(rng)[:4]:  # Ryu and MT, linear and affine
+        start = rng.standard_normal(problem.governing_dim)
+        dists = per_step_iterate(problem, IterationConfig(0.6, 1e-300, 64), start)
+        on_fix = governing_limit(problem, rng.standard_normal(problem.governing_dim))
+        for z, tol in ((start, 1e-8), (start, dists.governing_distances[max_iters // 2]),
+                       (on_fix, 1e-8)):
+            config = IterationConfig(0.6, tol=tol, max_iters=max_iters)
+            for record in (True, False):
+                want = per_step_iterate(problem, config, z, record)
+                case = (type(problem).__name__, problem.is_affine, tol, record)
+                _assert_same_trace(iterate(problem, config, z, record), want, case)
+                stops += want.converged
+    assert stops == 16  # every run on Fix T or to the mid-run distance stops
+
+
 def _kernel_problems(rng):
     """Ryu and MT (n = 3..5), each linear and with consistent anchors."""
     problems = []
@@ -679,12 +709,12 @@ def test_counts_that_moved_with_error_stepping_match_extended_precision():
     # the only two of exp2_counts(n_sets=3, n_points=10, seed=4, tol=1e-9,
     # max_iters=3000) that iterate stepping counted one step early: its
     # distance at the step before lies within rounding of tol, above it
-    from splitproj.cli import _instances, exp2_counts
+    from splitproj.cli import _instances, _start_points, exp2_counts
 
     counts = exp2_counts(n_sets=3, n_points=10, seed=4, tol=1e-9, max_iters=3000)
     for algorithm, lam, row, want in (("ryu", 0.07, 1, 1149), ("mt", 0.87, 0, 258)):
         assert counts[(algorithm, lam)][22, row] == want  # set 2, point 2
-        (_, p, starts), = _instances(4, 2, 6, (5, 5, 5), (algorithm,), 10)
+        (_, p, starts), = _instances(4, 2, 6, (5, 5, 5), (algorithm,), _start_points(4, 10, 6))
         dist = longdouble_distances(p, starts[:, 2], lam, want)[row]
         assert np.flatnonzero(dist <= 1e-9).tolist() == [want]
         assert dist[want - 1] < 1.00002e-9
@@ -692,11 +722,11 @@ def test_counts_that_moved_with_error_stepping_match_extended_precision():
 
 @pytest.mark.parametrize("n_iters", [1, 32, 33])
 def test_exp3_traces_follow_the_stepwise_oracle(n_iters):
-    from splitproj.cli import _build_problem, _exp3_worker, _instance_subspaces, _start_point
+    from splitproj.cli import _build_problem, _exp3_worker, _instance_subspaces, _start_points
 
     out = _exp3_worker((2, range(1, 2), 6, (5, 5, 5), 0.9, ("ryu", "mt"), 7, n_iters))
     subs = _instance_subspaces(2, 1, 6, (5, 5, 5))
-    x0 = np.column_stack([_start_point(2, j, 6) for j in range(7)])
+    x0 = _start_points(2, 7, 6)
     for algorithm in ("ryu", "mt"):
         p = _build_problem(algorithm, subs)
         want = stepwise_shadow_distances(p, np.tile(x0, (2, 1)), 0.9, n_iters)
