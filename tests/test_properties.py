@@ -1,4 +1,5 @@
-"""Property tests: the blocked counts kernel against its per-step oracle, and\nthe row writer against the `csv.writer` rendering."""
+"""Property tests: the blocked counts kernel against its per-step oracle, and
+the row writer against the `csv.writer` rendering."""
 
 import numpy as np
 import pytest
