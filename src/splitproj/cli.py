@@ -52,8 +52,18 @@ from .driver import (
     shadow_limit,
 )
 from .linalg import NumericalFailure
-from .splitting import InconsistentAffineError, MTProblem, RyuProblem
-from .subspaces import GenerationError, _ambient_dim, _spanned_draw, feasible_dims, subspace_from_dict
+from .splitting import InconsistentAffineError, MTProblem, RyuProblem, _fill_fix_spaces, _read_only
+from .subspaces import (
+    GenerationError,
+    _ambient_dim,
+    _dimensions,
+    _intersections,
+    _spanned_draw,
+    _spans,
+    _unchecked,
+    feasible_dims,
+    subspace_from_dict,
+)
 
 CSV_HEADER = ("experiment", "algorithm", "lambda", "instance_seed",
               "metric_name", "iteration", "metric_value")
@@ -136,25 +146,48 @@ def _build_problem(algorithm: str, subs, anchors=None):
     return MTProblem(subs, affine_anchors=anchors)
 
 
-def _instances(seed: int, index: int, d: int, dims, algorithms, points=None):
-    """(algorithm, problem, starts) for each algorithm on instance ``index``.
+def _instances(seed: int, indices, d: int, dims, algorithms, points=None) -> list:
+    """For each instance of ``indices``, its (algorithm, problem, starts)
+    for each algorithm.
 
     Column j of ``starts`` is column j of the ``(d, k)`` matrix ``points``
     (none by default) lifted diagonally into the governing space: x0 in
-    each of the problem's n - 1 blocks.  The problems share one
-    intersection of the subspaces, built by the first.
+    each of the problem's n - 1 blocks.  The draws of `_instance_subspaces`,
+    in its order, are spanned as one stack per subspace, and the shared
+    intersection of each instance's problems comes from one fold over
+    those stacks; an instance with a draw below full rank is redrawn whole.
     """
-    subs = _instance_subspaces(seed, index, d, dims)
-    if points is None:
-        points = np.empty((d, 0))
-    first = None
-    for algorithm in algorithms:
-        problem = _build_problem(algorithm, subs)
-        if first is None:
-            first = problem
-        else:  # fills the cached property
-            problem._intersection = first._intersection
-        yield algorithm, problem, np.tile(points, (problem.n - 1, 1))
+    rngs = [np.random.default_rng(seed ^ i) for i in indices]
+    spans = [_spans(np.stack([rng.random((k, d)) for rng in rngs]).transpose(0, 2, 1))
+             for k in dims]
+    ranks = _dimensions(np.concatenate(spans)).reshape(len(dims), -1)
+    for i in np.flatnonzero(np.any(ranks != np.array(dims)[:, None], axis=0)):
+        for p, s in zip(spans, _instance_subspaces(seed, indices[i], d, dims)):
+            p[i] = s.projector
+    meets = _intersections(spans)
+    _read_only(meets)
+    points = np.empty((d, 0)) if points is None else points
+    out = []
+    for i, meet in enumerate(meets):
+        problems = [_build_problem(a, [_unchecked(p[i]) for p in spans]) for a in algorithms]
+        for problem in problems:
+            problem._intersection = _unchecked(meet)  # fills the cached property
+        out.append([(a, p, np.tile(points, (p.n - 1, 1))) for a, p in zip(algorithms, problems)])
+    return out
+
+
+def _fill_fix(instances) -> None:
+    """Fill the Fix T of every problem, one stacked closed form per algorithm."""
+    for runs in zip(*instances):
+        _fill_fix_spaces([problem for _, problem, _ in runs])
+
+
+def _chunks(count: int, jobs: int, entries: int) -> list:
+    """Consecutive ranges of at most ceil(count / jobs) indices, and no more
+    than keep ``entries`` per index within ``_BLOCK_ENTRIES`` (a larger
+    index goes alone)."""
+    size = max(1, min(-(-count // jobs), _BLOCK_ENTRIES // entries))
+    return [range(i, min(i + size, count)) for i in range(0, count, size)]
 
 
 def _run_parallel(worker, arglist, jobs: int):
@@ -171,10 +204,13 @@ def _run_parallel(worker, arglist, jobs: int):
 # ---------------------------------------------------------------------------
 
 def _exp1_worker(args):
-    """The (lower, upper) rate curves over the grid, per algorithm."""
-    seed, index, d, dims, grid, algorithms = args
-    return {algorithm: rate_curve(problem, grid)
-            for algorithm, problem, _ in _instances(seed, index, d, dims, algorithms)}
+    """The (lower, upper) rate curves over the grid, per algorithm, of each
+    instance of a run of consecutive ones."""
+    seed, indices, d, dims, grid, algorithms = args
+    instances = _instances(seed, indices, d, dims, algorithms)
+    _fill_fix(instances)
+    return [{algorithm: rate_curve(problem, grid) for algorithm, problem, _ in runs}
+            for runs in instances]
 
 
 def exp1(n_instances: int = 1000, lambda_grid=None, d: int = 6, dims=(5, 5, 5),
@@ -187,11 +223,11 @@ def exp1(n_instances: int = 1000, lambda_grid=None, d: int = 6, dims=(5, 5, 5),
     _check_counts(n_instances=n_instances, jobs=jobs)
     dims = _checked_dims(d, dims)
     grid = _checked_grid(lambda_grid)
-    results = _run_parallel(
-        _exp1_worker,
-        [(seed, i, d, dims, grid, tuple(algorithms)) for i in range(n_instances)],
-        jobs,
-    )
+    # a chunk keeps one stacked Fix T projector, (n - 1) d square, in a block
+    chunks = _chunks(n_instances, jobs, ((len(dims) - 1) * d) ** 2)
+    results = [res for out in _run_parallel(
+        _exp1_worker, [(seed, c, d, dims, grid, tuple(algorithms)) for c in chunks], jobs)
+        for res in out]
     records = []
     for algorithm in algorithms:
         # (lambda, instance) rows, so each mean sums as the 1-D mean of its lambda
@@ -220,7 +256,9 @@ def _exp2_worker(args):
     lams = np.tile(grid, n_points)
     out = {}
     points = _start_points(seed, n_points, d)
-    for algorithm, problem, starts in _instances(seed, set_index, d, dims, algorithms, points):
+    instances = _instances(seed, range(set_index, set_index + 1), d, dims, algorithms, points)
+    _fill_fix(instances)
+    for algorithm, problem, starts in instances[0]:
         starts = np.repeat(starts, len(grid), axis=1)
         pairs = np.column_stack(batch_iteration_counts(problem, starts, lams, tol, max_iters))
         for i, lam in enumerate(grid):
@@ -297,8 +335,8 @@ def _exp3_worker(args):
     seed, sets, d, dims, lam, algorithms, n_points, n_iters = args
     points = _start_points(seed, n_points, d)  # the same for every set
     groups = {}
-    for i in sets:
-        for run in _instances(seed, i, d, dims, algorithms, points):
+    for runs in _instances(seed, sets, d, dims, algorithms, points):
+        for run in runs:
             groups.setdefault(run[1]._step[0].shape, []).append(run)
     out = {algorithm: [] for algorithm in algorithms}
     for group in groups.values():
@@ -328,13 +366,10 @@ def exp3(n_sets: int = 100, n_points: int = 100, lam: float = 0.99,
     _check_counts(n_sets=n_sets, n_points=n_points, n_iters=n_iters, jobs=jobs)
     dims = _checked_dims(d, dims)
     _relaxations(lam)
-    # a chunk holds at most ceil(n_sets / jobs) sets, and no more than keep
-    # one stacked step within an orbit block (a larger set goes alone); a
-    # problem's step has (3n - 2) d rows: n shadow blocks, then the iterate
-    # and its displacement, n - 1 blocks each
-    per_set = len(algorithms) * n_points * (3 * len(dims) - 2) * d
-    size = max(1, min(-(-n_sets // jobs), _BLOCK_ENTRIES // per_set))
-    chunks = [range(i, min(i + size, n_sets)) for i in range(0, n_sets, size)]
+    # a chunk keeps one stacked step in a block; a problem's step has
+    # (3n - 2) d rows: n shadow blocks, then the iterate and its
+    # displacement, n - 1 blocks each
+    chunks = _chunks(n_sets, jobs, len(algorithms) * n_points * (3 * len(dims) - 2) * d)
     results = _run_parallel(
         _exp3_worker,
         [(seed, sets, d, dims, lam, tuple(algorithms), n_points, n_iters) for sets in chunks],
@@ -428,14 +463,18 @@ def _sort_key(record: ExperimentRecord):
 def records_to_csv(records) -> str:
     """Stable CSV rendering: fixed sort order, 17-significant-digit floats.
 
-    Each row is one ``%`` format, and the text one join.  The text fields
-    are the harness's own names, none of which needs CSV quoting.
+    Each row is one ``%`` format, and the text one join.  No field is
+    quoted, so the text must hold six commas and one LF per row and no
+    double quote or CR; a text field that breaks this raises a ValueError.
     """
     rows = ["%s,%s,%.17g,%s,%s,%s,%.17g\n" % (
         r.experiment, r.algorithm, r.lam, r.instance_seed, r.metric_name,
         "" if r.iteration is None else r.iteration, r.metric_value)
         for r in sorted(records, key=_sort_key)]
-    return ",".join(CSV_HEADER) + "\n" + "".join(rows)
+    body = "".join(rows)
+    if body.count(",") != 6 * len(rows) or body.count("\n") != len(rows) or '"' in body or "\r" in body:
+        raise ValueError("a text field holds a comma, a double quote, CR or LF")
+    return ",".join(CSV_HEADER) + "\n" + body
 
 
 def records_to_json(records) -> str:

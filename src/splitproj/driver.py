@@ -25,14 +25,14 @@ from numbers import Integral
 
 import numpy as np
 
-from .linalg import _eigvals, _operator_norms
+from .linalg import _eigvals, _norms, _operator_norms
 from .splitting import (
     RyuProblem,
     _governing,
     forward_blocks,
     operator_matrix,
 )
-from .subspaces import _computed
+from .subspaces import _computed, _unchecked
 
 #: Distance ratios averaged by `tail_contraction`.
 _TAIL_WINDOW = 50
@@ -221,12 +221,6 @@ def iterate(problem, config: IterationConfig, start, record_history: bool = True
                           final_shadow=y[:nd])
 
 
-def _norms(rows) -> np.ndarray:
-    """The Euclidean norm of each row of a matrix, from one stacked product
-    whose items are the dot products that `np.linalg.norm` makes for a row."""
-    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
-
-
 def iteration_counts(problem, config: IterationConfig, start) -> tuple:
     """First iterations at which governing and shadow reach ``tol``.
 
@@ -243,14 +237,15 @@ def iteration_counts(problem, config: IterationConfig, start) -> tuple:
     return int(gov[0]), int(sh[0])
 
 
-def _propagator(d, lam) -> np.ndarray:
-    """[M; M^2; ...; M^J] for M = Id + lam D and J = ``_BLOCK_STEPS``: the
-    errors of the next J steps from one error, by one product."""
-    step = np.eye(d.shape[0]) + lam * d
+def _propagators(d, lams) -> np.ndarray:
+    """[M; M^2; ...; M^J] for M = Id + lam D and J = ``_BLOCK_STEPS``, for
+    each relaxation of ``lams``: the errors of the next J steps from one
+    error, by one product.  Each power is one stacked product."""
+    step = np.eye(d.shape[0]) + lams[:, None, None] * d
     powers = [step]
     for _ in range(_BLOCK_STEPS - 1):
         powers.append(step @ powers[-1])
-    return np.vstack(powers)
+    return np.stack(powers, axis=1).reshape(len(lams), -1, d.shape[1])
 
 
 def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
@@ -270,9 +265,10 @@ def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
     plain column norms.  A column leaves the working set after the block in
     which both its counts become known, so a slow relaxation does not keep
     the fast ones stepping.  Once the live columns fit a full block, each
-    block comes from the last tested error instead: one `_propagator`
-    product per run of equal relaxations (the columns are sorted by lam),
-    and one product with F.  Every column is checked at k = 0, 1, ...,
+    block comes from the last tested error instead: one product per run of
+    equal relaxations (the columns are sorted by lam) with its propagator,
+    all of which `_propagators` builds on entry, and one product with F.
+    Every column is checked at k = 0, 1, ...,
     ``max_iters``; a count still unknown after ``max_iters`` steps is
     reported as ``max_iters``.
     """
@@ -324,9 +320,9 @@ def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
         last = block[-1, nd:] if keep is None else block[-1, nd:][:, keep]
         if keep is not None or not runs:  # (a, b, propagator) per run of equal lam
             cuts = [0, *(np.flatnonzero(lam[1:] != lam[:-1]) + 1).tolist(), lam.size]
-            for a in cuts[:-1]:
-                if lam[a] not in propagators:
-                    propagators[lam[a]] = _propagator(matrix[-m:], lam[a])
+            if not propagators:  # the live columns only shrink from here
+                firsts = lam[cuts[:-1]]
+                propagators = dict(zip(firsts.tolist(), _propagators(matrix[-m:], firsts)))
             runs = [(a, b, propagators[lam[a]]) for a, b in zip(cuts, cuts[1:])]
         errors = np.concatenate([p @ last[:, a:b] for a, b, p in runs], axis=1)
         errors = errors.reshape(_BLOCK_STEPS, m, -1)
@@ -363,7 +359,7 @@ def rate_curve(problem, lams) -> tuple:
     lam = _relaxations(lams).reshape(-1)
     p_fix = problem._fix.linear
     m = p_fix.shape[0]
-    q = _computed(np.eye(m) - p_fix).basis()
+    q = _unchecked(_computed(np.eye(m) - p_fix)).basis()
     if q.shape[1] == 0:
         return np.zeros(lam.shape), np.zeros(lam.shape)
     b = q.T @ operator_matrix(problem).linear @ q

@@ -7,8 +7,9 @@ through here, so the rank cutoff lives in one place, `_kept`: singular
 values at or below ``DEFAULT_TOL * sigma_max`` (``DEFAULT_TOL`` for the
 projectors of a `Subspace`) are treated as zero.
 
-All functions are pure and accept any array-like that converts to a finite
-2-D float array; they are safe to call concurrently.
+All public functions are pure and accept any array-like that converts to a
+finite 2-D float array; they are safe to call concurrently.  The private
+stacked forms give each item of a stack the bits of its own 2-D call.
 """
 
 from __future__ import annotations
@@ -74,12 +75,11 @@ def svd(a) -> SvdResult:
     return SvdResult(u=u, singular_values=s, vt=vt)
 
 
-def _kept(s: np.ndarray, scale: float = 0.0) -> int:
-    """Number of the nonincreasing singular values ``s`` above the cutoff.
-
-    The cutoff is ``DEFAULT_TOL`` times the larger of ``s[0]`` and ``scale``.
+def _kept(s: np.ndarray, scale: float = 0.0) -> np.ndarray:
+    """Which of the nonincreasing singular values ``s`` (along the last
+    axis) lie above ``DEFAULT_TOL`` times the larger of ``s[0]`` and ``scale``.
     """
-    return int(np.count_nonzero(s > DEFAULT_TOL * max(s[0], scale)))
+    return s > DEFAULT_TOL * np.maximum(s[..., :1], scale)
 
 
 def pseudoinverse(a) -> np.ndarray:
@@ -87,14 +87,21 @@ def pseudoinverse(a) -> np.ndarray:
 
     Singular values ``sigma_i <= DEFAULT_TOL * sigma_max`` are treated as
     zero.  The result satisfies the four Penrose identities to within
-    roundoff.
+    roundoff.  This is the one-matrix call of `_pinv_stack`.
     """
-    res = svd(a)
-    s = res.singular_values
-    k = _kept(s)
-    inv = np.zeros_like(s)
-    inv[:k] = 1.0 / s[:k]
-    return (res.vt.T * inv) @ res.u.T
+    return _pinv_stack(_as_matrix(a)[None])[0]
+
+
+def _pinv_stack(a: np.ndarray) -> np.ndarray:
+    """The Moore-Penrose inverse of each matrix of an ``(S, m, n)`` stack,
+    with the cutoff of `_kept`, from one stacked SVD; if that fails, each
+    matrix goes through `svd` and its transpose retry."""
+    try:
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError:
+        u, s, vt = map(np.stack, zip(*((r.u, r.singular_values, r.vt) for r in map(svd, a))))
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=_kept(s))
+    return (np.swapaxes(vt, 1, 2) * inv[:, None, :]) @ np.swapaxes(u, 1, 2)
 
 
 def operator_norm(a) -> float:
@@ -115,6 +122,12 @@ def _operator_norms(stack: np.ndarray) -> np.ndarray:
         return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
     except np.linalg.LinAlgError:
         return np.array([svd(a).singular_values[0] for a in stack])
+
+
+def _norms(rows) -> np.ndarray:
+    """The Euclidean norm of each row of a matrix, from one stacked product
+    whose items are the dot products that `np.linalg.norm` makes for a row."""
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
 
 
 def spectral_radius(a) -> float:
@@ -145,4 +158,4 @@ def _eigvals(a: np.ndarray) -> np.ndarray:
 
 def rank(a) -> int:
     """Number of singular values above ``DEFAULT_TOL * sigma_max``."""
-    return _kept(svd(a).singular_values)
+    return int(np.count_nonzero(_kept(svd(a).singular_values)))

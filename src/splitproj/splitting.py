@@ -32,11 +32,14 @@ from .linalg import pseudoinverse
 from .subspaces import (
     AffineSubspace,
     Subspace,
+    _checked,
     _computed,
+    _meet,
+    _spans,
+    _sums,
+    _unchecked,
     complement,
     intersect_all,
-    intersect_pair,
-    sum_projector,
 )
 
 _AFFINE_TOL = 1e-8
@@ -70,7 +73,9 @@ class _SplittingProblem:
 
     Each derived form (intersection, step matrix, fixed-point projector) is
     built once, on first use, and kept read-only while the problem lives;
-    an affine problem shares the linear forms of its parallel problem.
+    an affine problem shares the linear forms of its parallel problem.  The
+    experiment harness fills the intersection and Fix T of many problems
+    from stacked formulas instead.
     """
 
     def _init_common(self, subspaces, affine_anchors):
@@ -300,26 +305,28 @@ def ryu_fix_projector(p: RyuProblem) -> Subspace:
     Fix T decomposes orthogonally as (Z x {0}) + E where Z is the
     intersection and E pairs complement directions whose sum lies in the
     third complement; E is realized as an intersection of two explicit
-    projectors in R^{2d}.
+    projectors in R^{2d}.  This is the one-problem call of `_ryu_fix`.
     """
-    pu, pv, pw = (s.projector for s in p.subspaces)
-    d = p.d
+    return _unchecked(_ryu_fix(*_projector_stacks([p]))[0])
+
+
+def _ryu_fix(pz, pu, pv, pw) -> np.ndarray:
+    """`ryu_fix_projector` from ``(S, d, d)`` stacks of P_Z, P_U, P_V, P_W."""
+    S, d = pz.shape[:2]
     eye = np.eye(d)
-    pz = p.intersection().projector
+    z_block = np.zeros((S, 2 * d, 2 * d))
+    z_block[:, :d, :d] = pz
 
-    z_block = np.zeros((2 * d, 2 * d))
-    z_block[:d, :d] = pz
-
-    left = np.zeros((2 * d, 2 * d))
-    left[:d, :d] = eye - pu
-    left[d:, d:] = eye - pv
+    left = np.zeros((S, 2 * d, 2 * d))
+    left[:, :d, :d] = eye - pu
+    left[:, d:, d:] = eye - pv
 
     p_diag = 0.5 * np.block([[eye, eye], [eye, eye]])
-    w_axis = np.zeros((2 * d, 2 * d))
-    w_axis[d:, d:] = eye - pw
-    right = sum_projector(complement(Subspace(p_diag)), Subspace(w_axis))
+    w_axis = np.zeros((S, 2 * d, 2 * d))
+    w_axis[:, d:, d:] = eye - pw
+    right = _sums(complement(Subspace(p_diag)).projector, _checked(w_axis, stacked=True))
 
-    e_proj = intersect_pair(Subspace(left), right).projector
+    e_proj = _meet(_checked(left, stacked=True), right)
     return _computed(z_block + e_proj)
 
 
@@ -332,30 +339,51 @@ def mt_fix_projector(p: MTProblem) -> Subspace:
     complement, where Psi is the partial-sum operator over the complement
     spaces.  ran(Psi) is realized as the range projector S S^+ of the
     block lower-triangular matrix S with (i, j) block Id - P_j for j <= i.
+    This is the one-problem call of `_mt_fix`.
     """
-    n, d = p.n, p.d
+    return _unchecked(_mt_fix(*_projector_stacks([p]))[0])
+
+
+def _mt_fix(pz, *ps) -> np.ndarray:
+    """`mt_fix_projector` from ``(S, d, d)`` stacks of P_Z and of each P_i."""
+    n = len(ps)
+    S, d = pz.shape[:2]
     m = (n - 1) * d
     eye = np.eye(d)
-    pz = p.intersection().projector
-    z_block = np.tile(pz, (n - 1, n - 1)) / (n - 1)
+    z_block = np.tile(pz, (1, n - 1, n - 1)) / (n - 1)
 
-    s = np.zeros((m, m))
+    s = np.zeros((S, m, m))
     for i in range(n - 1):
         for j in range(i + 1):
-            s[i * d:(i + 1) * d, j * d:(j + 1) * d] = eye - p.subspaces[j].projector
-    p_ran = s @ pseudoinverse(s)
-    ran_psi = Subspace(0.5 * (p_ran + p_ran.T))
+            s[:, i * d:(i + 1) * d, j * d:(j + 1) * d] = eye - ps[j]
+    ran_psi = _spans(s)
 
-    last_axis = np.eye(m)
-    last_axis[-d:, -d:] = eye - p.subspaces[n - 1].projector
+    last_axis = np.tile(np.eye(m), (S, 1, 1))
+    last_axis[:, -d:, -d:] = eye - ps[n - 1]
 
-    e_proj = intersect_pair(ran_psi, Subspace(last_axis)).projector
+    e_proj = _meet(ran_psi, _checked(last_axis, stacked=True))
     return _computed(z_block + e_proj)
+
+
+def _projector_stacks(problems) -> list:
+    """The stacks of the problems' P_Z, then of their P_i for each i."""
+    spaces = zip(*((p.intersection(), *p.subspaces) for p in problems))
+    return [np.stack([s.projector for s in column]) for column in spaces]
 
 
 def fix_decomposition(problem) -> Subspace:
     return (ryu_fix_projector(problem) if isinstance(problem, RyuProblem)
             else mt_fix_projector(problem))
+
+
+def _fill_fix_spaces(problems) -> None:
+    """Give linear problems of one class and one shape the Fix T that
+    `fix_decomposition` builds, from one stacked closed form."""
+    formula = _ryu_fix if isinstance(problems[0], RyuProblem) else _mt_fix
+    fix = formula(*_projector_stacks(problems))
+    _read_only(fix)
+    for problem, projector in zip(problems, fix):
+        problem._fix_space = _unchecked(projector)
 
 
 def affine_lift(amap: AffineMap, fix: Subspace, point) -> AffineMap:

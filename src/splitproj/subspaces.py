@@ -8,18 +8,21 @@ intersections via the Anderson-Duffin pseudoinverse formula
     P_{U cap V} = 2 P_U (P_U + P_V)^+ P_V,
 
 Minkowski sums through complementation, affine translates, and seeded random
-instance generation for experiments.
+instance generation for experiments.  Each formula runs on ``(S, d, d)``
+stacks of projectors, checked at once; the public functions are its
+one-item calls.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
 
-from .linalg import NumericalFailure, _kept, pseudoinverse, svd
+from .linalg import NumericalFailure, _as_matrix, _kept, _norms, _pinv_stack, svd
 
 _SYMMETRY_TOL = 1e-10
 _IDEMPOTENCE_TOL = 1e-8
@@ -36,19 +39,7 @@ class Subspace:
     projector: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.projector, dtype=float)
-        if p.ndim != 2 or p.shape[0] != p.shape[1] or p.size == 0:
-            raise ValueError(f"projector must be square and nonempty, got {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("projector contains non-finite entries")
-        d = p.shape[0]
-        sym_err = np.linalg.norm(p - p.T)
-        if sym_err > _SYMMETRY_TOL * d:
-            raise ValueError(f"projector not symmetric: ||P - P^T||_F = {sym_err:.3e}")
-        idem_err = np.linalg.norm(p @ p - p)
-        if idem_err > _IDEMPOTENCE_TOL * d:
-            raise ValueError(f"projector not idempotent: ||P^2 - P||_F = {idem_err:.3e}")
-        self.projector = p
+        self.projector = _checked(self.projector)
 
     @property
     def ambient_dim(self) -> int:
@@ -66,7 +57,41 @@ class Subspace:
         zero projector does not count as rank.
         """
         res = svd(self.projector)
-        return res.u[:, :_kept(res.singular_values, 1.0)]
+        return res.u[:, :np.count_nonzero(_kept(res.singular_values, 1.0))]
+
+
+def _checked(p, stacked: bool = False) -> np.ndarray:
+    """``p`` as a float array, after the checks of a `Subspace` projector.
+
+    ``p`` is a d x d matrix, or with ``stacked`` a ``(..., d, d)`` stack,
+    all checked at once; the ValueError names the first matrix that fails
+    if the stack holds more than one.
+    """
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 2 and not (stacked and p.ndim > 2) or p.shape[-1] != p.shape[-2] or p.size == 0:
+        raise ValueError(f"projector must be square and nonempty, got {p.shape}")
+    if not np.isfinite(p).all():
+        raise ValueError("projector contains non-finite entries")
+    d = p.shape[-1]
+    flat = p.reshape(-1, d, d)
+    k = len(flat)
+    err = _norms(np.concatenate((flat - flat.transpose(0, 2, 1), flat @ flat - flat)).reshape(2 * k, -1))
+    asym = err[:k] > _SYMMETRY_TOL * d
+    bad = asym | (err[k:] > _IDEMPOTENCE_TOL * d)
+    if bad.any():
+        i = int(bad.argmax())
+        item = f" (matrix {i} of the stack)" if k > 1 else ""
+        if asym[i]:
+            raise ValueError(f"projector not symmetric: ||P - P^T||_F = {err[i]:.3e}{item}")
+        raise ValueError(f"projector not idempotent: ||P^2 - P||_F = {err[k + i]:.3e}{item}")
+    return p
+
+
+def _unchecked(p: np.ndarray) -> Subspace:
+    """The `Subspace` of a projector that has passed `_checked`, not checked again."""
+    s = object.__new__(Subspace)
+    s.projector = p
+    return s
 
 
 @dataclass
@@ -101,7 +126,7 @@ def from_basis(columns) -> Subspace:
     """Subspace spanned by the columns of a d x k matrix (P = B B^+).
 
     The columns need not be independent or orthonormal; ``k = 0`` yields
-    the zero subspace.
+    the zero subspace.  This is the one-matrix call of `_spans`.
     """
     b = np.asarray(columns, dtype=float)
     if b.ndim != 2 or b.shape[0] == 0:
@@ -109,8 +134,13 @@ def from_basis(columns) -> Subspace:
     d = b.shape[0]
     if b.shape[1] == 0:
         return Subspace(np.zeros((d, d)))
-    p = b @ pseudoinverse(b)
-    return Subspace(0.5 * (p + p.T))
+    return _unchecked(_spans(_as_matrix(b)[None])[0])
+
+
+def _spans(b: np.ndarray) -> np.ndarray:
+    """The checked span projectors B B^+ of an ``(S, d, k)`` stack of bases."""
+    p = b @ _pinv_stack(b)
+    return _checked(0.5 * (p + np.swapaxes(p, 1, 2)), stacked=True)
 
 
 def complement(s: Subspace) -> Subspace:
@@ -119,15 +149,19 @@ def complement(s: Subspace) -> Subspace:
 
 
 def intersect_pair(u: Subspace, v: Subspace) -> Subspace:
-    """Projector onto U cap V by the Anderson-Duffin formula.
+    """Projector onto U cap V by the Anderson-Duffin formula (`_meet`)."""
+    _check_same_ambient(u, v)
+    return _unchecked(_meet(u.projector[None], v.projector[None])[0])
+
+
+def _meet(pu: np.ndarray, pv: np.ndarray) -> np.ndarray:
+    """Projectors onto U cap V for stacks of P_U and P_V, by Anderson-Duffin.
 
     The raw product ``2 P_U (P_U + P_V)^+ P_V`` is symmetrized as
     ``(Q + Q^T)/2`` before validation; no eigenvalue clipping is applied,
     so idempotency drift stays visible to the invariant checks.
     """
-    _check_same_ambient(u, v)
-    q = 2.0 * u.projector @ pseudoinverse(u.projector + v.projector) @ v.projector
-    return _computed(q)
+    return _computed(2.0 * pu @ _pinv_stack(pu + pv) @ pv)
 
 
 def intersect_all(subspaces) -> Subspace:
@@ -135,29 +169,43 @@ def intersect_all(subspaces) -> Subspace:
     subspaces = list(subspaces)
     if not subspaces:
         raise ValueError("need at least one subspace")
-    out = subspaces[0]
     for s in subspaces[1:]:
-        out = intersect_pair(out, s)
-    return out
+        _check_same_ambient(subspaces[0], s)
+    return _unchecked(_intersections([s.projector[None] for s in subspaces])[0])
+
+
+def _intersections(stacks) -> np.ndarray:
+    """Left fold of `_meet` over ``(S, d, d)`` projector stacks, one per subspace."""
+    return functools.reduce(_meet, stacks)
 
 
 def sum_projector(u: Subspace, v: Subspace) -> Subspace:
-    """Projector onto U + V, via (U + V) = (U^perp cap V^perp)^perp."""
+    """Projector onto U + V, via (U + V) = (U^perp cap V^perp)^perp (`_sums`)."""
     _check_same_ambient(u, v)
-    d = u.ambient_dim
-    eye = np.eye(d)
-    cu = eye - u.projector
-    cv = eye - v.projector
-    q = eye - 2.0 * cu @ pseudoinverse(2.0 * eye - u.projector - v.projector) @ cv
-    return _computed(q)
+    return _unchecked(_sums(u.projector, v.projector[None])[0])
 
 
-def _computed(q: np.ndarray) -> Subspace:
-    """Symmetrized formula result; failing a `Subspace` check is numerical."""
+def _sums(pu: np.ndarray, pv: np.ndarray) -> np.ndarray:
+    """Projectors onto U + V for stacks (or one matrix) of P_U and P_V."""
+    eye = np.eye(pu.shape[-1])
+    return _computed(eye - 2.0 * (eye - pu) @ _pinv_stack(2.0 * eye - pu - pv) @ (eye - pv))
+
+
+def _computed(q: np.ndarray) -> np.ndarray:
+    """Symmetrized formula results (a matrix or a stack); failing a `Subspace`
+    check is numerical."""
     try:
-        return Subspace(0.5 * (q + q.T))
+        return _checked(0.5 * (q + np.swapaxes(q, -1, -2)), stacked=True)
     except ValueError as exc:
         raise NumericalFailure(str(exc)) from exc
+
+
+def _dimensions(p: np.ndarray) -> np.ndarray:
+    """`Subspace.dimension` of each projector of a checked ``(S, d, d)`` stack."""
+    try:
+        return np.count_nonzero(_kept(np.linalg.svd(p, full_matrices=False)[1], 1.0), axis=-1)
+    except np.linalg.LinAlgError:  # each through `svd` and its transpose retry
+        return np.array([_unchecked(q).dimension() for q in p])
 
 
 def project(s: Subspace | AffineSubspace, x) -> np.ndarray:

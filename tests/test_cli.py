@@ -343,7 +343,7 @@ def test_exp1_means_equal_the_1d_mean_of_each_lambda():
     n, seed, grid = 9, 3, default_lambda_grid()
     got = {(r.algorithm, r.lam, r.metric_name): r.metric_value
            for r in exp1(n_instances=n, seed=seed)}
-    results = [cli._exp1_worker((seed, i, 6, (5, 5, 5), grid, ("ryu", "mt"))) for i in range(n)]
+    results = cli._exp1_worker((seed, range(n), 6, (5, 5, 5), grid, ("ryu", "mt")))
     for algorithm in ("ryu", "mt"):
         for k, metric in enumerate(("mean_spectral_radius", "mean_operator_norm")):
             for i, lam in enumerate(grid):
@@ -715,9 +715,9 @@ def test_run_single_builds_each_derived_form_once(algorithm, monkeypatch):
 
 
 def test_exp2_worker_builds_one_intersection_per_instance(monkeypatch):
-    counts = _count_calls(monkeypatch, splitting, "intersect_all", "fix_decomposition")
+    counts = _count_calls(monkeypatch, cli, "_intersections", "_fill_fix_spaces")
     _exp2_worker((3, 0, 6, (5, 5, 5), [0.3, 0.9], ("ryu", "mt"), 4, 1e-6, 10_000))
-    assert counts == {"intersect_all": 1, "fix_decomposition": 2}
+    assert counts == {"_intersections": 1, "_fill_fix_spaces": 2}
 
 
 def test_failed_projector_check_is_a_numerical_failure(capsys):
@@ -729,8 +729,76 @@ def test_failed_projector_check_is_a_numerical_failure(capsys):
 
 def test_failed_fixed_point_projector_check_is_a_numerical_failure(monkeypatch, capsys):
     # an E part that is the whole space makes Z + E fail its idempotence check
-    from splitproj.subspaces import Subspace
-
-    monkeypatch.setattr(splitting, "intersect_pair", lambda u, v: Subspace(np.eye(u.ambient_dim)))
+    monkeypatch.setattr(splitting, "_meet", lambda pu, pv: 0.0 * pv + np.eye(pv.shape[-1]))
     assert main(["exp1", "--n", "1", "--lambda", "0.5"]) == 3
     assert "projector not idempotent: ||P^2 - P||_F = " in capsys.readouterr().err
+
+
+def test_a_draw_below_full_rank_redraws_its_instance_as_built_alone(monkeypatch):
+    # the first draw of instance 2 repeats one row, so its span has rank 1
+    # and the instance is redrawn, alone and in the chunk
+    real = np.random.default_rng
+    seed, d, dims = 7, 6, (4, 5, 5)
+
+    class Deficient:
+        def __init__(self, instance_seed):
+            self.rng, self.first = real(instance_seed), instance_seed == seed ^ 2
+
+        def random(self, shape):
+            x = self.rng.random(shape)
+            if self.first:
+                self.first = False
+                x[:] = x[0]
+            return x
+
+    monkeypatch.setattr(np.random, "default_rng", Deficient)
+    instances = cli._instances(seed, range(5), d, dims, ("ryu", "mt"))
+    cli._fill_fix(instances)
+    for index, runs in enumerate(instances):
+        subs = _instance_subspaces(seed, index, d, dims)
+        assert [s.dimension() for s in subs] == list(dims)
+        for algorithm, got, _ in runs:
+            want = _build_problem(algorithm, subs)
+            for a, b in zip(got.subspaces, want.subspaces):
+                assert np.array_equal(a.projector, b.projector)
+            assert np.array_equal(got.intersection().projector, want.intersection().projector)
+            assert np.array_equal(got._fix.linear, want._fix.linear)
+    monkeypatch.undo()
+    # the redraw took the second draw of the stream, which the chunk skipped
+    assert not np.array_equal(instances[2][0][1].subspaces[0].projector,
+                              _instance_subspaces(seed, 2, d, dims)[0].projector)
+
+
+def test_failed_check_inside_a_stack_names_the_matrix(capsys):
+    # the reproducer's four instances are one chunk, and the fourth fails
+    argv = ["exp1", "--n", "4", "--seed", "1444635452", "--dim", "6", "--sub-dims", "5,5,5"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == ("error: projector not idempotent: ||P^2 - P||_F = "
+                                       "1.500e-05 (matrix 3 of the stack)\n")
+
+
+_BAD_TEXT = [",", '"', "\r", "\n"]
+
+
+@pytest.mark.parametrize("bad", _BAD_TEXT)
+@pytest.mark.parametrize("field", ["experiment", "algorithm", "metric_name"])
+def test_csv_rejects_a_text_field_it_would_have_to_quote(field, bad):
+    fields = dict(experiment="exp1", algorithm="ryu", lam=0.5, instance_seed=0,
+                  metric_name="mean_operator_norm", metric_value=1.0)
+    fields[field] = f"a{bad}b"
+    record = ExperimentRecord(**fields)
+    good = ExperimentRecord("exp1", "mt", 0.25, 3, "iterations", 2.0, iteration=4)
+    with pytest.raises(ValueError, match="comma, a double quote, CR or LF"):
+        records_to_csv([good, record])
+    # JSON escapes the field and keeps it
+    assert json.loads(records_to_json([record]))[0][field] == f"a{bad}b"
+
+
+def test_csv_accepts_every_name_of_the_harness():
+    records = (exp1(n_instances=2, lambda_grid=[0.5], seed=4)
+               + exp2(n_sets=1, n_points=2, lambda_grid=[0.5], seed=4)
+               + exp3(n_sets=1, n_points=2, n_iters=3, seed=4)
+               + run_single(str(GOLDEN / "run_affine_mt.json"), include_trace=True))
+    assert {r.experiment for r in records} == {"exp1", "exp2", "exp3", "single"}
+    text = records_to_csv(records)
+    assert len(text.splitlines()) == 1 + len(records)

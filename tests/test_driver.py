@@ -714,7 +714,8 @@ def test_counts_that_moved_with_error_stepping_match_extended_precision():
     counts = exp2_counts(n_sets=3, n_points=10, seed=4, tol=1e-9, max_iters=3000)
     for algorithm, lam, row, want in (("ryu", 0.07, 1, 1149), ("mt", 0.87, 0, 258)):
         assert counts[(algorithm, lam)][22, row] == want  # set 2, point 2
-        (_, p, starts), = _instances(4, 2, 6, (5, 5, 5), (algorithm,), _start_points(4, 10, 6))
+        (_, p, starts), = _instances(4, range(2, 3), 6, (5, 5, 5), (algorithm,),
+                                     _start_points(4, 10, 6))[0]
         dist = longdouble_distances(p, starts[:, 2], lam, want)[row]
         assert np.flatnonzero(dist <= 1e-9).tolist() == [want]
         assert dist[want - 1] < 1.00002e-9
@@ -732,3 +733,18 @@ def test_exp3_traces_follow_the_stepwise_oracle(n_iters):
         want = stepwise_shadow_distances(p, np.tile(x0, (2, 1)), 0.9, n_iters)
         assert out[algorithm].shape == want.shape == (7, n_iters)
         assert np.max(np.abs(out[algorithm] - want)) <= 1e-12
+
+
+def test_stacked_propagators_keep_the_bits_of_the_per_relaxation_loop():
+    p = random_ryu(np.random.default_rng(14))
+    m = p.governing_dim
+    d = p._step[0][-m:]
+    lams = np.array([0.01, 0.37, 0.5, 0.99])
+    got = driver._propagators(d, lams)
+    assert got.shape == (4, driver._BLOCK_STEPS * m, m)
+    for lam, item in zip(lams, got):
+        step = np.eye(m) + lam * d
+        powers = [step]
+        for _ in range(driver._BLOCK_STEPS - 1):
+            powers.append(step @ powers[-1])
+        assert np.array_equal(item, np.vstack(powers))

@@ -4,6 +4,7 @@ import pytest
 from splitproj.linalg import (
     NumericalFailure,
     _operator_norms,
+    _pinv_stack,
     operator_norm,
     pseudoinverse,
     rank,
@@ -194,3 +195,27 @@ def test_svd_fails_when_transpose_fails_too(monkeypatch):
     _failing_svd(monkeypatch, {(4, 3), (3, 4)})
     with pytest.raises(NumericalFailure, match="4x3"):
         svd(np.ones((4, 3)))
+
+
+def test_stacked_pseudoinverse_gives_each_matrix_its_own_bits(monkeypatch):
+    # the stacked SVD and the 2-D one of each matrix make the same gesdd call;
+    # when the stacked call fails, each matrix goes through svd and its
+    # transpose retry
+    rng = np.random.default_rng(13)
+    stack = np.stack([random_with_rank(rng, 9, 5, r) for r in (5, 3, 1, 4)])
+    want = _pinv_stack(stack)
+    for a, w in zip(stack, want):
+        assert np.array_equal(pseudoinverse(a), w)
+        np.testing.assert_allclose(w, np.linalg.pinv(a, rcond=1e-12), rtol=0, atol=1e-10)
+    real = np.linalg.svd
+
+    def stacked_fails(a, *args, **kwargs):
+        if np.ndim(a) > 2 or np.shape(a) == (9, 5) and not np.any(a - stack[1]):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", stacked_fails)
+    got = _pinv_stack(stack)
+    for i in (0, 2, 3):
+        assert np.array_equal(got[i], want[i])
+    np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-12)

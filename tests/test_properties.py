@@ -1,5 +1,6 @@
-"""Property tests: the blocked counts kernel against its per-step oracle, and
-the row writer against the `csv.writer` rendering."""
+"""Property tests: the blocked counts kernel against its per-step oracle, the
+row writer against the `csv.writer` rendering, and chunk-built experiment
+instances against instances built one at a time."""
 
 import numpy as np
 import pytest
@@ -9,8 +10,22 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from helpers import csv_writer_rendering, random_instance, stepwise_batch_counts  # noqa: E402
-from splitproj import MTProblem, RyuProblem, batch_iteration_counts  # noqa: E402
-from splitproj.cli import ExperimentRecord, records_to_csv  # noqa: E402
+from splitproj import (  # noqa: E402
+    MTProblem,
+    NumericalFailure,
+    RyuProblem,
+    batch_iteration_counts,
+    fix_decomposition,
+    intersect_all,
+)
+from splitproj.cli import (  # noqa: E402
+    ExperimentRecord,
+    _build_problem,
+    _fill_fix,
+    _instance_subspaces,
+    _instances,
+    records_to_csv,
+)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -56,3 +71,29 @@ _RECORDS = st.builds(
 @given(records=st.lists(_RECORDS, max_size=20))
 def test_row_writer_gives_the_csv_writer_bytes(records):
     assert records_to_csv(records) == csv_writer_rendering(records)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), algorithm=st.sampled_from(["ryu", "mt"]), d=st.integers(3, 10),
+       size=st.integers(1, 7), seed=st.integers(0, 2**32 - 1), first=st.integers(0, 40))
+def test_chunk_built_instances_equal_the_ones_built_alone(data, algorithm, d, size, seed, first):
+    n = 3 if algorithm == "ryu" else data.draw(st.integers(3, 5))
+    dims = tuple(data.draw(st.lists(st.integers(1 + -(-2 * d // 3), d), min_size=n, max_size=n)))
+    indices = range(first, first + size)
+    wants = []
+    try:
+        for index in indices:
+            p = _build_problem(algorithm, _instance_subspaces(seed, index, d, dims))
+            wants.append((p, intersect_all(p.subspaces), fix_decomposition(p)))
+    except NumericalFailure:
+        # MT on subspaces that all fill R^d fails its Fix T check, alone and in a chunk
+        with pytest.raises(NumericalFailure):
+            _fill_fix(_instances(seed, indices, d, dims, (algorithm,)))
+        return
+    instances = _instances(seed, indices, d, dims, (algorithm,))
+    _fill_fix(instances)
+    for (want, meet, fix), [(_, got, _)] in zip(wants, instances):
+        for a, b in zip(got.subspaces, want.subspaces):
+            assert np.array_equal(a.projector, b.projector)
+        assert np.array_equal(got.intersection().projector, meet.projector)
+        assert np.array_equal(got._fix_space.projector, fix.projector)

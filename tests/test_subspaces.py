@@ -218,11 +218,35 @@ def test_failed_check_of_a_computed_projector_is_a_numerical_failure(monkeypatch
 
     u = random_subspace(6, 3, np.random.default_rng(31))
     # a pseudoinverse 1% off makes both formulas return 1.01 P, not a projector
-    pinv = subspaces.pseudoinverse
-    monkeypatch.setattr(subspaces, "pseudoinverse", lambda a: 1.01 * pinv(a))
+    pinv = subspaces._pinv_stack
+    monkeypatch.setattr(subspaces, "_pinv_stack", lambda a: 1.01 * pinv(a))
     for formula in (intersect_pair, sum_projector):
         with pytest.raises(NumericalFailure, match="not idempotent"):
             formula(u, u)
     # a caller's matrix that fails the same check stays an input error
     with pytest.raises(ValueError, match="not idempotent"):
         Subspace(1.01 * u.projector)
+
+
+def test_a_stack_check_names_its_first_failing_matrix():
+    from splitproj import NumericalFailure
+    from splitproj.subspaces import _checked, _computed
+
+    rng = np.random.default_rng(32)
+    stack = np.stack([random_subspace(5, k, rng).projector for k in (1, 2, 3, 4)])
+    assert np.array_equal(_checked(stack, stacked=True), stack)
+    bad = stack.copy()
+    bad[2] *= 1.01
+    bad[3, 0, 1] += 1e-6  # not symmetric; the earlier matrix 2 is named
+    with pytest.raises(NumericalFailure, match=r"not idempotent: .* \(matrix 2 of the stack\)$"):
+        _computed(bad)
+    with pytest.raises(ValueError, match=r"not symmetric: .* \(matrix 3 of the stack\)$"):
+        _checked(np.concatenate([stack[:3], bad[3:]]), stacked=True)
+    # a stack of one, like a single matrix, names none
+    with pytest.raises(ValueError, match=r"not idempotent: \|\|P\^2 - P\|\|_F = [0-9.e+-]+$"):
+        _checked(bad[2:3], stacked=True)
+    # an input matrix fails as before, and a stack is not a Subspace
+    with pytest.raises(ValueError, match=r"^projector not idempotent: \|\|P\^2 - P\|\|_F = [0-9.e+-]+$"):
+        Subspace(bad[2])
+    with pytest.raises(ValueError, match="square and nonempty"):
+        Subspace(stack)
