@@ -146,16 +146,13 @@ def _build_problem(algorithm: str, subs, anchors=None):
     return MTProblem(subs, affine_anchors=anchors)
 
 
-def _instances(seed: int, indices, d: int, dims, algorithms, points=None) -> list:
-    """For each instance of ``indices``, its (algorithm, problem, starts)
-    for each algorithm.
+def _instances(seed: int, indices, d: int, dims, algorithms) -> dict:
+    """``{algorithm: [problem of each instance of indices, in index order]}``.
 
-    Column j of ``starts`` is column j of the ``(d, k)`` matrix ``points``
-    (none by default) lifted diagonally into the governing space: x0 in
-    each of the problem's n - 1 blocks.  The draws of `_instance_subspaces`,
-    in its order, are spanned as one stack per subspace, and the shared
-    intersection of each instance's problems comes from one fold over
-    those stacks; an instance with a draw below full rank is redrawn whole.
+    The draws of `_instance_subspaces`, in its order, are spanned as one
+    stack per subspace, and the shared intersection of each instance's
+    problems comes from one fold over those stacks; an instance with a
+    draw below full rank is redrawn whole.
     """
     rngs = [np.random.default_rng(seed ^ i) for i in indices]
     spans = [_spans(np.stack([rng.random((k, d)) for rng in rngs]).transpose(0, 2, 1))
@@ -166,20 +163,12 @@ def _instances(seed: int, indices, d: int, dims, algorithms, points=None) -> lis
             p[i] = s.projector
     meets = _intersections(spans)
     _read_only(meets)
-    points = np.empty((d, 0)) if points is None else points
-    out = []
-    for i, meet in enumerate(meets):
-        problems = [_build_problem(a, [_unchecked(p[i]) for p in spans]) for a in algorithms]
-        for problem in problems:
+    out = {a: [_build_problem(a, [_unchecked(p[i]) for p in spans]) for i in range(len(meets))]
+           for a in algorithms}
+    for problems in out.values():
+        for problem, meet in zip(problems, meets):
             problem._intersection = _unchecked(meet)  # fills the cached property
-        out.append([(a, p, np.tile(points, (p.n - 1, 1))) for a, p in zip(algorithms, problems)])
     return out
-
-
-def _fill_fix(instances) -> None:
-    """Fill the Fix T of every problem, one stacked closed form per algorithm."""
-    for runs in zip(*instances):
-        _fill_fix_spaces([problem for _, problem, _ in runs])
 
 
 def _chunks(count: int, jobs: int, entries: int) -> list:
@@ -204,13 +193,13 @@ def _run_parallel(worker, arglist, jobs: int):
 # ---------------------------------------------------------------------------
 
 def _exp1_worker(args):
-    """The (lower, upper) rate curves over the grid, per algorithm, of each
-    instance of a run of consecutive ones."""
+    """The (lower, upper) rate curves over the grid of each instance of a
+    run of consecutive ones, per algorithm."""
     seed, indices, d, dims, grid, algorithms = args
     instances = _instances(seed, indices, d, dims, algorithms)
-    _fill_fix(instances)
-    return [{algorithm: rate_curve(problem, grid) for algorithm, problem, _ in runs}
-            for runs in instances]
+    for problems in instances.values():
+        _fill_fix_spaces(problems)
+    return {a: [rate_curve(p, grid) for p in problems] for a, problems in instances.items()}
 
 
 def exp1(n_instances: int = 1000, lambda_grid=None, d: int = 6, dims=(5, 5, 5),
@@ -225,14 +214,13 @@ def exp1(n_instances: int = 1000, lambda_grid=None, d: int = 6, dims=(5, 5, 5),
     grid = _checked_grid(lambda_grid)
     # a chunk keeps one stacked Fix T projector, (n - 1) d square, in a block
     chunks = _chunks(n_instances, jobs, ((len(dims) - 1) * d) ** 2)
-    results = [res for out in _run_parallel(
+    results = _run_parallel(
         _exp1_worker, [(seed, c, d, dims, grid, tuple(algorithms)) for c in chunks], jobs)
-        for res in out]
     records = []
     for algorithm in algorithms:
+        curves = [curve for out in results for curve in out[algorithm]]
         # (lambda, instance) rows, so each mean sums as the 1-D mean of its lambda
-        lowers, uppers = (np.column_stack([res[algorithm][k] for res in results]).mean(axis=1)
-                          for k in (0, 1))
+        lowers, uppers = (np.column_stack(side).mean(axis=1) for side in zip(*curves))
         for lam, lo, up in zip(grid, lowers.tolist(), uppers.tolist()):
             records.append(ExperimentRecord("exp1", algorithm, lam, seed,
                                             "mean_spectral_radius", lo))
@@ -254,12 +242,11 @@ def _exp2_worker(args):
     """
     seed, set_index, d, dims, grid, algorithms, n_points, tol, max_iters = args
     lams = np.tile(grid, n_points)
+    points = np.repeat(_start_points(seed, n_points, d), len(grid), axis=1)
     out = {}
-    points = _start_points(seed, n_points, d)
-    instances = _instances(seed, range(set_index, set_index + 1), d, dims, algorithms, points)
-    _fill_fix(instances)
-    for algorithm, problem, starts in instances[0]:
-        starts = np.repeat(starts, len(grid), axis=1)
+    for algorithm, [problem] in _instances(seed, range(set_index, set_index + 1), d, dims,
+                                           algorithms).items():
+        starts = np.tile(points, (problem.n - 1, 1))
         pairs = np.column_stack(batch_iteration_counts(problem, starts, lams, tol, max_iters))
         for i, lam in enumerate(grid):
             out[(algorithm, lam)] = pairs[i::len(grid)]
@@ -329,29 +316,26 @@ def _exp3_worker(args):
     of consecutive sets, one ``(points, n_iters)`` row block per set and
     algorithm, stacked in set order.
 
-    The chunk's (set, algorithm) problems whose steps share one shape step
-    together, their start points as columns, through one stacked `orbit`.
+    Every problem of the chunk, each algorithm of each set, steps with the
+    others, its start points as columns, through one stacked `orbit`: the
+    problems all have ``len(dims)`` subspaces of R^d, and Ryu's step
+    matrix has the shape of MT's at n = 3.
     """
     seed, sets, d, dims, lam, algorithms, n_points, n_iters = args
     points = _start_points(seed, n_points, d)  # the same for every set
-    groups = {}
-    for runs in _instances(seed, sets, d, dims, algorithms, points):
-        for run in runs:
-            groups.setdefault(run[1]._step[0].shape, []).append(run)
-    out = {algorithm: [] for algorithm in algorithms}
-    for group in groups.values():
-        names, problems, starts = zip(*group)
-        limit = np.stack([shadow_limit(p, z) for p, z in zip(problems, starts)])
-        dists, steps = [], 0
-        for block in orbit(problems, np.stack(starts), lam):
-            dists.append(np.linalg.norm(block[..., :limit.shape[-2], :] - limit, axis=-2))
-            steps += len(block)
-            if steps > n_iters:
-                break
-        # slice 0 is the start; then one (points, n_iters) trace per problem
-        for algorithm, trace in zip(names, np.concatenate(dists)[1:n_iters + 1].transpose(1, 2, 0)):
-            out[algorithm].append(trace)
-    return {algorithm: np.vstack(traces) for algorithm, traces in out.items()}
+    instances = _instances(seed, sets, d, dims, algorithms)
+    problems = [p for a in algorithms for p in instances[a]]
+    starts = np.stack([np.tile(points, (p.n - 1, 1)) for p in problems])
+    limit = np.stack([shadow_limit(p, z) for p, z in zip(problems, starts)])
+    dists, steps = [], 0
+    for block in orbit(problems, starts, lam):
+        dists.append(np.linalg.norm(block[..., :limit.shape[-2], :] - limit, axis=-2))
+        steps += len(block)
+        if steps > n_iters:
+            break
+    # slice 0 is the start; then one (points, n_iters) trace per problem
+    traces = np.concatenate(dists)[1:n_iters + 1].transpose(1, 2, 0)
+    return {a: np.vstack(t) for a, t in zip(algorithms, np.split(traces, len(algorithms)))}
 
 
 def exp3(n_sets: int = 100, n_points: int = 100, lam: float = 0.99,

@@ -136,46 +136,38 @@ def shadow(problem, z) -> np.ndarray:
     return np.concatenate(forward_blocks(problem, z))
 
 
-def orbit(problem, starts, lam):
-    """Relaxed iterates of a block of start columns, with their shadows.
+def orbit(problems, starts, lam):
+    """Relaxed iterates of blocks of start columns, with their shadows.
 
-    ``starts`` is a ``(governing_dim, k)`` matrix and ``lam`` one relaxation
-    or one per column.  Yields blocks of consecutive steps, ``(j, rows, k)``
-    arrays whose slices are ``[F z_i; z_i]`` (shadow rows over iterate rows)
-    for i = 0, 1, ... in order across blocks.  Each step is one product with
-    the problem's step matrix ``[F; Id; T - Id]``, followed by
-    z_{i+1} = z_i + lam (T - Id) z_i.  Sending a boolean mask over the
-    current columns keeps only those columns from the next block on.
-
-    ``problem`` may also be a list or tuple of S problems whose step
-    matrices share one shape.  ``starts`` is then ``(S, governing_dim, k)``
-    and each block ``(j, S, rows, k)``.  The S problems step together by
-    one stacked product, which makes the same products item by item, so
-    every problem's blocks keep the bits of its own `orbit`.
+    ``problems`` is a list of S problems whose step matrices share one
+    shape, ``starts`` an ``(S, governing_dim, k)`` array of start columns,
+    and ``lam`` one relaxation or one per column.  Yields blocks of
+    consecutive steps, ``(j, S, rows, k)`` arrays whose slices are
+    ``[F z_i; z_i]`` (shadow rows over iterate rows) for i = 0, 1, ... in
+    order across blocks.  Each step is one stacked product with the
+    problems' step matrices ``[F; Id; T - Id]``, followed by
+    z_{i+1} = z_i + lam (T - Id) z_i; a stacked product makes the same
+    products item by item, so every problem's blocks keep the bits of a
+    stack of one.  Sending a boolean mask over the current columns keeps
+    only those columns, of every problem, from the next block on.
     """
-    if isinstance(problem, (list, tuple)):
-        shapes = {p._step[0].shape for p in problem}
-        if len(shapes) != 1:
-            raise ValueError(f"stacked problems need one step shape, got {sorted(shapes)}")
-        if len(starts) != len(problem):
-            raise ValueError(f"need one start matrix per problem, got {len(starts)} "
-                             f"for {len(problem)}")
-        z = np.stack([_governing(p, s) for p, s in zip(problem, starts)])
-        matrix = np.stack([p._step[0] for p in problem])
-        offset = np.stack([p._step[1] for p in problem])
-        affine = any(p.is_affine for p in problem)
-        m = problem[0].governing_dim
-    else:
-        z = _governing(problem, starts)
-        matrix, offset = problem._step
-        affine = problem.is_affine
-        m = problem.governing_dim
+    shapes = {p._step[0].shape for p in problems}
+    if len(shapes) != 1:
+        raise ValueError(f"stacked problems need one step shape, got {sorted(shapes)}")
+    if len(starts) != len(problems):
+        raise ValueError(f"need one start matrix per problem, got {len(starts)} "
+                         f"for {len(problems)}")
+    z = np.stack([_governing(p, s) for p, s in zip(problems, starts)])
+    matrix = np.stack([p._step[0] for p in problems])
+    offset = np.stack([p._step[1] for p in problems])
+    affine = any(p.is_affine for p in problems)
+    m = problems[0].governing_dim
     lam = np.asarray(lam, dtype=float)
     rows = matrix.shape[-2]
     while True:
         entries = rows * (z.size // m)  # of one step of every problem and column
         j = max(1, min(_BLOCK_STEPS, _BLOCK_ENTRIES // max(1, entries)))
-        block = np.empty((j, *z.shape[:-2], rows, z.shape[-1]))
+        block = np.empty((j, len(z), rows, z.shape[-1]))
         for w in block:
             np.matmul(matrix, z, out=w)
             if affine:
@@ -204,8 +196,8 @@ def iterate(problem, config: IterationConfig, start, record_history: bool = True
     nd = sh_lim.shape[0]
     gov_hist, sh_hist = [], []
     it = 0
-    for block in orbit(problem, z[:, None], config.lam):
-        block = block[:config.max_iters + 1 - it, :, 0]
+    for block in orbit([problem], z[None, :, None], config.lam):
+        block = block[:config.max_iters + 1 - it, 0, :, 0]
         gov = _norms(block[:, nd:] - gov_lim)
         hit = np.flatnonzero(gov <= config.tol)
         end = int(hit[0]) + 1 if hit.size else len(block)
@@ -292,8 +284,8 @@ def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
     open_ = np.ones((2, k), dtype=bool)
     cols = np.argsort(lam, kind="stable")  # equal relaxations side by side
     lam = lam[cols]
-    blocks = orbit(linear, (z - governing_limit(problem, z))[:, cols], lam)
-    block = next(blocks)
+    blocks = orbit([linear], (z - governing_limit(problem, z))[None, :, cols], lam)
+    block = next(blocks)[:, 0]
     propagators, runs = {}, None
     it = 0
     while True:
@@ -315,7 +307,7 @@ def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
         if it > max_iters:
             break
         if cols.size * matrix.shape[0] * _BLOCK_STEPS > _BLOCK_ENTRIES:
-            block = blocks.send(keep)
+            block = blocks.send(keep)[:, 0]
             continue
         last = block[-1, nd:] if keep is None else block[-1, nd:][:, keep]
         if keep is not None or not runs:  # (a, b, propagator) per run of equal lam

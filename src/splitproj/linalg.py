@@ -92,15 +92,15 @@ def pseudoinverse(a) -> np.ndarray:
     return _pinv_stack(_as_matrix(a)[None])[0]
 
 
-def _pinv_stack(a: np.ndarray) -> np.ndarray:
+def _pinv_stack(a: np.ndarray, scale: float = 0.0) -> np.ndarray:
     """The Moore-Penrose inverse of each matrix of an ``(S, m, n)`` stack,
-    with the cutoff of `_kept`, from one stacked SVD; if that fails, each
-    matrix goes through `svd` and its transpose retry."""
+    with the cutoff of `_kept` at ``scale``, from one stacked SVD; if that
+    fails, each matrix goes through `svd` and its transpose retry."""
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError:
         u, s, vt = map(np.stack, zip(*((r.u, r.singular_values, r.vt) for r in map(svd, a))))
-    inv = np.divide(1.0, s, out=np.zeros_like(s), where=_kept(s))
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=_kept(s, scale))
     return (np.swapaxes(vt, 1, 2) * inv[:, None, :]) @ np.swapaxes(u, 1, 2)
 
 

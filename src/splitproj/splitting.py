@@ -356,7 +356,7 @@ def _mt_fix(pz, *ps) -> np.ndarray:
     for i in range(n - 1):
         for j in range(i + 1):
             s[:, i * d:(i + 1) * d, j * d:(j + 1) * d] = eye - ps[j]
-    ran_psi = _spans(s)
+    ran_psi = _spans(s, 1.0)  # the blocks of S are complements of projectors
 
     last_axis = np.tile(np.eye(m), (S, 1, 1))
     last_axis[:, -d:, -d:] = eye - ps[n - 1]

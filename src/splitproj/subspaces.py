@@ -137,10 +137,10 @@ def from_basis(columns) -> Subspace:
     return _unchecked(_spans(_as_matrix(b)[None])[0])
 
 
-def _spans(b: np.ndarray) -> np.ndarray:
-    """The checked span projectors B B^+ of an ``(S, d, k)`` stack of bases."""
-    p = b @ _pinv_stack(b)
-    return _checked(0.5 * (p + np.swapaxes(p, 1, 2)), stacked=True)
+def _spans(b: np.ndarray, scale: float = 0.0) -> np.ndarray:
+    """The span projectors B B^+ of an ``(S, d, k)`` stack of bases, with the
+    rank cutoff of `_kept` at ``scale``, checked as computed projectors."""
+    return _computed(b @ _pinv_stack(b, scale))
 
 
 def complement(s: Subspace) -> Subspace:

@@ -172,8 +172,8 @@ def per_step_iterate(problem, config, start, record_history=True) -> IterationTr
     sh_lim = shadow_limit(problem, z)
     nd = sh_lim.shape[0]
     gov_hist, sh_hist = [], []
-    for k, y in enumerate(chain.from_iterable(orbit(problem, z[:, None], config.lam))):
-        y = y[:, 0]
+    for k, y in enumerate(chain.from_iterable(orbit([problem], z[None, :, None], config.lam))):
+        y = y[0, :, 0]
         gov_dist = float(np.linalg.norm(y[nd:] - gov_lim))
         if record_history:
             gov_hist.append(gov_dist)

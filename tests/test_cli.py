@@ -1,12 +1,20 @@
 import json
 import os
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from helpers import nullspace_intersection, random_instance
-from splitproj import forward_blocks, shadow_limit, subspace_from_dict, to_dict
+from splitproj import (
+    GenerationError,
+    forward_blocks,
+    random_subspace,
+    shadow_limit,
+    subspace_from_dict,
+    to_dict,
+)
 from splitproj.cli import (
     CSV_HEADER,
     ExperimentRecord,
@@ -29,7 +37,7 @@ from splitproj.cli import (
 )
 import splitproj.cli as cli
 import splitproj.splitting as splitting
-from splitproj.splitting import displacement
+from splitproj.splitting import _fill_fix_spaces, displacement
 
 SMALL_GRID = [0.3, 0.5, 0.7, 0.9]
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -343,11 +351,12 @@ def test_exp1_means_equal_the_1d_mean_of_each_lambda():
     n, seed, grid = 9, 3, default_lambda_grid()
     got = {(r.algorithm, r.lam, r.metric_name): r.metric_value
            for r in exp1(n_instances=n, seed=seed)}
-    results = cli._exp1_worker((seed, range(n), 6, (5, 5, 5), grid, ("ryu", "mt")))
+    curves = cli._exp1_worker((seed, range(n), 6, (5, 5, 5), grid, ("ryu", "mt")))
     for algorithm in ("ryu", "mt"):
+        assert len(curves[algorithm]) == n
         for k, metric in enumerate(("mean_spectral_radius", "mean_operator_norm")):
             for i, lam in enumerate(grid):
-                want = np.mean(np.array([res[algorithm][k][i] for res in results]))
+                want = np.mean(np.array([curve[k][i] for curve in curves[algorithm]]))
                 assert got[(algorithm, lam, metric)] == want, (algorithm, lam, metric)
 
 
@@ -715,9 +724,11 @@ def test_run_single_builds_each_derived_form_once(algorithm, monkeypatch):
 
 
 def test_exp2_worker_builds_one_intersection_per_instance(monkeypatch):
-    counts = _count_calls(monkeypatch, cli, "_intersections", "_fill_fix_spaces")
+    # the set's two problems share one intersection, and each builds its Fix T
+    meets = _count_calls(monkeypatch, cli, "_intersections")
+    fixes = _count_calls(monkeypatch, splitting, "fix_decomposition")
     _exp2_worker((3, 0, 6, (5, 5, 5), [0.3, 0.9], ("ryu", "mt"), 4, 1e-6, 10_000))
-    assert counts == {"_intersections": 1, "_fill_fix_spaces": 2}
+    assert meets == {"_intersections": 1} and fixes == {"fix_decomposition": 2}
 
 
 def test_failed_projector_check_is_a_numerical_failure(capsys):
@@ -732,6 +743,39 @@ def test_failed_fixed_point_projector_check_is_a_numerical_failure(monkeypatch, 
     monkeypatch.setattr(splitting, "_meet", lambda pu, pv: 0.0 * pv + np.eye(pv.shape[-1]))
     assert main(["exp1", "--n", "1", "--lambda", "0.5"]) == 3
     assert "projector not idempotent: ||P^2 - P||_F = " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "1", "--dim", "3", "--sub-dims", "3,3,3", "--algorithm", "mt"],
+    ["--n", "3", "--dim", "6", "--sub-dims", "6,6,6"],
+], ids=["mt-d3", "both-d6"])
+def test_subspaces_that_all_fill_the_space_run(argv, capsys):
+    # their complements are roundoff, which MT's Fix T once kept as rank
+    assert main(["exp1", "--lambda", "0.5", *argv]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_draws_that_stay_below_full_rank_are_a_generation_failure(monkeypatch, capsys):
+    real = np.random.default_rng
+
+    class Repeating:
+        """A generator whose draws repeat one row, so every span has rank 1."""
+
+        def __init__(self, seed):
+            self.rng = real(seed)
+
+        def random(self, shape):
+            return np.tile(self.rng.random(shape[1]), (shape[0], 1))
+
+        standard_normal = random
+
+    with pytest.raises(GenerationError,
+                       match=re.escape("could not draw a rank-5 Gaussian matrix in R^6 after 100 tries")):
+        random_subspace(6, 5, Repeating(0))
+    monkeypatch.setattr(np.random, "default_rng", Repeating)
+    assert main(["exp1", "--n", "1", "--lambda", "0.5"]) == 3
+    assert capsys.readouterr().err == ("error: could not draw a rank-5 uniform matrix in R^6 "
+                                       "after 100 tries\n")
 
 
 def test_a_draw_below_full_rank_redraws_its_instance_as_built_alone(monkeypatch):
@@ -753,19 +797,20 @@ def test_a_draw_below_full_rank_redraws_its_instance_as_built_alone(monkeypatch)
 
     monkeypatch.setattr(np.random, "default_rng", Deficient)
     instances = cli._instances(seed, range(5), d, dims, ("ryu", "mt"))
-    cli._fill_fix(instances)
-    for index, runs in enumerate(instances):
+    for problems in instances.values():
+        _fill_fix_spaces(problems)
+    for index in range(5):
         subs = _instance_subspaces(seed, index, d, dims)
         assert [s.dimension() for s in subs] == list(dims)
-        for algorithm, got, _ in runs:
-            want = _build_problem(algorithm, subs)
+        for algorithm, problems in instances.items():
+            got, want = problems[index], _build_problem(algorithm, subs)
             for a, b in zip(got.subspaces, want.subspaces):
                 assert np.array_equal(a.projector, b.projector)
             assert np.array_equal(got.intersection().projector, want.intersection().projector)
             assert np.array_equal(got._fix.linear, want._fix.linear)
     monkeypatch.undo()
     # the redraw took the second draw of the stream, which the chunk skipped
-    assert not np.array_equal(instances[2][0][1].subspaces[0].projector,
+    assert not np.array_equal(instances["ryu"][2].subspaces[0].projector,
                               _instance_subspaces(seed, 2, d, dims)[0].projector)
 
 

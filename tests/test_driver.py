@@ -503,7 +503,7 @@ def test_orbit_starts_at_the_start_and_its_shadow():
     rng = np.random.default_rng(29)
     for p in _kernel_problems(rng):
         starts = rng.standard_normal((p.governing_dim, 3))
-        first = next(orbit(p, starts, [0.2, 0.5, 0.9]))
+        first = next(orbit([p], starts[None], [0.2, 0.5, 0.9]))[:, 0]
         case = (type(p).__name__, p.n, p.is_affine)
         assert first.shape == (driver._BLOCK_STEPS, p.n * p.d + p.governing_dim, 3), case
         for y in first:
@@ -520,11 +520,11 @@ def test_orbit_mask_keeps_the_kept_columns_on_their_own_course(lams):
     keep = np.array([True, False, True, True])
     for p in _kernel_problems(rng):
         starts = rng.standard_normal((p.governing_dim, 4))
-        whole = orbit(p, starts, lams)
+        whole = orbit([p], starts[None], lams)
         skipped = len(next(whole))
-        got = np.concatenate([whole.send(keep), next(whole)])
-        fresh = orbit(p, starts[:, keep], lams[keep] if lams.ndim else lams)
-        want = np.concatenate([next(fresh) for _ in range(3)])[skipped:]
+        got = np.concatenate([whole.send(keep), next(whole)])[:, 0]
+        fresh = orbit([p], starts[None, :, keep], lams[keep] if lams.ndim else lams)
+        want = np.concatenate([next(fresh) for _ in range(3)])[skipped:, 0]
         case = (type(p).__name__, p.n, p.is_affine)
         assert len(got) == len(want) == 2 * driver._BLOCK_STEPS, case
         for a, b in zip(got, want):
@@ -537,8 +537,8 @@ def test_orbit_steps_the_relaxed_operator():
     lams = np.array([0.3, 0.8])
     for p in _kernel_problems(rng):
         z = rng.standard_normal((p.governing_dim, 2))
-        ys = orbit(p, z, lams)
-        for y in np.concatenate([next(ys), next(ys)]):
+        ys = orbit([p], z[None], lams)
+        for y in np.concatenate([next(ys), next(ys)])[:, 0]:
             assert np.max(np.abs(y[-p.governing_dim:] - z)) <= 1e-12
             z = z + lams * (step(p, z) - z)
 
@@ -548,12 +548,12 @@ def test_orbit_blocks_stay_within_their_entry_budget(k):
     rng = np.random.default_rng(32)
     for p in _kernel_problems(rng):
         rows = p._step[0].shape[0]
-        blocks = orbit(p, rng.standard_normal((p.governing_dim, k)), 0.5)
+        blocks = orbit([p], rng.standard_normal((1, p.governing_dim, k)), 0.5)
         first = next(blocks)
         halved = blocks.send(np.arange(k) < k // 2)  # takes effect at this block
         for width, block in ((k, first), (k // 2, halved)):
             steps = len(block)
-            assert block.shape[2] == width
+            assert block.shape[1:] == (1, rows - p.governing_dim, width)
             assert 1 <= steps <= driver._BLOCK_STEPS
             assert steps == 1 or steps * rows * width <= driver._BLOCK_ENTRIES, (k, width)
         if k == 1:
@@ -586,7 +586,7 @@ def test_stacked_orbit_equals_each_problem_s_own_orbit(k):
         assert got.shape == (70, len(problems), problems[0]._step[0].shape[0]
                              - problems[0].governing_dim, k)
         for p, s, mine in zip(problems, starts, got.swapaxes(0, 1)):
-            assert np.array_equal(mine, _first_steps(orbit(p, s, lams), 70))
+            assert np.array_equal(mine, _first_steps(orbit([p], s[None], lams), 70)[:, 0])
         # a mask keeps the same columns of every problem
         keep = np.arange(k) % 3 != 1
         whole = orbit(problems, starts, lams)
@@ -616,7 +616,7 @@ def test_batch_counts_equal_the_stepwise_oracle_at_block_edges():
             starts = rng.standard_normal((m, k))
             starts[:, 1::5] = governing_limit(p, starts[:, 1::5])  # converged at step 0
             lams = rng.uniform(0.05, 0.99, k)
-            assert k < 400 or len(next(orbit(p, starts, lams))) == 1
+            assert k < 400 or len(next(orbit([p], starts[None], lams))) == 1
             for max_iters in (0, 1, 31, 32, 33):
                 for tol in (1e-1, 1e-6):
                     got = batch_iteration_counts(p, starts, lams, tol, max_iters)
@@ -714,9 +714,9 @@ def test_counts_that_moved_with_error_stepping_match_extended_precision():
     counts = exp2_counts(n_sets=3, n_points=10, seed=4, tol=1e-9, max_iters=3000)
     for algorithm, lam, row, want in (("ryu", 0.07, 1, 1149), ("mt", 0.87, 0, 258)):
         assert counts[(algorithm, lam)][22, row] == want  # set 2, point 2
-        (_, p, starts), = _instances(4, range(2, 3), 6, (5, 5, 5), (algorithm,),
-                                     _start_points(4, 10, 6))[0]
-        dist = longdouble_distances(p, starts[:, 2], lam, want)[row]
+        [p] = _instances(4, range(2, 3), 6, (5, 5, 5), (algorithm,))[algorithm]
+        start = np.tile(_start_points(4, 10, 6)[:, 2], p.n - 1)
+        dist = longdouble_distances(p, start, lam, want)[row]
         assert np.flatnonzero(dist <= 1e-9).tolist() == [want]
         assert dist[want - 1] < 1.00002e-9
 

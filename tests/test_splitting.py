@@ -279,6 +279,17 @@ def test_mt_fix_projector_whole_space():
     assert np.allclose(_fix_split(p)[1], 0.0, atol=1e-10)
 
 
+@pytest.mark.parametrize("n, d", [(3, 3), (4, 6), (5, 2)])
+def test_mt_fix_projector_of_computed_copies_of_the_whole_space(n, d):
+    # each complement Id - P_j is roundoff, not rank, so E = {0} and Fix T
+    # is the diagonal copy of R^d
+    rng = np.random.default_rng(40 + n)
+    p = MTProblem([from_basis(rng.standard_normal((d, d))) for _ in range(n)])
+    assert not all(np.array_equal(s.projector, np.eye(d)) for s in p.subspaces)
+    want = np.kron(np.full((n - 1, n - 1), 1.0 / (n - 1)), np.eye(d))
+    assert np.max(np.abs(fix_decomposition(p).projector - want)) <= 1e-12
+
+
 def test_mt_fix_projector_iterate_limit_oracle():
     rng = np.random.default_rng(16)
     for n in (3, 4):

@@ -217,12 +217,14 @@ def test_failed_check_of_a_computed_projector_is_a_numerical_failure(monkeypatch
     from splitproj import NumericalFailure
 
     u = random_subspace(6, 3, np.random.default_rng(31))
-    # a pseudoinverse 1% off makes both formulas return 1.01 P, not a projector
+    basis = u.basis()
+    # a pseudoinverse 1% off makes each formula return 1.01 P, not a projector
     pinv = subspaces._pinv_stack
-    monkeypatch.setattr(subspaces, "_pinv_stack", lambda a: 1.01 * pinv(a))
-    for formula in (intersect_pair, sum_projector):
+    monkeypatch.setattr(subspaces, "_pinv_stack", lambda a, scale=0.0: 1.01 * pinv(a, scale))
+    for formula, args in ((intersect_pair, (u, u)), (sum_projector, (u, u)),
+                          (from_basis, (basis,))):
         with pytest.raises(NumericalFailure, match="not idempotent"):
-            formula(u, u)
+            formula(*args)
     # a caller's matrix that fails the same check stays an input error
     with pytest.raises(ValueError, match="not idempotent"):
         Subspace(1.01 * u.projector)
