@@ -35,8 +35,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,9 +79,8 @@ class ProblemFormatError(Exception):
     """A problem file could not be parsed or fails schema validation."""
 
 
-@dataclass
-class ExperimentRecord:
-    """One output row of the harness."""
+class ExperimentRecord(NamedTuple):
+    """One output row of the harness, checked when it is written (`_ordered`)."""
 
     experiment: str
     algorithm: str
@@ -90,12 +89,6 @@ class ExperimentRecord:
     metric_name: str
     metric_value: float
     iteration: int | None = None
-
-    def __post_init__(self):
-        if not math.isfinite(self.metric_value):
-            raise ValueError(f"metric {self.metric_name} is not finite")
-        if not 0.0 < self.lam < 1.0:
-            raise ValueError(f"lambda must lie in (0, 1), got {self.lam}")
 
 
 def default_lambda_grid() -> list:
@@ -220,12 +213,10 @@ def exp1(n_instances: int = 1000, lambda_grid=None, d: int = 6, dims=(5, 5, 5),
     for algorithm in algorithms:
         curves = [curve for out in results for curve in out[algorithm]]
         # (lambda, instance) rows, so each mean sums as the 1-D mean of its lambda
-        lowers, uppers = (np.column_stack(side).mean(axis=1) for side in zip(*curves))
-        for lam, lo, up in zip(grid, lowers.tolist(), uppers.tolist()):
-            records.append(ExperimentRecord("exp1", algorithm, lam, seed,
-                                            "mean_spectral_radius", lo))
-            records.append(ExperimentRecord("exp1", algorithm, lam, seed,
-                                            "mean_operator_norm", up))
+        lowers, uppers = (np.column_stack(side).mean(axis=1).tolist() for side in zip(*curves))
+        records += [ExperimentRecord("exp1", algorithm, lam, seed, name, value)
+                    for lam, lo, up in zip(grid, lowers, uppers)
+                    for name, value in (("mean_spectral_radius", lo), ("mean_operator_norm", up))]
     return records
 
 
@@ -297,14 +288,10 @@ def exp2(n_sets: int = 100, n_points: int = 100, lambda_grid=None,
     """
     counts = exp2_counts(n_sets, n_points, lambda_grid, tol, max_iters, d,
                          dims, seed, algorithms, jobs)
-    records = []
-    for (algorithm, lam), values in counts.items():
-        gov, sh = lower_median(values).tolist()
-        records.append(ExperimentRecord("exp2", algorithm, lam, seed,
-                                        "median_governing_iterations", float(gov)))
-        records.append(ExperimentRecord("exp2", algorithm, lam, seed,
-                                        "median_shadow_iterations", float(sh)))
-    return records
+    return [ExperimentRecord("exp2", algorithm, lam, seed, name, float(value))
+            for (algorithm, lam), values in counts.items()
+            for name, value in zip(("median_governing_iterations", "median_shadow_iterations"),
+                                   lower_median(values).tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +427,20 @@ def run_single(path: str, tol: float = 1e-6, max_iters: int = 10_000,
 # ---------------------------------------------------------------------------
 
 def _sort_key(record: ExperimentRecord):
-    return (record.experiment, record.algorithm, record.lam, record.instance_seed,
-            -1 if record.iteration is None else record.iteration, record.metric_name)
+    experiment, algorithm, lam, seed, name, _, iteration = record
+    return experiment, algorithm, lam, seed, -1 if iteration is None else iteration, name
+
+
+def _ordered(records) -> list:
+    """The records in `_sort_key` order, each checked: a value that is not
+    finite raises a NumericalFailure, and a lambda outside (0, 1) a ValueError."""
+    rows = sorted(records, key=_sort_key)
+    for r in rows:
+        if not math.isfinite(r.metric_value):
+            raise NumericalFailure(f"metric {r.metric_name} is not finite")
+        if not 0.0 < r.lam < 1.0:
+            raise ValueError(f"lambda must lie in (0, 1), got {r.lam}")
+    return rows
 
 
 def records_to_csv(records) -> str:
@@ -452,9 +451,8 @@ def records_to_csv(records) -> str:
     double quote or CR; a text field that breaks this raises a ValueError.
     """
     rows = ["%s,%s,%.17g,%s,%s,%s,%.17g\n" % (
-        r.experiment, r.algorithm, r.lam, r.instance_seed, r.metric_name,
-        "" if r.iteration is None else r.iteration, r.metric_value)
-        for r in sorted(records, key=_sort_key)]
+        experiment, algorithm, lam, seed, name, "" if iteration is None else iteration, value)
+        for experiment, algorithm, lam, seed, name, value, iteration in _ordered(records)]
     body = "".join(rows)
     if body.count(",") != 6 * len(rows) or body.count("\n") != len(rows) or '"' in body or "\r" in body:
         raise ValueError("a text field holds a comma, a double quote, CR or LF")
@@ -462,18 +460,8 @@ def records_to_csv(records) -> str:
 
 
 def records_to_json(records) -> str:
-    rows = [
-        {
-            "experiment": r.experiment,
-            "algorithm": r.algorithm,
-            "lambda": r.lam,
-            "instance_seed": r.instance_seed,
-            "metric_name": r.metric_name,
-            "iteration": r.iteration,
-            "metric_value": r.metric_value,
-        }
-        for r in sorted(records, key=_sort_key)
-    ]
+    rows = [dict(zip(CSV_HEADER, (experiment, algorithm, lam, seed, name, iteration, value)))
+            for experiment, algorithm, lam, seed, name, value, iteration in _ordered(records)]
     return json.dumps(rows, indent=2) + "\n"
 
 
@@ -487,8 +475,8 @@ def _checked_dims(d: int, dims):
         bound = 1 + -(-2 * d // 3)
         raise ValueError(
             f"infeasible subspace dimensions {dims} for d={d}: every dimension "
-            f"must be at least 1 + ceil(2d/3) = {bound} to guarantee a "
-            "nontrivial intersection"
+            f"must be at least 1 + ceil(2d/3) = {bound}, to guarantee a "
+            f"nontrivial intersection, and at most d = {d}"
         )
     return dims
 
@@ -642,6 +630,7 @@ def _run(kwargs, out, as_json) -> int:
     """Run the subcommand and write its rows; the exit code."""
     try:
         records = _dispatch(kwargs)
+        text = records_to_json(records) if as_json else records_to_csv(records)
     except InconsistentAffineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
@@ -651,7 +640,6 @@ def _run(kwargs, out, as_json) -> int:
     except (ProblemFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = records_to_json(records) if as_json else records_to_csv(records)
     if out:
         with open(out, "w") as fh:
             fh.write(text)

@@ -239,10 +239,10 @@ def _spanned_draw(d: int, k: int, draw, law: str) -> Subspace:
 
 
 def feasible_dims(d: int, dims) -> bool:
-    """Whether every subspace dimension meets the ``1 + ceil(2d/3)`` bound.
+    """Whether every subspace dimension lies in ``[1 + ceil(2d/3), d]``.
 
-    For three random subspaces this guarantees the intersection has
-    dimension at least ``d1 + d2 + d3 - 2d >= 1``, so random experiment
+    For three random subspaces the lower bound guarantees the intersection
+    has dimension at least ``d1 + d2 + d3 - 2d >= 1``, so random experiment
     instances have a nontrivial solution set.
     """
     if d < 1:
@@ -251,7 +251,7 @@ def feasible_dims(d: int, dims) -> bool:
     if not dims:
         raise ValueError("dims must be nonempty")
     bound = 1 + math.ceil(2 * d / 3)
-    return all(di >= bound for di in dims)
+    return all(bound <= di <= d for di in dims)
 
 
 def to_dict(s: Subspace) -> dict:

@@ -26,7 +26,7 @@ from splitproj import (
     shadow,
     shadow_limit,
 )
-from splitproj.cli import CSV_HEADER, _sort_key
+from splitproj.cli import CSV_HEADER
 from splitproj.linalg import pseudoinverse
 from splitproj.splitting import _AFFINE_TOL, _governing, displacement
 
@@ -266,11 +266,15 @@ def longdouble_distances(problem, start, lam, n_steps) -> tuple:
 
 def csv_writer_rendering(records) -> str:
     """Oracle for `records_to_csv`'s bytes: the rows written by `csv.writer`,
-    with the floats formatted to 17 significant digits."""
+    with the floats formatted to 17 significant digits, in the documented
+    order: experiment, algorithm, lambda, seed, iteration (none first),
+    metric."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for r in sorted(records, key=_sort_key):
+    for r in sorted(records, key=lambda r: (r.experiment, r.algorithm, r.lam, r.instance_seed,
+                                            r.iteration is not None, r.iteration or 0,
+                                            r.metric_name)):
         writer.writerow([
             r.experiment, r.algorithm, format(r.lam, ".17g"), r.instance_seed,
             r.metric_name, "" if r.iteration is None else r.iteration,

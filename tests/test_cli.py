@@ -9,6 +9,7 @@ import pytest
 from helpers import nullspace_intersection, random_instance
 from splitproj import (
     GenerationError,
+    NumericalFailure,
     forward_blocks,
     random_subspace,
     shadow_limit,
@@ -69,21 +70,19 @@ def test_lower_median():
     assert lower_median([4, 1, 2, 3]) == 2
 
 
-def test_record_validation():
-    with pytest.raises(ValueError):
-        ExperimentRecord("exp1", "ryu", 1.5, 0, "x", 0.0)
-    with pytest.raises(ValueError):
-        ExperimentRecord("exp1", "ryu", 0.5, 0, "x", float("nan"))
-
-
+@pytest.mark.parametrize("writer", [records_to_csv, records_to_json])
 @pytest.mark.parametrize("kind", [float, np.float64])
-@pytest.mark.parametrize("lam, value", [
-    (0.5, "nan"), (0.5, "inf"), (0.5, "-inf"),
-    (0.0, 1.0), (1.0, 1.0), (-0.5, 1.0), (1.5, 1.0), ("nan", 1.0), ("inf", 1.0),
+@pytest.mark.parametrize("lam, value, error, message", [
+    *[(0.5, v, NumericalFailure, "metric x is not finite") for v in ("nan", "inf", "-inf")],
+    *[(lam, 1.0, ValueError, "lambda must lie in \\(0, 1\\)")
+      for lam in (0.0, 1.0, -0.5, 1.5, "nan", "inf")],
 ])
-def test_record_rejects_non_finite_values_and_lambda_outside_the_open_interval(kind, lam, value):
-    with pytest.raises(ValueError):
-        ExperimentRecord("exp1", "ryu", kind(lam), 0, "x", kind(value))
+def test_writers_reject_non_finite_values_and_lambda_outside_the_open_interval(
+        writer, kind, lam, value, error, message):
+    good = ExperimentRecord("exp1", "mt", 0.25, 3, "iterations", 2.0, iteration=4)
+    bad = ExperimentRecord("exp1", "ryu", kind(lam), 0, "x", kind(value))
+    with pytest.raises(error, match=message):
+        writer([good, bad])
 
 
 def test_csv_schema_and_float_precision():
@@ -194,6 +193,8 @@ def test_exp3_chunks_keep_one_stacked_step_within_an_orbit_block(n_points, size,
 def test_infeasible_dims_rejected():
     with pytest.raises(ValueError, match="ceil"):
         exp1(n_instances=1, d=6, dims=(4, 5, 5), lambda_grid=[0.5])
+    with pytest.raises(ValueError, match="at most d = 6"):
+        exp1(n_instances=1, d=6, dims=(5, 5, 7), lambda_grid=[0.5])
 
 
 def test_run_single_trivial_intersection(tmp_path):
@@ -316,6 +317,14 @@ def test_main_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "ceil" in err
 
+    # a dimension above d used to reach the draws and exit 3 after 100 redraws
+    for command in ("exp1", "exp2", "exp3"):
+        assert main([command, "--n", "1", "--dim", "6", "--sub-dims", "7,7,7"]) == 2
+        assert capsys.readouterr().err == (
+            "error: infeasible subspace dimensions (7, 7, 7) for d=6: every dimension must be "
+            "at least 1 + ceil(2d/3) = 5, to guarantee a nontrivial intersection, "
+            "and at most d = 6\n")
+
     with pytest.raises(SystemExit) as exc:
         main(["exp1", "--no-such-flag"])
     assert exc.value.code == 2
@@ -333,6 +342,25 @@ def test_main_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli_mod, "run_single", boom)
     assert main(["run", "--problem", path]) == 3
     assert "converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("metric, value, fmt, code, message", [
+    ("mean_operator_norm", float("nan"), "csv", 3, "metric mean_operator_norm is not finite"),
+    ("mean_operator_norm", float("inf"), "json", 3, "metric mean_operator_norm is not finite"),
+    ("a,b", 1.0, "csv", 2, "a text field holds a comma, a double quote, CR or LF"),
+], ids=["nan-csv", "inf-json", "comma-csv"])
+def test_a_row_the_writer_rejects_is_a_clean_exit(metric, value, fmt, code, message,
+                                                   tmp_path, monkeypatch, capsys):
+    # the rows are checked where they are written, so main renders inside its
+    # error handling; the comma case used to escape as a traceback
+    def rows(**kwargs):
+        return [ExperimentRecord("exp1", "ryu", 0.5, 0, metric, value)]
+
+    monkeypatch.setattr(cli, "exp1", rows)
+    out = tmp_path / "rows.out"
+    assert main(["exp1", "--format", fmt, "--out", str(out)]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_main_exp_smoke(tmp_path):
@@ -510,6 +538,17 @@ def test_exp3_csv_matches_golden_file(name, argv, capsys):
     # written by the loop over the step matrix that `orbit` replaced
     assert main(["exp3", "--n", "5", "--n-points", "4", "--seed", "5", *argv]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"exp3_{name}.csv").read_text()
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("exp2_seed7", ["exp2", "--n", "2", "--n-points", "3", "--lambda-grid", "0.05:0.45:0.95",
+                    "--seed", "7"]),
+    ("exp3_seed5", ["exp3", "--n", "5", "--n-points", "4", "--seed", "5"]),
+])
+def test_json_matches_golden_file(name, argv, capsys):
+    # written by the writer that built each object key by key
+    assert main([*argv, "--format", "json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
 
 
 def test_exp2_csv_matches_golden_file():

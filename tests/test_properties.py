@@ -54,22 +54,30 @@ _FLOATS = st.one_of(
     st.integers(-2**53, 2**53).map(float),
 )
 _LAMS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+_ROW_ENDS = dict(
+    metric_name=st.sampled_from(["mean_spectral_radius", "median_shadow_distance",
+                                 "iterations", "solution_0", "shadow_distance"]),
+    metric_value=st.one_of(_FLOATS, _FLOATS.map(np.float64), st.integers(-2**63, 2**63)),
+    iteration=st.one_of(st.none(), st.just(0), st.integers(0, 2**63)),
+)
 _RECORDS = st.builds(
     ExperimentRecord,
     experiment=st.sampled_from(["exp1", "exp2", "exp3", "single"]),
     algorithm=st.sampled_from(["ryu", "mt"]),
     lam=_LAMS | _LAMS.map(np.float64),
     instance_seed=st.integers(0, 2**63),
-    metric_name=st.sampled_from(["mean_spectral_radius", "median_shadow_distance",
-                                 "iterations", "solution_0", "shadow_distance"]),
-    metric_value=st.one_of(_FLOATS, _FLOATS.map(np.float64), st.integers(-2**63, 2**63)),
-    iteration=st.one_of(st.none(), st.just(0), st.integers(0, 2**63)),
+    **_ROW_ENDS,
 )
+# rows that share experiment, algorithm, lambda and seed, so that the
+# iteration and the metric decide their order
+_GROUPS = _RECORDS.flatmap(lambda r: st.lists(st.builds(r._replace, **_ROW_ENDS), max_size=4)
+                           .map(lambda rows: [r, *rows]))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(records=st.lists(_RECORDS, max_size=20))
-def test_row_writer_gives_the_csv_writer_bytes(records):
+@given(groups=st.lists(_GROUPS, max_size=8))
+def test_row_writer_gives_the_csv_writer_bytes(groups):
+    records = [r for group in groups for r in group]
     assert records_to_csv(records) == csv_writer_rendering(records)
 
 

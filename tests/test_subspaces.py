@@ -194,6 +194,7 @@ def test_feasible_dims():
     assert feasible_dims(6, (5, 5, 5))
     assert not feasible_dims(6, (4, 5, 5))
     assert feasible_dims(3, (3, 3, 3))
+    assert not feasible_dims(6, (5, 5, 7))
 
 
 def test_serialization_roundtrip():
