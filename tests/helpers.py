@@ -9,6 +9,7 @@ projector directly from one SVD.
 
 import csv
 import io
+import json
 from itertools import chain
 
 import numpy as np
@@ -264,20 +265,33 @@ def longdouble_distances(problem, start, lam, n_steps) -> tuple:
             np.sqrt(np.sum((errors @ f.T) ** 2, axis=1)))
 
 
+def _documented_order(records):
+    """The records in the documented row order: experiment, algorithm,
+    lambda, seed, iteration (none first), metric."""
+    return sorted(records, key=lambda r: (r.experiment, r.algorithm, r.lam, r.instance_seed,
+                                          r.iteration is not None, r.iteration or 0,
+                                          r.metric_name))
+
+
 def csv_writer_rendering(records) -> str:
     """Oracle for `records_to_csv`'s bytes: the rows written by `csv.writer`,
     with the floats formatted to 17 significant digits, in the documented
-    order: experiment, algorithm, lambda, seed, iteration (none first),
-    metric."""
+    order."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for r in sorted(records, key=lambda r: (r.experiment, r.algorithm, r.lam, r.instance_seed,
-                                            r.iteration is not None, r.iteration or 0,
-                                            r.metric_name)):
+    for r in _documented_order(records):
         writer.writerow([
             r.experiment, r.algorithm, format(r.lam, ".17g"), r.instance_seed,
             r.metric_name, "" if r.iteration is None else r.iteration,
             format(r.metric_value, ".17g"),
         ])
     return buf.getvalue()
+
+
+def json_dumps_rendering(records) -> str:
+    """Oracle for `records_to_json`'s bytes: `json.dumps` with indent 2 of
+    one object per row, its keys in header order, in the documented order."""
+    return json.dumps([dict(zip(CSV_HEADER, (r.experiment, r.algorithm, r.lam, r.instance_seed,
+                                             r.metric_name, r.iteration, r.metric_value)))
+                       for r in _documented_order(records)], indent=2) + "\n"

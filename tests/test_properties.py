@@ -1,6 +1,6 @@
 """Property tests: the blocked counts kernel against its per-step oracle, the
-row writer against the `csv.writer` rendering, and chunk-built experiment
-instances against instances built one at a time."""
+row writers against the `csv.writer` and `json.dumps` renderings, and
+chunk-built experiment instances against instances built one at a time."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from helpers import csv_writer_rendering, random_instance, stepwise_batch_counts  # noqa: E402
+from helpers import (  # noqa: E402
+    csv_writer_rendering,
+    json_dumps_rendering,
+    random_instance,
+    stepwise_batch_counts,
+)
 from splitproj import (  # noqa: E402
     MTProblem,
     NumericalFailure,
@@ -24,6 +29,7 @@ from splitproj.cli import (  # noqa: E402
     _instance_subspaces,
     _instances,
     records_to_csv,
+    records_to_json,
 )
 from splitproj.splitting import _fill_fix_spaces  # noqa: E402
 
@@ -79,6 +85,14 @@ _GROUPS = _RECORDS.flatmap(lambda r: st.lists(st.builds(r._replace, **_ROW_ENDS)
 def test_row_writer_gives_the_csv_writer_bytes(groups):
     records = [r for group in groups for r in group]
     assert records_to_csv(records) == csv_writer_rendering(records)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(groups=st.lists(_GROUPS, max_size=8))
+def test_json_writer_gives_the_json_dumps_text(groups):
+    # the harness writes its values as floats
+    records = [r._replace(metric_value=float(r.metric_value)) for group in groups for r in group]
+    assert records_to_json(records) == json_dumps_rendering(records)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
