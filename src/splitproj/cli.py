@@ -11,18 +11,16 @@ instances and run single problems from JSON files:
 * ``run``  -- solve one problem file, emitting the computed projection,
   iteration count, rate bounds, and optionally the full trace.
 
-Output is CSV (default) or JSON rows with the schema
-``experiment,algorithm,lambda,instance_seed,metric_name,iteration,metric_value``.
-Runs are deterministic: instance seeds derive from the master seed XOR an
-instance index (start points use a disjoint index range), rows are reduced
-and sorted in fixed key order, and floats are serialized with 17 significant
-digits, so equal seeds give byte-identical output at any parallelism level.
-A start point x0 in R^d is lifted diagonally into the governing space, so
-both algorithms share the shadow limit: n copies of the projection of x0.
-
-Each subcommand calls `exp1`, `exp2`, `exp3` or `run_single` with the
-flags it was given as keywords, so a flag that is left out takes that
-function's default.
+Each subcommand calls `exp1`, `exp2`, `exp3` or `run_single` with its
+flags as keywords (a flag that is left out takes the function's default)
+and writes the `Table` of columns it returns as CSV (default) or JSON rows
+with the fields of `CSV_HEADER`.  Runs are deterministic: instance seeds
+derive from the master seed XOR an instance index (start points use a
+disjoint index range), the writers sort the rows in fixed key order, and
+floats are serialized with 17 significant digits, so equal seeds give
+byte-identical output at any parallelism level.  A start point x0 in R^d
+is lifted diagonally into the governing space, so both algorithms share
+the shadow limit: n copies of the projection of x0.
 
 Exit codes: 0 success, 2 usage or input-format error, 3 numerical failure,
 4 inconsistent (empty-intersection) affine input.
@@ -32,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from functools import cache
@@ -79,16 +76,24 @@ class ProblemFormatError(Exception):
     """A problem file could not be parsed or fails schema validation."""
 
 
-class ExperimentRecord(NamedTuple):
-    """One output row of the harness, checked when it is written (`_ordered`)."""
+class Table(NamedTuple):
+    """The output rows of one experiment call, as columns: row i is (experiment,
+    algorithm[i], lam[i], seed, metric[i], iteration[i], value[i]), where an
+    iteration of -1 is none.  The writers check and order the rows."""
 
     experiment: str
-    algorithm: str
-    lam: float
-    instance_seed: int
-    metric_name: str
-    metric_value: float
-    iteration: int | None = None
+    seed: int
+    algorithm: np.ndarray
+    lam: np.ndarray
+    metric: np.ndarray
+    iteration: np.ndarray
+    value: np.ndarray
+
+
+def _table(experiment: str, seed: int, algorithm, lam, metric, value, iteration=-1) -> Table:
+    """The Table of the columns broadcast against each other and flattened."""
+    columns = np.broadcast_arrays(algorithm, lam, metric, iteration, np.asarray(value, dtype=float))
+    return Table(experiment, seed, *(c.ravel() for c in columns))
 
 
 def default_lambda_grid() -> list:
@@ -209,15 +214,13 @@ def exp1(n_instances: int = 1000, lambda_grid=None, d: int = 6, dims=(5, 5, 5),
     chunks = _chunks(n_instances, jobs, ((len(dims) - 1) * d) ** 2)
     results = _run_parallel(
         _exp1_worker, [(seed, c, d, dims, grid, tuple(algorithms)) for c in chunks], jobs)
-    records = []
+    bounds = []  # (lower, upper) means of each algorithm
     for algorithm in algorithms:
         curves = [curve for out in results for curve in out[algorithm]]
         # (lambda, instance) rows, so each mean sums as the 1-D mean of its lambda
-        lowers, uppers = (np.column_stack(side).mean(axis=1).tolist() for side in zip(*curves))
-        records += [ExperimentRecord("exp1", algorithm, lam, seed, name, value)
-                    for lam, lo, up in zip(grid, lowers, uppers)
-                    for name, value in (("mean_spectral_radius", lo), ("mean_operator_norm", up))]
-    return records
+        bounds.append([np.column_stack(side).mean(axis=1) for side in zip(*curves)])
+    return _table("exp1", seed, np.array(algorithms)[:, None, None], grid,
+                  np.array(["mean_spectral_radius", "mean_operator_norm"])[:, None], bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +250,8 @@ def _exp2_worker(args):
 def exp2_counts(n_sets: int = 100, n_points: int = 100, lambda_grid=None,
                 tol: float = 1e-6, max_iters: int = 10_000, d: int = 6,
                 dims=(5, 5, 5), seed: int = 0, algorithms=_ALGORITHMS, jobs: int = 1):
-    """Per-run (governing, shadow) iteration counts keyed by (algorithm, lambda).
-
-    Each value is a ``(runs, 2)`` integer array, one (governing, shadow)
-    row per run.
+    """Per-run (governing, shadow) iteration counts keyed by (algorithm, lambda):
+    ``(runs, 2)`` integer arrays, one (governing, shadow) row per run.
 
     A run is one (set, point, algorithm, lambda).  For each subspace set
     and algorithm, all ``n_points * len(grid)`` runs are the columns of one
@@ -263,12 +264,8 @@ def exp2_counts(n_sets: int = 100, n_points: int = 100, lambda_grid=None,
     _check_counts(n_sets=n_sets, n_points=n_points, jobs=jobs)
     dims = _checked_dims(d, dims)
     grid = _checked_grid(lambda_grid)
-    results = _run_parallel(
-        _exp2_worker,
-        [(seed, i, d, dims, grid, tuple(algorithms), n_points, tol, max_iters)
-         for i in range(n_sets)],
-        jobs,
-    )
+    results = _run_parallel(_exp2_worker, [(seed, i, d, dims, grid, tuple(algorithms), n_points,
+                                            tol, max_iters) for i in range(n_sets)], jobs)
     # popping frees each set's arrays as soon as they are concatenated
     return {key: np.concatenate([out.pop(key) for out in results])
             for key in [(algorithm, lam) for algorithm in algorithms for lam in grid]}
@@ -282,16 +279,14 @@ def exp2(n_sets: int = 100, n_points: int = 100, lambda_grid=None,
     Emits ``median_governing_iterations`` (distance to the fixed-point
     projection of the start) and ``median_shadow_iterations`` (distance of
     the stacked forward blocks to their limit): the lower medians over all
-    (set, point) runs of the counts from `exp2_counts`, which steps every
-    run of a set and algorithm together as a column and drops a column once
-    both its counts are known.
+    (set, point) runs of the counts from `exp2_counts`.
     """
     counts = exp2_counts(n_sets, n_points, lambda_grid, tol, max_iters, d,
                          dims, seed, algorithms, jobs)
-    return [ExperimentRecord("exp2", algorithm, lam, seed, name, float(value))
-            for (algorithm, lam), values in counts.items()
-            for name, value in zip(("median_governing_iterations", "median_shadow_iterations"),
-                                   lower_median(values).tolist())]
+    algorithm, lam = zip(*counts)
+    return _table("exp2", seed, np.array(algorithm)[:, None], np.array(lam)[:, None],
+                  ["median_governing_iterations", "median_shadow_iterations"],
+                  [lower_median(values) for values in counts.values()])
 
 
 # ---------------------------------------------------------------------------
@@ -341,18 +336,11 @@ def exp3(n_sets: int = 100, n_points: int = 100, lam: float = 0.99,
     # (3n - 2) d rows: n shadow blocks, then the iterate and its
     # displacement, n - 1 blocks each
     chunks = _chunks(n_sets, jobs, len(algorithms) * n_points * (3 * len(dims) - 2) * d)
-    results = _run_parallel(
-        _exp3_worker,
-        [(seed, sets, d, dims, lam, tuple(algorithms), n_points, n_iters) for sets in chunks],
-        jobs,
-    )
-    records = []
-    for algorithm in algorithms:
-        medians = lower_median(np.vstack([out[algorithm] for out in results]))
-        records += [ExperimentRecord("exp3", algorithm, lam, seed, "median_shadow_distance",
-                                     med, iteration=k + 1)
-                    for k, med in enumerate(medians.tolist())]
-    return records
+    results = _run_parallel(_exp3_worker, [(seed, sets, d, dims, lam, tuple(algorithms), n_points,
+                                            n_iters) for sets in chunks], jobs)
+    medians = [lower_median(np.vstack([out[a] for out in results])) for a in algorithms]
+    return _table("exp3", seed, np.array(algorithms)[:, None], lam, "median_shadow_distance",
+                  medians, np.arange(1, n_iters + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +375,6 @@ def load_problem(path: str):
         if not all(np.isfinite(b).all() for b in blocks):
             raise ValueError("start must be finite")
         start = np.concatenate(blocks)
-    except InconsistentAffineError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ProblemFormatError(f"{path}: {exc}") from exc
     return problem, lam, start
@@ -405,64 +391,79 @@ def run_single(path: str, tol: float = 1e-6, max_iters: int = 10_000,
     config = IterationConfig(lam, tol=tol, max_iters=max_iters)
     trace = iterate(problem, config, start, record_history=include_trace)
     bounds = rate_bounds(problem.parallel(), lam)
-    algorithm = "ryu" if isinstance(problem, RyuProblem) else "mt"
-
-    def row(metric, value, iteration=None):
-        return ExperimentRecord("single", algorithm, lam, 0, metric, float(value), iteration)
-
-    records = [row("iterations", trace.iterations),
-               row("converged", 1.0 if trace.converged else 0.0),
-               row("rate_lower_bound", bounds.lower), row("rate_upper_bound", bounds.upper)]
-    records += [row(f"solution_{i}", v) for i, v in enumerate(trace.final_shadow[:problem.d])]
+    metric = ["iterations", "converged", "rate_lower_bound", "rate_upper_bound",
+              *(f"solution_{i}" for i in range(problem.d))]
+    value = [trace.iterations, trace.converged, bounds.lower, bounds.upper,
+             *trace.final_shadow[:problem.d]]
+    iteration = [-1] * len(metric)
     if include_trace:
-        records += [row("governing_distance", v, k)
-                    for k, v in enumerate(trace.governing_distances.tolist())]
-        records += [row("shadow_distance", v, k)
-                    for k, v in enumerate(trace.shadow_distances.tolist())]
-    return records
+        gov, sh = trace.governing_distances.tolist(), trace.shadow_distances.tolist()
+        metric += ["governing_distance"] * len(gov) + ["shadow_distance"] * len(sh)
+        iteration += [*range(len(gov)), *range(len(sh))]
+        value += gov + sh
+    algorithm = "ryu" if isinstance(problem, RyuProblem) else "mt"
+    return _table("single", 0, algorithm, lam, metric, value, iteration)
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _sort_key(record: ExperimentRecord):
-    experiment, algorithm, lam, seed, name, _, iteration = record
-    return experiment, algorithm, lam, seed, -1 if iteration is None else iteration, name
+def _render(tables, text, blank: str, head: str, row: str, glue: str) -> str:
+    """The rows of the tables, checked and in order, joined by ``glue``.
+
+    A value that is not finite raises a NumericalFailure, and a lambda
+    outside (0, 1) a ValueError.  One `np.lexsort` orders the rows by
+    experiment, algorithm, lambda, seed, iteration (none first) and metric.
+    Each run of rows that share the first four formats ``head`` of them
+    once, and each row is one ``%`` of that and its (metric, iteration,
+    value) by ``row``; `text` renders each distinct text, ``blank`` no
+    iteration."""
+    sizes = [len(t.value) for t in tables]
+    if not sum(sizes):
+        return ""
+    experiment = np.repeat([t.experiment for t in tables], sizes)
+    seed = np.repeat(np.array([t.seed for t in tables], dtype=object), sizes)  # exact past int64
+    algorithm, lam, metric, iteration, value = map(np.concatenate, zip(*(t[2:] for t in tables)))
+    order = np.lexsort((metric, iteration, seed, lam, algorithm, experiment))
+    experiment, algorithm, lam, seed, metric, iteration, value = (
+        c[order] for c in (experiment, algorithm, lam, seed, metric, iteration, value))
+    if not np.isfinite(value).all():
+        raise NumericalFailure(f"metric {metric[~np.isfinite(value)][0]} is not finite")
+    outside = lam[~((0.0 < lam) & (lam < 1.0))]
+    if len(outside):
+        raise ValueError(f"lambda must lie in (0, 1), got {outside[0]}")
+    prefix = (experiment, algorithm, lam, seed)
+    new = np.concatenate([[True], np.any([c[1:] != c[:-1] for c in prefix], axis=0)])
+    experiments, algorithms, lams, seeds = (c[new].tolist() for c in prefix)
+    names = metric.tolist()
+    texts = {x: text(x) for x in {*experiments, *algorithms, *names}}
+    heads = np.array([head % (texts[e], texts[a], lam_, s)
+                      for e, a, lam_, s in zip(experiments, algorithms, lams, seeds)], dtype=object)
+    iterations = np.where(iteration < 0, blank, iteration.astype(object))
+    return glue.join(map(("%s" + row).__mod__, zip(heads[np.cumsum(new) - 1].tolist(),
+                                                   map(texts.__getitem__, names),
+                                                   iterations.tolist(), value.tolist())))
 
 
-def _ordered(records) -> list:
-    """The records in `_sort_key` order, each checked: a value that is not
-    finite raises a NumericalFailure, and a lambda outside (0, 1) a ValueError."""
-    rows = sorted(records, key=_sort_key)
-    for r in rows:
-        if not math.isfinite(r.metric_value):
-            raise NumericalFailure(f"metric {r.metric_name} is not finite")
-        if not 0.0 < r.lam < 1.0:
-            raise ValueError(f"lambda must lie in (0, 1), got {r.lam}")
-    return rows
-
-
-def records_to_csv(records) -> str:
-    """Stable CSV rendering: fixed sort order, 17-significant-digit floats.
-
-    Each row is one ``%`` format, and the text one join.  No field is
-    quoted, so the text must hold six commas and one LF per row and no
-    double quote or CR; a text field that breaks this raises a ValueError.
-    """
-    rows = ["%s,%s,%.17g,%s,%s,%s,%.17g\n" % (
-        experiment, algorithm, lam, seed, name, "" if iteration is None else iteration, value)
-        for experiment, algorithm, lam, seed, name, value, iteration in _ordered(records)]
-    body = "".join(rows)
-    if body.count(",") != 6 * len(rows) or body.count("\n") != len(rows) or '"' in body or "\r" in body:
+def records_to_csv(*tables: Table) -> str:
+    """The rows of the tables as `csv.writer` writes them, floats to 17
+    significant digits.  No field is quoted, so the text must hold six commas
+    and one LF per row and no double quote or CR, or a ValueError is raised."""
+    body = _render(tables, str, "", "%s,%s,%.17g,%s,", "%s,%s,%.17g\n", "")
+    rows = sum(len(t.value) for t in tables)
+    if body.count(",") != 6 * rows or body.count("\n") != rows or '"' in body or "\r" in body:
         raise ValueError("a text field holds a comma, a double quote, CR or LF")
     return ",".join(CSV_HEADER) + "\n" + body
 
 
-def records_to_json(records) -> str:
-    rows = [dict(zip(CSV_HEADER, (experiment, algorithm, lam, seed, name, iteration, value)))
-            for experiment, algorithm, lam, seed, name, value, iteration in _ordered(records)]
-    return json.dumps(rows, indent=2) + "\n"
+def records_to_json(*tables: Table) -> str:
+    """`json.dumps(rows, indent=2)` of the rows of the tables as objects
+    keyed by `CSV_HEADER`."""
+    keys = [f'    "{key}": %s' for key in CSV_HEADER]
+    body = _render(tables, json.dumps, "null", "  {\n" + "".join(k + ",\n" for k in keys[:4]),
+                   ",\n".join(keys[4:]) + "\n  }", ",\n")
+    return f"[\n{body}\n]\n" if body else "[]\n"
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +472,8 @@ def records_to_json(records) -> str:
 
 def _checked_dims(d: int, dims):
     dims = tuple(int(k) for k in dims)
+    if len(dims) < 3:
+        raise ValueError(f"need at least 3 subspaces, got {len(dims)}")
     if not feasible_dims(d, dims):
         bound = 1 + -(-2 * d // 3)
         raise ValueError(
@@ -492,6 +495,8 @@ def _checked_grid(grid):
     grid = list(default_lambda_grid() if grid is None else grid)
     if not grid:
         raise ValueError("lambda grid must be nonempty")
+    if len(set(grid)) < len(grid):
+        raise ValueError("lambda grid values repeat")
     _relaxations(grid)
     return grid
 
@@ -548,11 +553,9 @@ def _parse_algorithms(text: str):
 
 @cache  # parsing leaves the parser unchanged, so one per process serves every call
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="splitproj",
-        description="Projection onto subspace intersections by resolvent "
-                    "splitting: experiment harness and single-problem runner.",
-    )
+    parser = argparse.ArgumentParser(prog="splitproj", description=(
+        "Projection onto subspace intersections by resolvent splitting: experiment harness "
+        "and single-problem runner."))
     sub = parser.add_subparsers(dest="command", required=True)
     # a flag that is left out stays out of the namespace, so the function
     # that the subcommand calls applies its own default
@@ -597,7 +600,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(kwargs) -> list:
+def _dispatch(kwargs) -> Table:
     """Call the subcommand's function with the parsed flags as keywords."""
     # looked up at each call, so that wrappers installed on this module's
     # globals are what runs
@@ -629,17 +632,13 @@ def main(argv=None) -> int:
 def _run(kwargs, out, as_json) -> int:
     """Run the subcommand and write its rows; the exit code."""
     try:
-        records = _dispatch(kwargs)
-        text = records_to_json(records) if as_json else records_to_csv(records)
-    except InconsistentAffineError as exc:
+        table = _dispatch(kwargs)
+        text = records_to_json(table) if as_json else records_to_csv(table)
+    except (InconsistentAffineError, NumericalFailure, GenerationError, ProblemFormatError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (NumericalFailure, GenerationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ProblemFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return (4 if isinstance(exc, InconsistentAffineError)
+                else 3 if isinstance(exc, (NumericalFailure, GenerationError)) else 2)
     if out:
         with open(out, "w") as fh:
             fh.write(text)

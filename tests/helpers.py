@@ -10,7 +10,8 @@ projector directly from one SVD.
 import csv
 import io
 import json
-from itertools import chain
+from collections import namedtuple
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from splitproj import (
     shadow,
     shadow_limit,
 )
-from splitproj.cli import CSV_HEADER
+from splitproj.cli import CSV_HEADER, Table
 from splitproj.linalg import pseudoinverse
 from splitproj.splitting import _AFFINE_TOL, _governing, displacement
 
@@ -263,6 +264,36 @@ def longdouble_distances(problem, start, lam, n_steps) -> tuple:
     errors = np.array(errors)
     return (np.sqrt(np.sum(errors * errors, axis=1)),
             np.sqrt(np.sum((errors @ f.T) ** 2, axis=1)))
+
+
+#: One output row, as the oracles read it; an iteration of None is a row
+#: without one.
+Row = namedtuple("Row", ["experiment", "algorithm", "lam", "instance_seed", "metric_name",
+                         "metric_value", "iteration"], defaults=[None])
+
+
+def rows_of(*tables):
+    """The rows of the tables, in table and column order."""
+    return [Row(t.experiment, a, lam, t.seed, name, value, None if i < 0 else i)
+            for t in tables
+            for a, lam, name, i, value in zip(t.algorithm.tolist(), t.lam.tolist(),
+                                              t.metric.tolist(), t.iteration.tolist(),
+                                              t.value.tolist())]
+
+
+def tables_of(rows):
+    """The rows as tables, one per run of consecutive rows that share
+    experiment and seed; iterations stay Python integers, so they keep
+    their digits above the int64 range."""
+    tables = []
+    for (experiment, seed), run in groupby(rows, lambda r: (r.experiment, r.instance_seed)):
+        algorithm, lam, metric, value, iteration = zip(
+            *[(r.algorithm, r.lam, r.metric_name, r.metric_value, r.iteration) for r in run])
+        tables.append(Table(experiment, seed, np.array(algorithm), np.array(lam, dtype=float),
+                            np.array(metric), np.array([-1 if i is None else i for i in iteration],
+                                                       dtype=object),
+                            np.array(value, dtype=float)))
+    return tables
 
 
 def _documented_order(records):

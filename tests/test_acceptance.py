@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from helpers import nullspace_intersection, random_instance, relaxed_matrix, step
+from helpers import Row, nullspace_intersection, random_instance, relaxed_matrix, rows_of, step
 from splitproj import (
     IterationConfig,
     MTProblem,
@@ -25,7 +25,7 @@ from splitproj import (
     operator_matrix,
     rate_bounds,
 )
-from splitproj.cli import ExperimentRecord, exp1, exp2, records_to_csv
+from splitproj.cli import exp1, exp2, records_to_csv
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -35,11 +35,10 @@ def _report(num, name, ok, elapsed):
 
 
 def _golden_records(name):
-    """The rows of a golden CSV file, as the records that printed them."""
+    """The rows of a golden CSV file."""
     with open(GOLDEN / name, newline="") as fh:
-        return [ExperimentRecord(r["experiment"], r["algorithm"], float(r["lambda"]),
-                                 int(r["instance_seed"]), r["metric_name"],
-                                 float(r["metric_value"]))
+        return [Row(r["experiment"], r["algorithm"], float(r["lambda"]), int(r["instance_seed"]),
+                    r["metric_name"], float(r["metric_value"]))
                 for r in csv.DictReader(fh)]
 
 
@@ -204,7 +203,7 @@ def _largest_rise(curve):
 
 def test_criterion_7_rate_curves_qualitative():
     t0 = time.perf_counter()
-    grid, curves = _lower_curves(exp1(n_instances=200, seed=107))
+    grid, curves = _lower_curves(rows_of(exp1(n_instances=200, seed=107)))
     max_step_up = _largest_rise(curves["ryu"])
     mt_argmin = grid[int(np.argmin(curves["mt"]))]
     elapsed = time.perf_counter() - t0
@@ -248,8 +247,8 @@ def _check_iteration_medians(records):
 
 def test_criterion_8_iteration_medians_qualitative():
     t0 = time.perf_counter()
-    _check_iteration_medians(exp2(n_sets=20, n_points=20, lambda_grid=_CRITERION_8_GRID,
-                                  seed=108))
+    _check_iteration_medians(rows_of(exp2(n_sets=20, n_points=20,
+                                          lambda_grid=_CRITERION_8_GRID, seed=108)))
     elapsed = time.perf_counter() - t0
     ok = elapsed < 300.0
     _report(8, "experiment-2 iteration medians", ok, elapsed)

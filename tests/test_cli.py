@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import nullspace_intersection, random_instance
+from helpers import Row, csv_writer_rendering, nullspace_intersection, random_instance, rows_of, tables_of
 from splitproj import (
     GenerationError,
     NumericalFailure,
@@ -18,7 +18,6 @@ from splitproj import (
 )
 from splitproj.cli import (
     CSV_HEADER,
-    ExperimentRecord,
     _build_problem,
     _exp2_worker,
     _exp3_worker,
@@ -79,15 +78,15 @@ def test_lower_median():
 ])
 def test_writers_reject_non_finite_values_and_lambda_outside_the_open_interval(
         writer, kind, lam, value, error, message):
-    good = ExperimentRecord("exp1", "mt", 0.25, 3, "iterations", 2.0, iteration=4)
-    bad = ExperimentRecord("exp1", "ryu", kind(lam), 0, "x", kind(value))
+    good = Row("exp1", "mt", 0.25, 3, "iterations", 2.0, iteration=4)
+    bad = Row("exp1", "ryu", kind(lam), 0, "x", kind(value))
     with pytest.raises(error, match=message):
-        writer([good, bad])
+        writer(*tables_of([good, bad]))
 
 
 def test_csv_schema_and_float_precision():
-    records = [ExperimentRecord("exp1", "ryu", 0.1 + 0.2, 7, "metric", 1.0 / 3.0)]
-    text = records_to_csv(records)
+    records = [Row("exp1", "ryu", 0.1 + 0.2, 7, "metric", 1.0 / 3.0)]
+    text = records_to_csv(*tables_of(records))
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(CSV_HEADER)
     assert lines[1] == "exp1,ryu,0.30000000000000004,7,metric,,0.33333333333333331"
@@ -100,7 +99,7 @@ def test_exp1_bounds_ordered_and_deterministic():
     parallel = records_to_csv(exp1(**kwargs, jobs=2))
     assert first == second == parallel
     by_key = {}
-    for r in exp1(**kwargs):
+    for r in rows_of(exp1(**kwargs)):
         by_key.setdefault((r.algorithm, r.lam), {})[r.metric_name] = r.metric_value
     for metrics in by_key.values():
         assert metrics["mean_spectral_radius"] <= metrics["mean_operator_norm"]
@@ -120,7 +119,7 @@ def test_exp2_serial_equals_parallel():
 
 
 def test_exp3_trace_shape_and_qualitative_behavior():
-    records = exp3(n_sets=5, n_points=4, lam=0.3, n_iters=150, seed=5)
+    records = rows_of(exp3(n_sets=5, n_points=4, lam=0.3, n_iters=150, seed=5))
     by = {}
     for r in records:
         assert r.metric_name == "median_shadow_distance"
@@ -197,10 +196,30 @@ def test_infeasible_dims_rejected():
         exp1(n_instances=1, d=6, dims=(5, 5, 7), lambda_grid=[0.5])
 
 
+@pytest.mark.parametrize("argv", [
+    ["exp1"], ["exp1", "--algorithm", "mt"], ["exp2"], ["exp3"],
+], ids=["exp1", "exp1-mt", "exp2", "exp3"])
+def test_fewer_than_three_subspaces_are_a_usage_error(argv, monkeypatch, capsys):
+    # exp1 used to divide by the zero entries of its Fix T stack in _chunks
+    def no_draw(*args):
+        raise AssertionError("drew instances for a single subspace")
+
+    monkeypatch.setattr(cli, "_instances", no_draw)
+    assert main([*argv, "--n", "1", "--sub-dims", "5"]) == 2
+    assert capsys.readouterr().err == "error: need at least 3 subspaces, got 1\n"
+
+
+@pytest.mark.parametrize("function", [exp1, exp2])
+def test_api_grid_with_a_repeated_lambda_raises_a_value_error(function):
+    # exp2 used to raise a KeyError, and exp1 wrote every row twice
+    with pytest.raises(ValueError, match="^lambda grid values repeat$"):
+        function(1, lambda_grid=[0.5, 0.5])
+
+
 def test_run_single_trivial_intersection(tmp_path):
     path = write_problem(tmp_path / "problem.json")
     records = run_single(path)
-    metrics = {r.metric_name: r.metric_value for r in records}
+    metrics = {r.metric_name: r.metric_value for r in rows_of(records)}
     assert metrics["converged"] == 1.0
     # x-axis cap diagonal cap x-axis is the origin
     assert abs(metrics["solution_0"]) <= 1e-6
@@ -216,7 +235,7 @@ def test_run_single_start_at_fixed_point(tmp_path):
         start=[[3.0, -1.0], [0.0, 0.0]],
     )
     records = run_single(path)
-    metrics = {r.metric_name: r.metric_value for r in records}
+    metrics = {r.metric_name: r.metric_value for r in rows_of(records)}
     assert metrics["iterations"] == 0.0
     assert metrics["converged"] == 1.0
     assert metrics["solution_0"] == pytest.approx(3.0)
@@ -239,7 +258,7 @@ def test_run_single_affine_translation(tmp_path):
     path = tmp_path / "affine.json"
     path.write_text(json.dumps(data))
     records = run_single(str(path), tol=1e-8)
-    metrics = {r.metric_name: r.metric_value for r in records}
+    metrics = {r.metric_name: r.metric_value for r in rows_of(records)}
     solution = np.array([metrics[f"solution_{i}"] for i in range(6)])
     pz = nullspace_intersection([s.projector for s in subs])
     want = v + pz @ (x0 - v)
@@ -261,7 +280,7 @@ def test_run_single_mt_problem(tmp_path):
     path = tmp_path / "mt.json"
     path.write_text(json.dumps(data))
     records = run_single(str(path), tol=1e-8, max_iters=50_000)
-    metrics = {r.metric_name: r.metric_value for r in records}
+    metrics = {r.metric_name: r.metric_value for r in rows_of(records)}
     solution = np.array([metrics[f"solution_{i}"] for i in range(6)])
     pz = nullspace_intersection([s.projector for s in subs])
     assert metrics["converged"] == 1.0
@@ -270,7 +289,7 @@ def test_run_single_mt_problem(tmp_path):
 
 def test_run_single_trace_rows(tmp_path):
     path = write_problem(tmp_path / "problem.json")
-    records = run_single(path, include_trace=True)
+    records = rows_of(run_single(path, include_trace=True))
     names = {r.metric_name for r in records}
     assert "governing_distance" in names and "shadow_distance" in names
     gov = [r for r in records if r.metric_name == "governing_distance"]
@@ -354,7 +373,8 @@ def test_a_row_the_writer_rejects_is_a_clean_exit(metric, value, fmt, code, mess
     # the rows are checked where they are written, so main renders inside its
     # error handling; the comma case used to escape as a traceback
     def rows(**kwargs):
-        return [ExperimentRecord("exp1", "ryu", 0.5, 0, metric, value)]
+        [table] = tables_of([Row("exp1", "ryu", 0.5, 0, metric, value)])
+        return table
 
     monkeypatch.setattr(cli, "exp1", rows)
     out = tmp_path / "rows.out"
@@ -378,7 +398,7 @@ def test_exp1_means_equal_the_1d_mean_of_each_lambda():
     # the terms differently from the 1-D mean of the same values
     n, seed, grid = 9, 3, default_lambda_grid()
     got = {(r.algorithm, r.lam, r.metric_name): r.metric_value
-           for r in exp1(n_instances=n, seed=seed)}
+           for r in rows_of(exp1(n_instances=n, seed=seed))}
     curves = cli._exp1_worker((seed, range(n), 6, (5, 5, 5), grid, ("ryu", "mt")))
     for algorithm in ("ryu", "mt"):
         assert len(curves[algorithm]) == n
@@ -389,9 +409,9 @@ def test_exp1_means_equal_the_1d_mean_of_each_lambda():
 
 
 def test_json_records_roundtrip():
-    records = exp1(n_instances=2, lambda_grid=[0.5], seed=4)
-    rows = json.loads(records_to_json(records))
-    assert len(rows) == len(records)
+    table = exp1(n_instances=2, lambda_grid=[0.5], seed=4)
+    rows = json.loads(records_to_json(table))
+    assert len(rows) == len(table.value)
     assert rows[0]["experiment"] == "exp1"
 
 
@@ -870,19 +890,21 @@ def test_csv_rejects_a_text_field_it_would_have_to_quote(field, bad):
     fields = dict(experiment="exp1", algorithm="ryu", lam=0.5, instance_seed=0,
                   metric_name="mean_operator_norm", metric_value=1.0)
     fields[field] = f"a{bad}b"
-    record = ExperimentRecord(**fields)
-    good = ExperimentRecord("exp1", "mt", 0.25, 3, "iterations", 2.0, iteration=4)
+    record = Row(**fields)
+    good = Row("exp1", "mt", 0.25, 3, "iterations", 2.0, iteration=4)
     with pytest.raises(ValueError, match="comma, a double quote, CR or LF"):
-        records_to_csv([good, record])
+        records_to_csv(*tables_of([good, record]))
     # JSON escapes the field and keeps it
-    assert json.loads(records_to_json([record]))[0][field] == f"a{bad}b"
+    assert json.loads(records_to_json(*tables_of([record])))[0][field] == f"a{bad}b"
 
 
 def test_csv_accepts_every_name_of_the_harness():
-    records = (exp1(n_instances=2, lambda_grid=[0.5], seed=4)
-               + exp2(n_sets=1, n_points=2, lambda_grid=[0.5], seed=4)
-               + exp3(n_sets=1, n_points=2, n_iters=3, seed=4)
-               + run_single(str(GOLDEN / "run_affine_mt.json"), include_trace=True))
+    tables = (exp1(n_instances=2, lambda_grid=[0.5], seed=4),
+              exp2(n_sets=1, n_points=2, lambda_grid=[0.5], seed=4),
+              exp3(n_sets=1, n_points=2, n_iters=3, seed=4),
+              run_single(str(GOLDEN / "run_affine_mt.json"), include_trace=True))
+    records = rows_of(*tables)
     assert {r.experiment for r in records} == {"exp1", "exp2", "exp3", "single"}
-    text = records_to_csv(records)
+    text = records_to_csv(*tables)
     assert len(text.splitlines()) == 1 + len(records)
+    assert text == csv_writer_rendering(records)

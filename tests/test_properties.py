@@ -11,9 +11,11 @@ from hypothesis import strategies as st  # noqa: E402
 
 from helpers import (  # noqa: E402
     csv_writer_rendering,
+    Row,
     json_dumps_rendering,
     random_instance,
     stepwise_batch_counts,
+    tables_of,
 )
 from splitproj import (  # noqa: E402
     MTProblem,
@@ -24,7 +26,6 @@ from splitproj import (  # noqa: E402
     intersect_all,
 )
 from splitproj.cli import (  # noqa: E402
-    ExperimentRecord,
     _build_problem,
     _instance_subspaces,
     _instances,
@@ -67,7 +68,7 @@ _ROW_ENDS = dict(
     iteration=st.one_of(st.none(), st.just(0), st.integers(0, 2**63)),
 )
 _RECORDS = st.builds(
-    ExperimentRecord,
+    Row,
     experiment=st.sampled_from(["exp1", "exp2", "exp3", "single"]),
     algorithm=st.sampled_from(["ryu", "mt"]),
     lam=_LAMS | _LAMS.map(np.float64),
@@ -84,15 +85,15 @@ _GROUPS = _RECORDS.flatmap(lambda r: st.lists(st.builds(r._replace, **_ROW_ENDS)
 @given(groups=st.lists(_GROUPS, max_size=8))
 def test_row_writer_gives_the_csv_writer_bytes(groups):
     records = [r for group in groups for r in group]
-    assert records_to_csv(records) == csv_writer_rendering(records)
+    assert records_to_csv(*tables_of(records)) == csv_writer_rendering(records)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(groups=st.lists(_GROUPS, max_size=8))
 def test_json_writer_gives_the_json_dumps_text(groups):
-    # the harness writes its values as floats
+    # a table holds its values as floats
     records = [r._replace(metric_value=float(r.metric_value)) for group in groups for r in group]
-    assert records_to_json(records) == json_dumps_rendering(records)
+    assert records_to_json(*tables_of(records)) == json_dumps_rendering(records)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
