@@ -77,9 +77,8 @@ class ProblemFormatError(Exception):
 
 
 class Table(NamedTuple):
-    """The output rows of one experiment call, as columns: row i is (experiment,
-    algorithm[i], lam[i], seed, metric[i], iteration[i], value[i]), where an
-    iteration of -1 is none.  The writers check and order the rows."""
+    """The rows of one experiment call as columns: row i is (experiment, algorithm[i],
+    lam[i], seed, metric[i], iteration[i] (-1 for none), value[i]); writers check them."""
 
     experiment: str
     seed: int
@@ -412,34 +411,35 @@ def run_single(path: str, tol: float = 1e-6, max_iters: int = 10_000,
 def _render(tables, text, blank: str, head: str, row: str, glue: str) -> str:
     """The rows of the tables, checked and in order, joined by ``glue``.
 
-    A value that is not finite raises a NumericalFailure, and a lambda
-    outside (0, 1) a ValueError.  One `np.lexsort` orders the rows by
-    experiment, algorithm, lambda, seed, iteration (none first) and metric.
-    Each run of rows that share the first four formats ``head`` of them
-    once, and each row is one ``%`` of that and its (metric, iteration,
-    value) by ``row``; `text` renders each distinct text, ``blank`` no
-    iteration."""
+    A value that is not finite raises a NumericalFailure, and a lambda outside
+    (0, 1) a ValueError.  One `np.lexsort` orders the rows by experiment,
+    algorithm, lambda, seed, iteration (none first) and metric.  A run of rows
+    that share the first four formats ``head`` of them once, and one ``%`` per
+    row puts that text before ``row % (metric, iteration, value)``.  `text`
+    renders each distinct text field, and ``blank`` a missing iteration."""
     sizes = [len(t.value) for t in tables]
     if not sum(sizes):
         return ""
-    experiment = np.repeat([t.experiment for t in tables], sizes)
-    seed = np.repeat(np.array([t.seed for t in tables], dtype=object), sizes)  # exact past int64
+    # the experiment and seed of each table, as each row's index in their sorted values
+    experiments, seeds = (sorted({getattr(t, f) for t in tables}) for f in ("experiment", "seed"))
+    e, s = (np.repeat([keys.index(getattr(t, f)) for t in tables], sizes)
+            for keys, f in ((experiments, "experiment"), (seeds, "seed")))
     algorithm, lam, metric, iteration, value = map(np.concatenate, zip(*(t[2:] for t in tables)))
-    order = np.lexsort((metric, iteration, seed, lam, algorithm, experiment))
-    experiment, algorithm, lam, seed, metric, iteration, value = (
-        c[order] for c in (experiment, algorithm, lam, seed, metric, iteration, value))
+    order = np.lexsort((metric, iteration, s, lam, algorithm, e))
+    e, algorithm, lam, s, metric, iteration, value = (
+        c[order] for c in (e, algorithm, lam, s, metric, iteration, value))
     if not np.isfinite(value).all():
         raise NumericalFailure(f"metric {metric[~np.isfinite(value)][0]} is not finite")
     outside = lam[~((0.0 < lam) & (lam < 1.0))]
     if len(outside):
         raise ValueError(f"lambda must lie in (0, 1), got {outside[0]}")
-    prefix = (experiment, algorithm, lam, seed)
-    new = np.concatenate([[True], np.any([c[1:] != c[:-1] for c in prefix], axis=0)])
-    experiments, algorithms, lams, seeds = (c[new].tolist() for c in prefix)
-    names = metric.tolist()
+    new = np.concatenate([[True], (e[1:] != e[:-1]) | (algorithm[1:] != algorithm[:-1])
+                          | (lam[1:] != lam[:-1]) | (s[1:] != s[:-1])])
+    algorithms, names = algorithm[new].tolist(), metric.tolist()
     texts = {x: text(x) for x in {*experiments, *algorithms, *names}}
-    heads = np.array([head % (texts[e], texts[a], lam_, s)
-                      for e, a, lam_, s in zip(experiments, algorithms, lams, seeds)], dtype=object)
+    heads = np.array([head % (texts[experiments[i]], texts[a], lam_, seeds[k]) for i, a, lam_, k
+                      in zip(e[new].tolist(), algorithms, lam[new].tolist(), s[new].tolist())],
+                     dtype=object)
     iterations = np.where(iteration < 0, blank, iteration.astype(object))
     return glue.join(map(("%s" + row).__mod__, zip(heads[np.cumsum(new) - 1].tolist(),
                                                    map(texts.__getitem__, names),
