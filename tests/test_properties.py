@@ -10,8 +10,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from helpers import (  # noqa: E402
-    csv_writer_rendering,
     Row,
+    csv_writer_rendering,
     json_dumps_rendering,
     random_instance,
     stepwise_batch_counts,
