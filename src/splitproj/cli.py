@@ -40,6 +40,7 @@ import numpy as np
 from .driver import (
     _BLOCK_ENTRIES,
     IterationConfig,
+    _check_stop,
     _relaxations,
     batch_iteration_counts,
     iterate,
@@ -135,12 +136,15 @@ def _start_points(seed: int, n_points: int, d: int) -> np.ndarray:
 
 
 def _build_problem(algorithm: str, subs, anchors=None):
-    if algorithm == "ryu":
-        if len(subs) != 3:
-            raise ValueError(f"the ryu operator needs exactly 3 subspaces, got {len(subs)}; use "
-                             '--algorithm mt (in a problem file, "algorithm": "mt") for other counts')
-        return RyuProblem(*subs, affine_anchors=anchors)
-    return MTProblem(subs, affine_anchors=anchors)
+    """The problem of the operator named ``algorithm``, one of `_ALGORITHMS`."""
+    if algorithm == "mt":
+        return MTProblem(subs, affine_anchors=anchors)
+    if algorithm != "ryu":
+        raise ValueError(f"algorithm must be one of {_ALGORITHMS}, got {algorithm!r}")
+    if len(subs) != 3:
+        raise ValueError(f"the ryu operator needs exactly 3 subspaces, got {len(subs)}; use "
+                         '--algorithm mt (in a problem file, "algorithm": "mt") for other counts')
+    return RyuProblem(*subs, affine_anchors=anchors)
 
 
 def _instances(seed: int, indices, d: int, dims, algorithms) -> dict:
@@ -206,13 +210,12 @@ def exp1(n_instances: int = 1000, lambda_grid=None, d: int = 6, dims=(5, 5, 5),
     Emits ``mean_spectral_radius`` (lower bound) and ``mean_operator_norm``
     (upper bound) rows; the instance_seed column carries the master seed.
     """
-    _check_counts(n_instances=n_instances, jobs=jobs)
-    dims = _checked_dims(d, dims)
+    dims, algorithms = _checked(d, dims, algorithms, n_instances=n_instances, jobs=jobs)
     grid = _checked_grid(lambda_grid)
     # a chunk keeps one stacked Fix T projector, (n - 1) d square, in a block
     chunks = _chunks(n_instances, jobs, ((len(dims) - 1) * d) ** 2)
     results = _run_parallel(
-        _exp1_worker, [(seed, c, d, dims, grid, tuple(algorithms)) for c in chunks], jobs)
+        _exp1_worker, [(seed, c, d, dims, grid, algorithms) for c in chunks], jobs)
     bounds = []  # (lower, upper) means of each algorithm
     for algorithm in algorithms:
         curves = [curve for out in results for curve in out[algorithm]]
@@ -260,10 +263,10 @@ def exp2_counts(n_sets: int = 100, n_points: int = 100, lambda_grid=None,
     count are known.  Runs that never reach ``tol`` contribute
     ``max_iters``.  Rows are ordered by (set index, point index).
     """
-    _check_counts(n_sets=n_sets, n_points=n_points, jobs=jobs)
-    dims = _checked_dims(d, dims)
+    dims, algorithms = _checked(d, dims, algorithms, n_sets=n_sets, n_points=n_points, jobs=jobs)
+    _check_stop(tol, max_iters)
     grid = _checked_grid(lambda_grid)
-    results = _run_parallel(_exp2_worker, [(seed, i, d, dims, grid, tuple(algorithms), n_points,
+    results = _run_parallel(_exp2_worker, [(seed, i, d, dims, grid, algorithms, n_points,
                                             tol, max_iters) for i in range(n_sets)], jobs)
     # popping frees each set's arrays as soon as they are concatenated
     return {key: np.concatenate([out.pop(key) for out in results])
@@ -328,14 +331,15 @@ def exp3(n_sets: int = 100, n_points: int = 100, lam: float = 0.99,
     the work per Python-level step grows with the chunk while every
     distance keeps its bits.
     """
-    _check_counts(n_sets=n_sets, n_points=n_points, n_iters=n_iters, jobs=jobs)
-    dims = _checked_dims(d, dims)
-    _relaxations(lam)
+    dims, algorithms = _checked(d, dims, algorithms, n_sets=n_sets, n_points=n_points,
+                                n_iters=n_iters, jobs=jobs)
+    if np.ndim(_relaxations(lam)):
+        raise ValueError(f"lam must be a single value, got {lam!r}")
     # a chunk keeps one stacked step in a block; a problem's step has
     # (3n - 2) d rows: n shadow blocks, then the iterate and its
     # displacement, n - 1 blocks each
     chunks = _chunks(n_sets, jobs, len(algorithms) * n_points * (3 * len(dims) - 2) * d)
-    results = _run_parallel(_exp3_worker, [(seed, sets, d, dims, lam, tuple(algorithms), n_points,
+    results = _run_parallel(_exp3_worker, [(seed, sets, d, dims, lam, algorithms, n_points,
                                             n_iters) for sets in chunks], jobs)
     medians = [lower_median(np.vstack([out[a] for out in results])) for a in algorithms]
     return _table("exp3", seed, np.array(algorithms)[:, None], lam, "median_shadow_distance",
@@ -357,9 +361,6 @@ def load_problem(path: str):
         raise ProblemFormatError(f"{path}: invalid JSON at line {exc.lineno}, "
                                  f"column {exc.colno}: {exc.msg}") from exc
     try:
-        algorithm = data["algorithm"]
-        if algorithm not in _ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {_ALGORITHMS}, got {algorithm!r}")
         d = _ambient_dim(data)
         subs = [subspace_from_dict(obj) for obj in data["subspaces"]]
         if any(s.ambient_dim != d for s in subs):
@@ -367,7 +368,7 @@ def load_problem(path: str):
         anchors = data.get("anchors")
         lam = float(data["lambda"])
         _relaxations(lam)
-        problem = _build_problem(algorithm, subs, anchors)
+        problem = _build_problem(data["algorithm"], subs, anchors)
         blocks = [np.asarray(b, dtype=float) for b in data["start"]]
         if len(blocks) != problem.n - 1 or any(b.shape != (d,) for b in blocks):
             raise ValueError(f"start must be {problem.n - 1} blocks of length {d}")
@@ -470,7 +471,12 @@ def records_to_json(*tables: Table) -> str:
 # Argument parsing and entry point
 # ---------------------------------------------------------------------------
 
-def _checked_dims(d: int, dims):
+def _checked(d: int, dims, algorithms, **counts):
+    """``(dims, algorithms)`` as tuples, after each check an experiment makes before any draw:
+    counts of at least 1 (`_count`'s rule), 3 or more feasible dims, distinct `_ALGORITHMS`."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     dims = tuple(int(k) for k in dims)
     if len(dims) < 3:
         raise ValueError(f"need at least 3 subspaces, got {len(dims)}")
@@ -481,14 +487,10 @@ def _checked_dims(d: int, dims):
             f"must be at least 1 + ceil(2d/3) = {bound}, to guarantee a "
             f"nontrivial intersection, and at most d = {d}"
         )
-    return dims
-
-
-def _check_counts(**counts) -> None:
-    """Raise a ValueError naming the first count below 1 (`_count`'s rule)."""
-    for name, value in counts.items():
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+    names = () if isinstance(algorithms, str) else tuple(algorithms)
+    if not names or any(a not in _ALGORITHMS for a in names) or len(set(names)) < len(names):
+        raise ValueError(f"need distinct algorithms from {_ALGORITHMS}, got {algorithms!r}")
+    return dims, names
 
 
 def _checked_grid(grid):
@@ -513,15 +515,12 @@ def _parse_grid(text: str):
         raise argparse.ArgumentTypeError("start, step and end must be finite")
     if step <= 0 or end < start:
         raise argparse.ArgumentTypeError("need step > 0 and end >= start")
-    # value i is round(start + i * step, 12) while that is at most end + 1e-12;
-    # the quotient may miss the last one by rounding, so count on from it
-    count = int(min((end - start) / step, _MAX_GRID)) + 1
-    while count <= _MAX_GRID and round(start + count * step, 12) <= end + 1e-12:
-        count += 1
-    if count > _MAX_GRID:
-        raise argparse.ArgumentTypeError(f"more than {_MAX_GRID} values")
-    values = [round(start + i * step, 12) for i in range(count)]
-    if len(set(values)) < count:
+    values = []  # value i is round(start + i * step, 12) while that is at most end + 1e-12
+    while (value := round(start + len(values) * step, 12)) <= end + 1e-12:
+        if len(values) == _MAX_GRID:
+            raise argparse.ArgumentTypeError(f"more than {_MAX_GRID} values")
+        values.append(value)
+    if len(set(values)) < len(values):
         raise argparse.ArgumentTypeError("values repeat after rounding to 12 decimal places")
     return values
 
@@ -600,14 +599,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(kwargs) -> Table:
-    """Call the subcommand's function with the parsed flags as keywords."""
-    # looked up at each call, so that wrappers installed on this module's
-    # globals are what runs
-    functions = {"exp1": exp1, "exp2": exp2, "exp3": exp3, "run": run_single}
-    return functions[kwargs.pop("command")](**kwargs)
-
-
 def main(argv=None) -> int:
     kwargs = vars(_build_parser().parse_args(argv))
     out = kwargs.pop("out", None)
@@ -631,8 +622,11 @@ def main(argv=None) -> int:
 
 def _run(kwargs, out, as_json) -> int:
     """Run the subcommand and write its rows; the exit code."""
+    # the subcommand's function, looked up at each call so that wrappers
+    # installed on this module's globals are what runs
+    function = {"exp1": exp1, "exp2": exp2, "exp3": exp3, "run": run_single}[kwargs.pop("command")]
     try:
-        table = _dispatch(kwargs)
+        table = function(**kwargs)
         text = records_to_json(table) if as_json else records_to_csv(table)
     except (InconsistentAffineError, NumericalFailure, GenerationError, ProblemFormatError,
             ValueError) as exc:

@@ -186,9 +186,9 @@ def sum_projector(u: Subspace, v: Subspace) -> Subspace:
 
 
 def _sums(pu: np.ndarray, pv: np.ndarray) -> np.ndarray:
-    """Projectors onto U + V for stacks (or one matrix) of P_U and P_V."""
+    """Projectors onto U + V, (U^perp cap V^perp)^perp, for stacks (or one matrix) of P_U, P_V."""
     eye = np.eye(pu.shape[-1])
-    return _computed(eye - 2.0 * (eye - pu) @ _pinv_stack(2.0 * eye - pu - pv) @ (eye - pv))
+    return _computed(eye - _meet(eye - pu, eye - pv))
 
 
 def _computed(q: np.ndarray) -> np.ndarray:

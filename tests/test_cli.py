@@ -67,6 +67,8 @@ def test_default_grid_matches_protocol():
 def test_lower_median():
     assert lower_median([3, 1, 2]) == 2
     assert lower_median([4, 1, 2, 3]) == 2
+    with pytest.raises(ValueError, match="^median of empty sequence$"):
+        lower_median([])
 
 
 @pytest.mark.parametrize("writer", [records_to_csv, records_to_json])
@@ -214,6 +216,36 @@ def test_api_grid_with_a_repeated_lambda_raises_a_value_error(function):
     # exp2 used to raise a KeyError, and exp1 wrote every row twice
     with pytest.raises(ValueError, match="^lambda grid values repeat$"):
         function(1, lambda_grid=[0.5, 0.5])
+
+
+def _no_draw(*args):
+    raise AssertionError("drew instances before rejecting an argument")
+
+
+@pytest.mark.parametrize("function", [exp1, exp2, exp2_counts, exp3])
+@pytest.mark.parametrize("algorithms", [("dr",), ("mt", "mt"), (), "mt"],
+                         ids=["unknown", "repeated", "empty", "string"])
+def test_api_algorithms_must_be_distinct_known_names(function, algorithms, monkeypatch):
+    # an unknown name used to build MT rows under its own label, and a
+    # repeated one doubled every row (exp2: KeyError)
+    monkeypatch.setattr(cli, "_instances", _no_draw)
+    message = re.escape(f"need distinct algorithms from ('ryu', 'mt'), got {algorithms!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        function(1, algorithms=algorithms)
+
+
+@pytest.mark.parametrize("function, kwargs, message", [
+    (exp3, dict(lam=[0.5, 0.6]), "lam must be a single value, got [0.5, 0.6]"),
+    (exp2, dict(tol=0), "tol must be positive and finite, got 0"),
+    (exp2, dict(max_iters=-1), "max_iters must be an integer >= 0, got -1"),
+    (exp1, dict(lambda_grid=[]), "lambda grid must be nonempty"),
+], ids=["exp3-lambda-list", "exp2-tol", "exp2-max-iters", "exp1-empty-grid"])
+def test_api_arguments_are_checked_before_any_draw(function, kwargs, message, monkeypatch):
+    # exp3 used to label each iteration's row with its own lambda, and exp2
+    # drew and built a set before its worker rejected the stop rule
+    monkeypatch.setattr(cli, "_instances", _no_draw)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        function(1, **kwargs)
 
 
 def test_run_single_trivial_intersection(tmp_path):
@@ -672,6 +704,34 @@ def test_non_integer_d_is_a_format_error(tmp_path, capsys, where, d):
     assert f"d must be an integer >= 1, got {d!r}" in capsys.readouterr().err
 
 
+def test_missing_problem_file_is_a_usage_error(tmp_path, capsys):
+    path = str(tmp_path / "missing.json")
+    code, out, err = _outcome(["run", "--problem", path], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: ") and "No such file or directory" in err
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"algorithm": "dr"}, "algorithm must be one of ('ryu', 'mt'), got 'dr'"),
+    ({"d": 3}, "subspace ambient dimensions disagree with d"),
+], ids=["unknown-algorithm", "subspace-d"])
+def test_problem_file_schema_errors(tmp_path, capsys, overrides, message):
+    path = write_problem(tmp_path / "p.json", **overrides)
+    code, out, err = _outcome(["run", "--problem", path], capsys)
+    assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--lambda-grid", "0.1:0.2"], "argument --lambda-grid: expected start:step:end"),
+    (["--lambda-grid", "0.9:0.1:0.5"], "argument --lambda-grid: need step > 0 and end >= start"),
+    (["--n", "x"], "argument --n: expected an integer, got 'x'"),
+    (["--sub-dims", "5,x,5"], "argument --sub-dims: expected comma-separated integers"),
+], ids=["grid-fields", "grid-order", "count", "sub-dims"])
+def test_malformed_flag_values_are_usage_errors(argv, message, capsys):
+    code, out, err = _outcome(["exp1", *argv], capsys)
+    assert code == 2 and out == "" and err.endswith(f"error: {message}\n")
+
+
 def test_negative_seed_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["exp1", "--n", "1", "--seed", "-1"])
@@ -680,10 +740,10 @@ def test_negative_seed_is_a_usage_error(capsys):
 
 
 def test_unwritable_out_fails_before_any_work(tmp_path, monkeypatch, capsys):
-    def no_work(args):
-        raise AssertionError("dispatched despite an unwritable --out")
+    def no_work(**kwargs):
+        raise AssertionError("ran exp1 despite an unwritable --out")
 
-    monkeypatch.setattr(cli, "_dispatch", no_work)
+    monkeypatch.setattr(cli, "exp1", no_work)
     out = tmp_path / "missing" / "rows.csv"
     assert main(["exp1", "--n", "1", "--lambda", "0.5", "--out", str(out)]) == 2
     err = capsys.readouterr().err

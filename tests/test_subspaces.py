@@ -16,6 +16,7 @@ from splitproj import (
     sum_projector,
     to_dict,
 )
+from splitproj.subspaces import _dimensions
 
 X_AXIS = Subspace(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
@@ -253,3 +254,22 @@ def test_a_stack_check_names_its_first_failing_matrix():
         Subspace(bad[2])
     with pytest.raises(ValueError, match="square and nonempty"):
         Subspace(stack)
+
+
+def test_stacked_rank_check_falls_back_to_one_matrix_at_a_time(monkeypatch):
+    # when LAPACK fails on the stack, each projector is ranked through `svd`
+    rng = np.random.default_rng(24)
+    subs = [Subspace(np.zeros((6, 6))), *(random_subspace(6, k, rng) for k in (2, 5, 6))]
+    stack = np.stack([s.projector for s in subs])
+    real_svd = np.linalg.svd
+    ndims = []
+
+    def fail_stacked(a, *args, **kwargs):
+        ndims.append(np.ndim(a))
+        if np.ndim(a) == 3:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", fail_stacked)
+    assert _dimensions(stack).tolist() == [s.dimension() for s in subs] == [0, 2, 5, 6]
+    assert ndims[0] == 3 and ndims[1:] == [2] * 8  # each matrix once in each call
