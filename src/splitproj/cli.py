@@ -41,12 +41,12 @@ from .driver import (
     _BLOCK_ENTRIES,
     IterationConfig,
     _check_stop,
+    _rate_curves,
     _relaxations,
     batch_iteration_counts,
     iterate,
     orbit,
     rate_bounds,
-    rate_curve,
     shadow_limit,
 )
 from .linalg import NumericalFailure
@@ -55,6 +55,7 @@ from .subspaces import (
     GenerationError,
     _ambient_dim,
     _dimensions,
+    _integer,
     _intersections,
     _spanned_draw,
     _spans,
@@ -141,10 +142,14 @@ def _build_problem(algorithm: str, subs, anchors=None):
         return MTProblem(subs, affine_anchors=anchors)
     if algorithm != "ryu":
         raise ValueError(f"algorithm must be one of {_ALGORITHMS}, got {algorithm!r}")
-    if len(subs) != 3:
-        raise ValueError(f"the ryu operator needs exactly 3 subspaces, got {len(subs)}; use "
-                         '--algorithm mt (in a problem file, "algorithm": "mt") for other counts')
+    _check_ryu_count(len(subs))
     return RyuProblem(*subs, affine_anchors=anchors)
+
+
+def _check_ryu_count(count: int) -> None:
+    if count != 3:
+        raise ValueError(f"the ryu operator needs exactly 3 subspaces, got {count}; use "
+                         '--algorithm mt (in a problem file, "algorithm": "mt") for other counts')
 
 
 def _instances(seed: int, indices, d: int, dims, algorithms) -> dict:
@@ -195,12 +200,14 @@ def _run_parallel(worker, arglist, jobs: int):
 
 def _exp1_worker(args):
     """The (lower, upper) rate curves over the grid of each instance of a
-    run of consecutive ones, per algorithm."""
+    run of consecutive ones, per algorithm: a ``(2, algorithms, grid,
+    instances)`` array from one `_rate_curves` call for every problem of the run."""
     seed, indices, d, dims, grid, algorithms = args
     instances = _instances(seed, indices, d, dims, algorithms)
     for problems in instances.values():
         _fill_fix_spaces(problems)
-    return {a: [rate_curve(p, grid) for p in problems] for a, problems in instances.items()}
+    curves = _rate_curves([p for a in algorithms for p in instances[a]], grid)
+    return np.ascontiguousarray(curves.reshape(2, len(algorithms), len(indices), -1).swapaxes(2, 3))
 
 
 def exp1(n_instances: int = 1000, lambda_grid=None, d: int = 6, dims=(5, 5, 5),
@@ -216,11 +223,9 @@ def exp1(n_instances: int = 1000, lambda_grid=None, d: int = 6, dims=(5, 5, 5),
     chunks = _chunks(n_instances, jobs, ((len(dims) - 1) * d) ** 2)
     results = _run_parallel(
         _exp1_worker, [(seed, c, d, dims, grid, algorithms) for c in chunks], jobs)
-    bounds = []  # (lower, upper) means of each algorithm
-    for algorithm in algorithms:
-        curves = [curve for out in results for curve in out[algorithm]]
-        # (lambda, instance) rows, so each mean sums as the 1-D mean of its lambda
-        bounds.append([np.column_stack(side).mean(axis=1) for side in zip(*curves)])
+    # (lambda, instance) rows, so each mean sums as the 1-D mean of its lambda
+    bounds = [[np.concatenate([out[side, a] for out in results], axis=1).mean(axis=1)
+               for side in (0, 1)] for a in range(len(algorithms))]
     return _table("exp1", seed, np.array(algorithms)[:, None, None], grid,
                   np.array(["mean_spectral_radius", "mean_operator_norm"])[:, None], bounds)
 
@@ -473,10 +478,16 @@ def records_to_json(*tables: Table) -> str:
 
 def _checked(d: int, dims, algorithms, **counts):
     """``(dims, algorithms)`` as tuples, after each check an experiment makes before any draw:
-    counts of at least 1 (`_count`'s rule), 3 or more feasible dims, distinct `_ALGORITHMS`."""
+    integer counts of at least 1 (`_count`'s rule), an integer d, 3 or more feasible integer
+    dims (exactly 3 for ryu), distinct `_ALGORITHMS`."""
     for name, value in counts.items():
+        if not _integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
+    dims = tuple(dims)
+    if not all(map(_integer, (d, *dims))):
+        raise ValueError(f"d and dims must be integers, got d={d!r}, dims={dims!r}")
     dims = tuple(int(k) for k in dims)
     if len(dims) < 3:
         raise ValueError(f"need at least 3 subspaces, got {len(dims)}")
@@ -490,6 +501,8 @@ def _checked(d: int, dims, algorithms, **counts):
     names = () if isinstance(algorithms, str) else tuple(algorithms)
     if not names or any(a not in _ALGORITHMS for a in names) or len(set(names)) < len(names):
         raise ValueError(f"need distinct algorithms from {_ALGORITHMS}, got {algorithms!r}")
+    if "ryu" in names:
+        _check_ryu_count(len(dims))
     return dims, names
 
 

@@ -12,27 +12,26 @@ All distances are Euclidean norms on the stacked block vectors: governing
 distances in R^{(n-1)d}, shadow distances in R^{nd}.
 
 The rate bounds are the spectral radius and the operator norm of the error
-map T_lam - P_Fix.  It is zero on Fix T, so `rate_curve` takes both on the
-orthogonal complement of Fix T, for a whole relaxation grid from one
-eigenvalue solve and one stacked symmetric eigensolve; `rate_bounds` is its
-one-relaxation call.
+map T_lam - P_Fix.  It is zero on Fix T, so `_rate_curves` takes both on the
+orthogonal complement of Fix T, for a relaxation grid and a list of problems
+(an exp1 chunk) from stacked SVDs and eigensolves; `rate_curve` is its
+one-problem call and `rate_bounds` the one-relaxation call of that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .linalg import _eigvals, _norms, _operator_norms
+from .linalg import _eigvals, _kept, _norms, _operator_norms, _svds
 from .splitting import (
     RyuProblem,
     _governing,
     forward_blocks,
     operator_matrix,
 )
-from .subspaces import _computed, _unchecked
+from .subspaces import _computed, _integer
 
 #: Distance ratios averaged by `tail_contraction`.
 _TAIL_WINDOW = 50
@@ -59,7 +58,9 @@ class IterationConfig:
 
 
 def _relaxations(lams) -> np.ndarray:
-    """``lams`` as a float array, after checking that every value lies in (0, 1)."""
+    """``lams`` as a float array, after checking that they are real numbers in (0, 1)."""
+    if np.asarray(lams).dtype.kind not in "biuf":
+        raise ValueError(f"relaxation must be a real number, got {lams!r}")
     lam = np.asarray(lams, dtype=float)
     bad = lam[~((0.0 < lam) & (lam < 1.0))]
     if bad.size:
@@ -70,7 +71,7 @@ def _relaxations(lams) -> np.ndarray:
 def _check_stop(tol, max_iters) -> None:
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if isinstance(max_iters, bool) or not isinstance(max_iters, Integral) or max_iters < 0:
+    if not _integer(max_iters) or max_iters < 0:
         raise ValueError(f"max_iters must be an integer >= 0, got {max_iters!r}")
 
 
@@ -344,22 +345,40 @@ def rate_curve(problem, lams) -> tuple:
     eigenvalues mu of B, so one eigenvalue solve gives the whole lower
     curve; the upper curve is the largest singular value of each
     (1 - lam) Id + lam B, from one stacked eigensolve of their Gram
-    matrices.  Both bounds are 0 when Fix T is the whole space.
+    matrices.  Both bounds are 0 when Fix T is the whole space.  This is the
+    one-problem call of `_rate_curves`.
     """
-    if problem.is_affine:
+    return tuple(_rate_curves([problem], lams)[:, 0])
+
+
+def _rate_curves(problems, lams) -> np.ndarray:
+    """`rate_curve` of each of a list of linear problems of one governing
+    dimension, as a ``(2, problems, relaxations)`` array (lower, then upper).
+    The Fix^perp bases come from `_svds`; the problems whose bases have k
+    columns share one eigenvalue solve, and their curves are evaluated in
+    slices of at most ``_BLOCK_ENTRIES`` Gram entries (at least one problem).
+    """
+    if any(p.is_affine for p in problems):
         raise ValueError("rate bounds are defined on linear problems; use problem.parallel()")
     lam = _relaxations(lams).reshape(-1)
-    p_fix = problem._fix.linear
-    m = p_fix.shape[0]
-    q = _unchecked(_computed(np.eye(m) - p_fix)).basis()
-    if q.shape[1] == 0:
-        return np.zeros(lam.shape), np.zeros(lam.shape)
-    b = q.T @ operator_matrix(problem).linear @ q
-    mu = _eigvals(b)
-    lower = np.max(np.abs((1.0 - lam)[:, None] + lam[:, None] * mu), axis=1)
-    upper = _operator_norms((1.0 - lam)[:, None, None] * np.eye(b.shape[0])
-                            + lam[:, None, None] * b)
-    return lower, upper
+    eye = np.eye(problems[0].governing_dim)
+    u, s = _svds(_computed(eye - np.stack([p._fix_space.projector for p in problems])))[:2]
+    dims = np.count_nonzero(_kept(s, 1.0), axis=-1)  # the cutoff of `Subspace.basis`
+    t = eye + np.stack([p._step[0][-len(eye):] for p in problems])  # T = Id + (T - Id)
+    curves = np.zeros((2, len(problems), lam.size))
+    for k in sorted(set(dims.tolist()) - {0}):  # np.unique would import numpy.ma
+        items = np.flatnonzero(dims == k)
+        q = u[items, :, :k]
+        b = np.swapaxes(q, 1, 2) @ t[items] @ q
+        mu = _eigvals(b)[:, None]
+        shift = (1.0 - lam)[:, None, None] * np.eye(k)
+        size = max(1, _BLOCK_ENTRIES // max(1, shift.size))
+        for a in range(0, len(items), size):
+            rows, maps = items[a:a + size], lam[:, None, None] * b[a:a + size, None]
+            maps += shift  # (1 - lam) Id + lam B, per problem and relaxation
+            curves[0, rows] = np.abs((1.0 - lam)[:, None] + lam[:, None] * mu[a:a + size]).max(-1)
+            curves[1, rows] = _operator_norms(maps.reshape(-1, k, k)).reshape(len(rows), lam.size)
+    return curves
 
 
 def tail_contraction(distances) -> float:

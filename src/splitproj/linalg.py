@@ -92,14 +92,19 @@ def pseudoinverse(a) -> np.ndarray:
     return _pinv_stack(_as_matrix(a)[None])[0]
 
 
+def _svds(a: np.ndarray) -> tuple:
+    """``(u, s, vt)``, the thin SVDs of an ``(S, m, n)`` stack from one stacked
+    call; if that fails, each matrix goes through `svd` and its transpose retry."""
+    try:
+        return np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError:
+        return tuple(map(np.stack, zip(*((r.u, r.singular_values, r.vt) for r in map(svd, a)))))
+
+
 def _pinv_stack(a: np.ndarray, scale: float = 0.0) -> np.ndarray:
     """The Moore-Penrose inverse of each matrix of an ``(S, m, n)`` stack,
-    with the cutoff of `_kept` at ``scale``, from one stacked SVD; if that
-    fails, each matrix goes through `svd` and its transpose retry."""
-    try:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError:
-        u, s, vt = map(np.stack, zip(*((r.u, r.singular_values, r.vt) for r in map(svd, a))))
+    with the cutoff of `_kept` at ``scale``, from `_svds`."""
+    u, s, vt = _svds(a)
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=_kept(s, scale))
     return (np.swapaxes(vt, 1, 2) * inv[:, None, :]) @ np.swapaxes(u, 1, 2)
 
@@ -146,13 +151,13 @@ def spectral_radius(a) -> float:
 
 
 def _eigvals(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a finite square matrix."""
+    """Eigenvalues of a finite square matrix, or of each of a stack."""
     try:
         return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(
             f"eigenvalue QR iteration did not converge for "
-            f"{a.shape[0]}x{a.shape[1]} matrix"
+            f"{a.shape[-2]}x{a.shape[-1]} matrix"
         ) from exc
 
 

@@ -22,7 +22,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .linalg import NumericalFailure, _as_matrix, _kept, _norms, _pinv_stack, svd
+from .linalg import NumericalFailure, _as_matrix, _kept, _norms, _pinv_stack, _svds, svd
 
 _SYMMETRY_TOL = 1e-10
 _IDEMPOTENCE_TOL = 1e-8
@@ -202,10 +202,7 @@ def _computed(q: np.ndarray) -> np.ndarray:
 
 def _dimensions(p: np.ndarray) -> np.ndarray:
     """`Subspace.dimension` of each projector of a checked ``(S, d, d)`` stack."""
-    try:
-        return np.count_nonzero(_kept(np.linalg.svd(p, full_matrices=False)[1], 1.0), axis=-1)
-    except np.linalg.LinAlgError:  # each through `svd` and its transpose retry
-        return np.array([_unchecked(q).dimension() for q in p])
+    return np.count_nonzero(_kept(_svds(p)[1], 1.0), axis=-1)
 
 
 def project(s: Subspace | AffineSubspace, x) -> np.ndarray:
@@ -275,10 +272,15 @@ def subspace_from_dict(obj: dict) -> Subspace:
     return from_basis(b)
 
 
+def _integer(value) -> bool:
+    """Whether ``value`` is an integer (of Python or numpy) and not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def _ambient_dim(obj: dict) -> int:
     """The ``"d"`` entry of a JSON object: an integer (not a bool) of at least 1."""
     d = obj["d"]
-    if isinstance(d, bool) or not isinstance(d, Integral) or d < 1:
+    if not _integer(d) or d < 1:
         raise ValueError(f"d must be an integer >= 1, got {d!r}")
     return d
 

@@ -248,6 +248,50 @@ def test_api_arguments_are_checked_before_any_draw(function, kwargs, message, mo
         function(1, **kwargs)
 
 
+@pytest.mark.parametrize("function, kwargs, message", [
+    (exp1, dict(n_instances=1.5), "n_instances must be an integer, got 1.5"),
+    (exp1, dict(n_instances=True), "n_instances must be an integer, got True"),
+    (exp3, dict(n_iters=2.5), "n_iters must be an integer, got 2.5"),
+    (exp2, dict(n_points=np.float64(2)), "n_points must be an integer, got np.float64(2.0)"),
+    (exp1, dict(n_instances=1, dims=(5.7, 5, 5)),
+     "d and dims must be integers, got d=6, dims=(5.7, 5, 5)"),
+    (exp3, dict(d=6.0, dims=(6, 6, 6)),
+     "d and dims must be integers, got d=6.0, dims=(6, 6, 6)"),
+    (exp1, dict(n_instances=1, lambda_grid=["0.5"]), "relaxation must be a real number, got ['0.5']"),
+    (exp2, dict(n_points=1, lambda_grid=["0.5"]), "relaxation must be a real number, got ['0.5']"),
+    (exp3, dict(lam="0.5"), "relaxation must be a real number, got '0.5'"),
+], ids=["exp1-float-count", "exp1-bool-count", "exp3-float-iters", "exp2-numpy-float-points",
+        "exp1-float-dim", "exp3-float-d", "exp1-text-lambda", "exp2-text-lambda", "exp3-text-lambda"])
+def test_api_non_integer_counts_and_text_relaxations_are_value_errors(function, kwargs, message,
+                                                                      monkeypatch):
+    # a float dimension was truncated, a float count raised a TypeError after
+    # the checks, and a text lambda a numpy UFuncTypeError in the writers
+    monkeypatch.setattr(cli, "_instances", _no_draw)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        function(**kwargs)
+
+
+def test_api_numpy_integer_counts_and_dimensions_are_integers():
+    got = exp1(np.int64(2), [0.5], d=np.int32(6), dims=np.array([5, 5, 5]), seed=np.int64(3))
+    assert records_to_csv(got) == records_to_csv(exp1(2, [0.5], seed=3))
+
+
+@pytest.mark.parametrize("function", [exp1, exp2_counts, exp3])
+def test_api_ryu_with_other_than_three_subspaces_fails_before_any_draw(function, monkeypatch):
+    # the check used to run only when the problems were built, after every
+    # subspace of the instance had been drawn and spanned
+    def no_span(*args):
+        raise AssertionError("spanned a subspace before rejecting the subspace count")
+
+    monkeypatch.setattr(cli, "_spans", no_span)
+    message = "the ryu operator needs exactly 3 subspaces, got 4; use --algorithm mt"
+    for algorithms in (("ryu",), ("mt", "ryu")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            function(1, dims=(5, 5, 5, 5), algorithms=algorithms)
+    with pytest.raises(AssertionError, match="spanned"):  # MT takes four
+        function(1, dims=(5, 5, 5, 5), algorithms=("mt",))
+
+
 def test_run_single_trivial_intersection(tmp_path):
     path = write_problem(tmp_path / "problem.json")
     records = run_single(path)
@@ -431,13 +475,30 @@ def test_exp1_means_equal_the_1d_mean_of_each_lambda():
     n, seed, grid = 9, 3, default_lambda_grid()
     got = {(r.algorithm, r.lam, r.metric_name): r.metric_value
            for r in rows_of(exp1(n_instances=n, seed=seed))}
+    # (side, algorithm, lambda, instance)
     curves = cli._exp1_worker((seed, range(n), 6, (5, 5, 5), grid, ("ryu", "mt")))
-    for algorithm in ("ryu", "mt"):
-        assert len(curves[algorithm]) == n
+    assert curves.shape == (2, 2, len(grid), n)
+    for a, algorithm in enumerate(("ryu", "mt")):
         for k, metric in enumerate(("mean_spectral_radius", "mean_operator_norm")):
             for i, lam in enumerate(grid):
-                want = np.mean(np.array([curve[k][i] for curve in curves[algorithm]]))
+                want = np.mean(np.array(curves[k, a, i].tolist()))
                 assert got[(algorithm, lam, metric)] == want, (algorithm, lam, metric)
+
+
+def test_exp1_chunk_keeps_each_gram_stack_within_a_block(monkeypatch):
+    real_eigvalsh = np.linalg.eigvalsh
+    stacks = []
+
+    def recorded(a, *args, **kwargs):
+        stacks.append(a.shape)
+        return real_eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    exp1(n_instances=10)  # one chunk: 10 instances of each algorithm
+    assert stacks and all(np.prod(shape) <= cli._BLOCK_ENTRIES for shape in stacks)
+    assert sum(shape[0] for shape in stacks) == 2 * 10 * 99
+    # a slice holds more than one problem's 99 relaxations
+    assert max(shape[0] for shape in stacks) > 99
 
 
 def test_json_records_roundtrip():

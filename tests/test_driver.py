@@ -53,6 +53,14 @@ def test_config_validation():
         IterationConfig(0.5, tol=float("inf"))
 
 
+@pytest.mark.parametrize("lam", ["0.5", ["0.5"], None, 0.5 + 0j],
+                         ids=["text", "text-list", "none", "complex"])
+def test_relaxations_must_be_real_numbers(lam):
+    # a string used to be cast to a float here and fail later in the writers
+    with pytest.raises(ValueError, match="^relaxation must be a real number, got "):
+        IterationConfig(lam)
+
+
 def test_max_iters_must_be_a_nonnegative_integer():
     rng = np.random.default_rng(26)
     p = random_ryu(rng)
@@ -272,6 +280,49 @@ def test_rate_curve_failures_are_numerical(monkeypatch):
         rate_curve(p, [0.5])
     with pytest.raises(NumericalFailure, match="12x12"):
         spectral_radius(np.eye(12))
+
+
+def _mixed_problems(rng):
+    """Linear problems of one governing dimension, 12, whose Fix^perp
+    dimensions are 9, 7, 12, 3 and 0, interleaved."""
+    zero = Subspace(np.zeros((4, 4)))
+    return [random_ryu(rng), random_mt(rng, dims=(3, 4, 5)), random_ryu(rng, dims=(6, 5, 6)),
+            MTProblem([zero] * 4), random_mt(rng), random_ryu(rng, dims=(1, 1, 1)),
+            random_mt(rng, dims=(3, 4, 5)), random_ryu(rng), random_mt(rng, dims=(6, 5, 6))]
+
+
+def test_stacked_rate_curves_equal_each_problem_alone():
+    rng = np.random.default_rng(27)
+    lams = [round(0.01 * k, 12) for k in range(1, 100)]
+    problems = _mixed_problems(rng)
+    assert [_fix_complement_dim(p) for p in problems] == [9, 12, 7, 0, 9, 3, 12, 9, 7]
+    lower, upper = driver._rate_curves(problems, lams)
+    assert lower.shape == upper.shape == (len(problems), len(lams))
+    for i, p in enumerate(problems):
+        want = rate_curve(p, lams)
+        assert np.array_equal(lower[i], want[0]) and np.array_equal(upper[i], want[1]), i
+    assert not np.any(lower[3]) and not np.any(upper[3])
+    assert driver._rate_curves(problems, []).shape == (2, len(problems), 0)
+
+
+def test_stacked_rate_curves_retry_a_failed_basis_svd_one_matrix_at_a_time(monkeypatch):
+    rng = np.random.default_rng(28)
+    lams = [0.1, 0.5, 0.9]
+    problems = _mixed_problems(rng)
+    want = driver._rate_curves(problems, lams)  # also builds each Fix T and T
+    real_svd = np.linalg.svd
+    failed = []
+
+    def fail_stacked(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            failed.append(np.shape(a))
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", fail_stacked)
+    lower, upper = driver._rate_curves(problems, lams)
+    assert failed == [(len(problems), 12, 12)]
+    assert np.array_equal(lower, want[0]) and np.array_equal(upper, want[1])
 
 
 def test_tail_contraction_between_bounds():
