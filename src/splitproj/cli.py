@@ -217,7 +217,7 @@ def exp1(n_instances: int = 1000, lambda_grid=None, d: int = 6, dims=(5, 5, 5),
     Emits ``mean_spectral_radius`` (lower bound) and ``mean_operator_norm``
     (upper bound) rows; the instance_seed column carries the master seed.
     """
-    dims, algorithms = _checked(d, dims, algorithms, n_instances=n_instances, jobs=jobs)
+    dims, algorithms = _checked(d, dims, algorithms, seed, n_instances=n_instances, jobs=jobs)
     grid = _checked_grid(lambda_grid)
     # a chunk keeps one stacked Fix T projector, (n - 1) d square, in a block
     chunks = _chunks(n_instances, jobs, ((len(dims) - 1) * d) ** 2)
@@ -268,7 +268,8 @@ def exp2_counts(n_sets: int = 100, n_points: int = 100, lambda_grid=None,
     count are known.  Runs that never reach ``tol`` contribute
     ``max_iters``.  Rows are ordered by (set index, point index).
     """
-    dims, algorithms = _checked(d, dims, algorithms, n_sets=n_sets, n_points=n_points, jobs=jobs)
+    dims, algorithms = _checked(d, dims, algorithms, seed, n_sets=n_sets, n_points=n_points,
+                                jobs=jobs)
     _check_stop(tol, max_iters)
     grid = _checked_grid(lambda_grid)
     results = _run_parallel(_exp2_worker, [(seed, i, d, dims, grid, algorithms, n_points,
@@ -336,7 +337,7 @@ def exp3(n_sets: int = 100, n_points: int = 100, lam: float = 0.99,
     the work per Python-level step grows with the chunk while every
     distance keeps its bits.
     """
-    dims, algorithms = _checked(d, dims, algorithms, n_sets=n_sets, n_points=n_points,
+    dims, algorithms = _checked(d, dims, algorithms, seed, n_sets=n_sets, n_points=n_points,
                                 n_iters=n_iters, jobs=jobs)
     if np.ndim(_relaxations(lam)):
         raise ValueError(f"lam must be a single value, got {lam!r}")
@@ -476,10 +477,12 @@ def records_to_json(*tables: Table) -> str:
 # Argument parsing and entry point
 # ---------------------------------------------------------------------------
 
-def _checked(d: int, dims, algorithms, **counts):
+def _checked(d: int, dims, algorithms, seed, **counts):
     """``(dims, algorithms)`` as tuples, after each check an experiment makes before any draw:
-    integer counts of at least 1 (`_count`'s rule), an integer d, 3 or more feasible integer
-    dims (exactly 3 for ryu), distinct `_ALGORITHMS`."""
+    an integer seed of at least 0 and integer counts of at least 1 (`_count`'s rules), an
+    integer d, 3 or more feasible integer dims (exactly 3 for ryu), distinct `_ALGORITHMS`."""
+    if not _integer(seed) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     for name, value in counts.items():
         if not _integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")

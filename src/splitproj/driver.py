@@ -21,6 +21,7 @@ one-problem call and `rate_bounds` the one-relaxation call of that.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -69,8 +70,8 @@ def _relaxations(lams) -> np.ndarray:
 
 
 def _check_stop(tol, max_iters) -> None:
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if isinstance(tol, bool) or not isinstance(tol, Real) or not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if not _integer(max_iters) or max_iters < 0:
         raise ValueError(f"max_iters must be an integer >= 0, got {max_iters!r}")
 
@@ -258,9 +259,12 @@ def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
     plain column norms.  A column leaves the working set after the block in
     which both its counts become known, so a slow relaxation does not keep
     the fast ones stepping.  Once the live columns fit a full block, each
-    block comes from the last tested error instead: one product per run of
-    equal relaxations (the columns are sorted by lam) with its propagator,
-    all of which `_propagators` builds on entry, and one product with F.
+    block comes from the last tested error instead, in rounds of
+    ``_BLOCK_STEPS`` steps, as many as ``_BLOCK_ENTRIES`` entries and the
+    steps left allow.  Each round is one product per run of equal relaxations
+    (the columns are sorted by lam) with its `_propagators` power stack, from
+    the last error of the round before; the shadow errors of the whole
+    block are one 2-D product with F.
     Every column is checked at k = 0, 1, ...,
     ``max_iters``; a count still unknown after ``max_iters`` steps is
     reported as ``max_iters``.
@@ -285,7 +289,8 @@ def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
     open_ = np.ones((2, k), dtype=bool)
     cols = np.argsort(lam, kind="stable")  # equal relaxations side by side
     lam = lam[cols]
-    blocks = orbit([linear], (z - governing_limit(problem, z))[None, :, cols], lam)
+    limits = governing_limit(problem, z) if problem.is_affine else linear._fix_space.projector @ z
+    blocks = orbit([linear], (z - limits)[None, :, cols], lam)
     block = next(blocks)[:, 0]
     propagators, runs = {}, None
     it = 0
@@ -317,9 +322,17 @@ def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
                 firsts = lam[cuts[:-1]]
                 propagators = dict(zip(firsts.tolist(), _propagators(matrix[-m:], firsts)))
             runs = [(a, b, propagators[lam[a]]) for a, b in zip(cuts, cuts[1:])]
-        errors = np.concatenate([p @ last[:, a:b] for a, b, p in runs], axis=1)
-        errors = errors.reshape(_BLOCK_STEPS, m, -1)
-        block = np.concatenate([matrix[:nd] @ errors, errors], axis=1)
+        c = cols.size
+        rounds = min(_BLOCK_ENTRIES // (_BLOCK_STEPS * (nd + m) * c),
+                     -(-(max_iters + 1 - it) // _BLOCK_STEPS))
+        errors = np.empty((rounds, _BLOCK_STEPS * m, c))
+        for r in range(rounds):  # each round from the last error of the one before
+            for a, b, p in runs:
+                np.matmul(p, last[:, a:b], out=errors[r, :, a:b])
+            last = errors[r, -m:]
+        errors = errors.reshape(-1, m, c).transpose(1, 0, 2)  # (m, steps, columns)
+        block = np.concatenate([(matrix[:nd] @ errors.reshape(m, -1)).reshape(nd, -1, c), errors])
+        block = block.transpose(1, 0, 2)
     return counts[1], counts[0]
 
 

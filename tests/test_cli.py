@@ -271,6 +271,24 @@ def test_api_non_integer_counts_and_text_relaxations_are_value_errors(function, 
         function(**kwargs)
 
 
+@pytest.mark.parametrize("function, kwargs, message", [
+    (exp1, dict(seed=True), "seed must be an integer >= 0, got True"),
+    (exp1, dict(seed=1.5), "seed must be an integer >= 0, got 1.5"),
+    (exp3, dict(seed="3"), "seed must be an integer >= 0, got '3'"),
+    (exp2_counts, dict(seed=-1), "seed must be an integer >= 0, got -1"),
+    (exp2, dict(tol=True), "tol must be positive and finite, got True"),
+    (exp2, dict(tol="1e-6"), "tol must be positive and finite, got '1e-6'"),
+], ids=["exp1-bool-seed", "exp1-float-seed", "exp3-text-seed", "exp2-negative-seed",
+        "exp2-bool-tol", "exp2-text-tol"])
+def test_api_seed_and_tol_are_checked_before_any_draw(function, kwargs, message, monkeypatch):
+    # a bool seed ran and was written as the instance seed, a float or text
+    # one raised a TypeError in the worker, a negative one numpy's message;
+    # a bool tol ran as 1.0 and a text one raised a TypeError
+    monkeypatch.setattr(cli, "_instances", _no_draw)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        function(1, **kwargs)
+
+
 def test_api_numpy_integer_counts_and_dimensions_are_integers():
     got = exp1(np.int64(2), [0.5], d=np.int32(6), dims=np.array([5, 5, 5]), seed=np.int64(3))
     assert records_to_csv(got) == records_to_csv(exp1(2, [0.5], seed=3))

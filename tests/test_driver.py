@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -737,6 +739,91 @@ def test_batch_counts_budget_ends_inside_a_propagated_block(max_iters, monkeypat
     assert capped > 0
     # three columns fit a full block, so orbit gives only each call's first
     assert steps[0] == len(problems) * 2 * driver._BLOCK_STEPS
+
+
+def _tested_blocks(monkeypatch):
+    """Patch the numpy of `driver` so that the counts kernel records the
+    ``(steps, rows, columns)`` shape of each block it tests; returns the list."""
+    shapes = []
+
+    def reduceat(block, *args, **kwargs):
+        shapes.append(block.shape)
+        return np.add.reduceat(block, *args, **kwargs)
+
+    class Numpy:
+        add = SimpleNamespace(reduceat=reduceat)
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(driver, "np", Numpy())
+    return shapes
+
+
+def test_lone_slow_column_finishes_on_multi_round_blocks(monkeypatch):
+    # a lone lambda = 0.01 column takes thousands of steps, nearly all of
+    # them in blocks of many rounds, each round from the one before
+    rng = np.random.default_rng(37)
+    shapes = _tested_blocks(monkeypatch)
+    for p in _kernel_problems(rng)[:6]:  # Ryu, and MT at n = 3 and 4
+        start = rng.standard_normal((p.governing_dim, 1))
+        shapes.clear()
+        got = batch_iteration_counts(p, start, [0.01], 1e-6, 20_000)
+        want = stepwise_batch_counts(p, start, [0.01], 1e-6, 20_000)
+        case = (type(p).__name__, p.n, p.is_affine)
+        assert all(map(np.array_equal, got, want)), case
+        assert min(want[0][0], want[1][0]) > 1_000, case
+        rows = shapes[0][1]
+        rounds = driver._BLOCK_ENTRIES // (driver._BLOCK_STEPS * rows)
+        assert rounds > 1
+        assert [s[0] for s in shapes[:3]] == [driver._BLOCK_STEPS] + 2 * [
+            rounds * driver._BLOCK_STEPS], case
+
+
+@pytest.mark.parametrize("max_iters", [127, 128, 129, 1_000])
+def test_batch_counts_budget_ends_inside_a_multi_round_block(max_iters, monkeypatch):
+    # after orbit's first 32 steps, rounds start at steps 32, 64, 96, 128, ...;
+    # the budget ends one step before, at and one step after the start of a
+    # round, or several blocks later
+    shapes = _tested_blocks(monkeypatch)
+    rng = np.random.default_rng(38)
+    capped = 0
+    for p in _kernel_problems(rng):
+        starts = rng.standard_normal((p.governing_dim, 3))
+        lams = [0.01, 0.2, 0.02]
+        for tol in (1e-6, 1e-2):
+            shapes.clear()
+            got = batch_iteration_counts(p, starts, lams, tol, max_iters)
+            want = stepwise_batch_counts(p, starts, lams, tol, max_iters)
+            assert all(map(np.array_equal, got, want)), (type(p).__name__, p.n, tol)
+            capped += np.count_nonzero(np.concatenate(want) == max_iters)
+            assert sum(s[0] for s in shapes) <= max_iters + 1
+            assert max(s[0] for s in shapes) > driver._BLOCK_STEPS
+    assert capped > 0
+
+
+def test_narrow_blocks_hold_at_most_block_entries(monkeypatch):
+    # the rounds of a block, of every live column, fit in _BLOCK_ENTRIES
+    shapes = _tested_blocks(monkeypatch)
+    rng = np.random.default_rng(39)
+    for p in _kernel_problems(rng):
+        for k in (1, 2, 5, 12, 40):
+            starts = rng.standard_normal((p.governing_dim, k))
+            lams = np.r_[rng.uniform(0.01, 0.05, 1), rng.uniform(0.01, 0.99, k - 1)]
+            got = batch_iteration_counts(p, starts, lams, 1e-6, 5_000)
+            want = stepwise_batch_counts(p, starts, lams, 1e-6, 5_000)
+            assert all(map(np.array_equal, got, want)), (type(p).__name__, p.n, k)
+    assert all(np.prod(s) <= driver._BLOCK_ENTRIES for s in shapes)
+    assert max(s[0] for s in shapes) == 17 * driver._BLOCK_STEPS  # one column, 30 rows
+
+
+def test_batch_counts_of_a_linear_problem_build_no_affine_fix_projector():
+    # the start errors of a linear problem come from its Fix T projector;
+    # only an affine problem builds P_FixT, the lift of it through a fixed point
+    rng = np.random.default_rng(40)
+    for p in _kernel_problems(rng)[:2]:
+        batch_iteration_counts(p, rng.standard_normal((p.governing_dim, 3)), [0.3] * 3)
+        assert ("_fix" in vars(p)) == p.is_affine
 
 
 def test_batch_counts_of_columns_that_share_a_relaxation():

@@ -36,10 +36,11 @@ from splitproj.splitting import _fill_fix_spaces  # noqa: E402
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 300), max_iters=st.integers(0, 400),
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 300), max_iters=st.integers(0, 3_000),
        n=st.sampled_from([0, 3, 4]), affine=st.booleans(), tol=st.sampled_from([1e-2, 1e-6]))
 def test_block_counts_equal_the_stepwise_oracle(seed, k, max_iters, n, affine, tol):
-    # n = 0 is the Ryu operator, otherwise MT on n subspaces
+    # n = 0 is the Ryu operator, otherwise MT on n subspaces; budgets of up to
+    # 3 000 steps let the last few columns finish on blocks of several rounds
     rng = np.random.default_rng(seed)
     subs = random_instance(rng, dims=(5,) * max(n, 3))
     anchors = None
