@@ -57,6 +57,7 @@ from .subspaces import (
     _dimensions,
     _integer,
     _intersections,
+    _numbers,
     _spanned_draw,
     _spans,
     _unchecked,
@@ -80,7 +81,8 @@ class ProblemFormatError(Exception):
 
 class Table(NamedTuple):
     """The rows of one experiment call as columns: row i is (experiment, algorithm[i],
-    lam[i], seed, metric[i], iteration[i] (-1 for none), value[i]); writers check them."""
+    lam[i], seed, metric[i], iteration[i] (-1 for none), value[i]); writers check them.
+    Text columns are numpy unicode arrays, which drop trailing NUL characters."""
 
     experiment: str
     seed: int
@@ -372,10 +374,12 @@ def load_problem(path: str):
         if any(s.ambient_dim != d for s in subs):
             raise ValueError("subspace ambient dimensions disagree with d")
         anchors = data.get("anchors")
+        if anchors is not None:
+            anchors = [_numbers(a, "anchors") for a in anchors]
+        _relaxations(data["lambda"])  # float() would take a string
         lam = float(data["lambda"])
-        _relaxations(lam)
         problem = _build_problem(data["algorithm"], subs, anchors)
-        blocks = [np.asarray(b, dtype=float) for b in data["start"]]
+        blocks = [_numbers(b, "start") for b in data["start"]]
         if len(blocks) != problem.n - 1 or any(b.shape != (d,) for b in blocks):
             raise ValueError(f"start must be {problem.n - 1} blocks of length {d}")
         if not all(np.isfinite(b).all() for b in blocks):
@@ -415,7 +419,7 @@ def run_single(path: str, tol: float = 1e-6, max_iters: int = 10_000,
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _render(tables, text, blank: str, head: str, row: str, glue: str) -> str:
+def _render(tables, text, real: str, blank: str, head: str, row: str, glue: str) -> str:
     """The rows of the tables, checked and in order, joined by ``glue``.
 
     A value that is not finite raises a NumericalFailure, and a lambda outside
@@ -423,7 +427,8 @@ def _render(tables, text, blank: str, head: str, row: str, glue: str) -> str:
     algorithm, lambda, seed, iteration (none first) and metric.  A run of rows
     that share the first four formats ``head`` of them once, and one ``%`` per
     row puts that text before ``row % (metric, iteration, value)``.  `text`
-    renders each distinct text field, and ``blank`` a missing iteration."""
+    renders each distinct text field, ``real % lam`` each distinct lambda, and
+    ``blank`` a missing iteration."""
     sizes = [len(t.value) for t in tables]
     if not sum(sizes):
         return ""
@@ -442,11 +447,11 @@ def _render(tables, text, blank: str, head: str, row: str, glue: str) -> str:
         raise ValueError(f"lambda must lie in (0, 1), got {outside[0]}")
     new = np.concatenate([[True], (e[1:] != e[:-1]) | (algorithm[1:] != algorithm[:-1])
                           | (lam[1:] != lam[:-1]) | (s[1:] != s[:-1])])
-    algorithms, names = algorithm[new].tolist(), metric.tolist()
+    algorithms, lams, names = algorithm[new].tolist(), lam[new].tolist(), metric.tolist()
     texts = {x: text(x) for x in {*experiments, *algorithms, *names}}
-    heads = np.array([head % (texts[experiments[i]], texts[a], lam_, seeds[k]) for i, a, lam_, k
-                      in zip(e[new].tolist(), algorithms, lam[new].tolist(), s[new].tolist())],
-                     dtype=object)
+    reals = {x: real % x for x in set(lams)}
+    heads = np.array([head % (texts[experiments[i]], texts[a], reals[x], seeds[k]) for i, a, x, k
+                      in zip(e[new].tolist(), algorithms, lams, s[new].tolist())], dtype=object)
     iterations = np.where(iteration < 0, blank, iteration.astype(object))
     return glue.join(map(("%s" + row).__mod__, zip(heads[np.cumsum(new) - 1].tolist(),
                                                    map(texts.__getitem__, names),
@@ -457,7 +462,7 @@ def records_to_csv(*tables: Table) -> str:
     """The rows of the tables as `csv.writer` writes them, floats to 17
     significant digits.  No field is quoted, so the text must hold six commas
     and one LF per row and no double quote or CR, or a ValueError is raised."""
-    body = _render(tables, str, "", "%s,%s,%.17g,%s,", "%s,%s,%.17g\n", "")
+    body = _render(tables, str, "%.17g", "", "%s,%s,%s,%s,", "%s,%s,%.17g\n", "")
     rows = sum(len(t.value) for t in tables)
     if body.count(",") != 6 * rows or body.count("\n") != rows or '"' in body or "\r" in body:
         raise ValueError("a text field holds a comma, a double quote, CR or LF")
@@ -468,7 +473,7 @@ def records_to_json(*tables: Table) -> str:
     """`json.dumps(rows, indent=2)` of the rows of the tables as objects
     keyed by `CSV_HEADER`."""
     keys = [f'    "{key}": %s' for key in CSV_HEADER]
-    body = _render(tables, json.dumps, "null", "  {\n" + "".join(k + ",\n" for k in keys[:4]),
+    body = _render(tables, json.dumps, "%r", "null", "  {\n" + "".join(k + ",\n" for k in keys[:4]),
                    ",\n".join(keys[4:]) + "\n  }", ",\n")
     return f"[\n{body}\n]\n" if body else "[]\n"
 

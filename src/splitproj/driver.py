@@ -12,9 +12,11 @@ All distances are Euclidean norms on the stacked block vectors: governing
 distances in R^{(n-1)d}, shadow distances in R^{nd}.
 
 The rate bounds are the spectral radius and the operator norm of the error
-map T_lam - P_Fix.  It is zero on Fix T, so `_rate_curves` takes both on the
-orthogonal complement of Fix T, for a relaxation grid and a list of problems
-(an exp1 chunk) from stacked SVDs and eigensolves; `rate_curve` is its
+map T_lam - P_Fix.  It is zero on Fix T, and T splits along the intersection
+Z: it maps (Z^perp)^{n-1} and Z^{n-1} into themselves.  So `_rate_curves`
+takes both bounds on the orthogonal complement of Fix T within each of the
+two, for a relaxation grid and a list of problems (an exp1 chunk) from
+stacked SVDs and eigensolves, and keeps the larger; `rate_curve` is its
 one-problem call and `rate_bounds` the one-relaxation call of that.
 """
 
@@ -358,8 +360,14 @@ def rate_curve(problem, lams) -> tuple:
     eigenvalues mu of B, so one eigenvalue solve gives the whole lower
     curve; the upper curve is the largest singular value of each
     (1 - lam) Id + lam B, from one stacked eigensolve of their Gram
-    matrices.  Both bounds are 0 when Fix T is the whole space.  This is the
-    one-problem call of `_rate_curves`.
+    matrices.  Both bounds are 0 when Fix T is the whole space.  Both are
+    taken on Z^perp and on Z apart (`_rate_curves`).  On Z, T is
+    (x, y) -> (x, 0) for Ryu and the cyclic block shift for MT, so where
+    Z != {0} neither bound falls below 1 - lam (Ryu) or
+    max_{j=1..n-2} |1 - lam + lam e^{2 pi i j / (n - 1)}| (MT; |1 - 2 lam| for
+    n = 3), and both equal that floor when every subspace is R^d.  MT's floor
+    rises again past lam = 1/2, one reason why its best relaxation lies well
+    below 1.  This is the one-problem call of `_rate_curves`.
     """
     return tuple(_rate_curves([problem], lams)[:, 0])
 
@@ -367,19 +375,50 @@ def rate_curve(problem, lams) -> tuple:
 def _rate_curves(problems, lams) -> np.ndarray:
     """`rate_curve` of each of a list of linear problems of one governing
     dimension, as a ``(2, problems, relaxations)`` array (lower, then upper).
-    The Fix^perp bases come from `_svds`; the problems whose bases have k
-    columns share one eigenvalue solve, and their curves are evaluated in
-    slices of at most ``_BLOCK_ENTRIES`` Gram entries (at least one problem).
+
+    Every P_i commutes with P_Z, so T and P_Fix map (Z^perp)^{n-1} and Z^{n-1}
+    into themselves, and each bound is the larger of the two restrictions'.
+    `_svds` of Id - P_Z, one stack per (n, d), gives a basis U of R^d whose
+    first r columns span Z^perp (the cutoff of `Subspace.basis`); T acts alike
+    on every direction of Z, so the restrictions are Q^T T Q and Q^T P_Fix Q
+    for Q = Id_{n-1} (x) U[:, :r] and Id_{n-1} (x) U[:, r], and `_part_curves`
+    takes those of one size together.
     """
     if any(p.is_affine for p in problems):
         raise ValueError("rate bounds are defined on linear problems; use problem.parallel()")
     lam = _relaxations(lams).reshape(-1)
-    eye = np.eye(problems[0].governing_dim)
-    u, s = _svds(_computed(eye - np.stack([p._fix_space.projector for p in problems])))[:2]
+    parts = {}  # size: [(rows of curves, Q^T T Q, Q^T P_Fix Q)]
+    for n, d in sorted({(p.n, p.d) for p in problems}):
+        items = np.array([i for i, p in enumerate(problems) if (p.n, p.d) == (n, d)])
+        group = [problems[i] for i in items]
+        u, s = _svds(np.eye(d) - np.stack([p.intersection().projector for p in group]))[:2]
+        ranks = np.count_nonzero(_kept(s, 1.0), axis=-1)  # dim Z^perp
+        m = (n - 1) * d
+        t = np.eye(m) + np.stack([p._step[0][-m:] for p in group])
+        fix = np.stack([p._fix_space.projector for p in group])
+        for r in sorted(set(ranks.tolist())):  # np.unique would import numpy.ma
+            sel = np.flatnonzero(ranks == r)
+            for side, w in enumerate((u[sel, :, :r], u[sel, :, r:r + 1])):  # Z^perp, then Z
+                if w.shape[-1]:
+                    q = np.einsum("ij,sab->siajb", np.eye(n - 1), w).reshape(len(sel), m, -1)
+                    qt = np.swapaxes(q, 1, 2)
+                    parts.setdefault(q.shape[-1], []).append(
+                        (side * len(problems) + items[sel], qt @ t[sel] @ q, qt @ fix[sel] @ q))
+    curves = np.zeros((2, 2 * len(problems), lam.size))  # each problem on Z^perp, then on Z
+    for size in sorted(parts):
+        rows, t, fix = map(np.concatenate, zip(*parts[size]))
+        curves[:, rows] = _part_curves(t, fix, lam)
+    return curves.reshape(2, 2, len(problems), lam.size).max(axis=1)
+
+
+def _part_curves(t, fix, lam) -> np.ndarray:
+    """The curves of a stack of maps T with the stack ``fix`` of their P_Fix:
+    Fix^perp bases from `_svds`, one eigenvalue solve per basis width k, and
+    Gram eigensolves in slices of at most ``_BLOCK_ENTRIES`` entries."""
+    u, s = _svds(_computed(np.eye(t.shape[-1]) - fix))[:2]
     dims = np.count_nonzero(_kept(s, 1.0), axis=-1)  # the cutoff of `Subspace.basis`
-    t = eye + np.stack([p._step[0][-len(eye):] for p in problems])  # T = Id + (T - Id)
-    curves = np.zeros((2, len(problems), lam.size))
-    for k in sorted(set(dims.tolist()) - {0}):  # np.unique would import numpy.ma
+    curves = np.zeros((2, len(t), lam.size))
+    for k in sorted(set(dims.tolist()) - {0}):
         items = np.flatnonzero(dims == k)
         q = u[items, :, :k]
         b = np.swapaxes(q, 1, 2) @ t[items] @ q
@@ -388,7 +427,7 @@ def _rate_curves(problems, lams) -> np.ndarray:
         size = max(1, _BLOCK_ENTRIES // max(1, shift.size))
         for a in range(0, len(items), size):
             rows, maps = items[a:a + size], lam[:, None, None] * b[a:a + size, None]
-            maps += shift  # (1 - lam) Id + lam B, per problem and relaxation
+            maps += shift  # (1 - lam) Id + lam B, per map and relaxation
             curves[0, rows] = np.abs((1.0 - lam)[:, None] + lam[:, None] * mu[a:a + size]).max(-1)
             curves[1, rows] = _operator_norms(maps.reshape(-1, k, k)).reshape(len(rows), lam.size)
     return curves

@@ -263,10 +263,10 @@ def to_dict(s: Subspace) -> dict:
 
 def subspace_from_dict(obj: dict) -> Subspace:
     d = _ambient_dim(obj)
-    cols = obj.get("basis", [])
-    if not cols:
+    cols = _numbers(obj.get("basis", []), "basis")
+    if not len(cols):
         return Subspace(np.zeros((d, d)))
-    b = np.array(cols, dtype=float).T
+    b = cols.T
     if b.shape[0] != d:
         raise ValueError(f"basis columns have length {b.shape[0]}, expected d={d}")
     return from_basis(b)
@@ -275,6 +275,15 @@ def subspace_from_dict(obj: dict) -> Subspace:
 def _integer(value) -> bool:
     """Whether ``value`` is an integer (of Python or numpy) and not a bool."""
     return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _numbers(value, name: str) -> np.ndarray:
+    """``value`` as a float array, after checking that it is a number or an array
+    of them, as a JSON file gives them (a string, boolean or null is not one)."""
+    value = np.asarray(value)
+    if value.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold only numbers")
+    return value.astype(float)
 
 
 def _ambient_dim(obj: dict) -> int:

@@ -29,8 +29,10 @@ from splitproj import (
     shadow_limit,
 )
 from splitproj.cli import CSV_HEADER, Table
-from splitproj.linalg import pseudoinverse
+from splitproj.driver import _relaxations
+from splitproj.linalg import _eigvals, _kept, _operator_norms, _svds, pseudoinverse
 from splitproj.splitting import _AFFINE_TOL, _governing, displacement
+from splitproj.subspaces import _computed
 
 
 def nullspace_intersection(projectors) -> np.ndarray:
@@ -70,6 +72,44 @@ def random_mt(rng, d=6, dims=None, n=3) -> MTProblem:
 
 def whole_space(d) -> Subspace:
     return Subspace(np.eye(d))
+
+
+def mixed_problems(rng):
+    """Linear problems of one governing dimension, 12, whose Fix^perp
+    dimensions are 9, 12, 7, 0, 9, 3, 12, 9, 7 and 8, and whose Z^perp
+    dimensions are 3, 6, 1, 4, 3, 6, 6, 3, 1 and 0: Ryu and MT at n = 3 in
+    R^6, and MT at n = 4 in R^4 with zero and with whole-space subspaces."""
+    zero = Subspace(np.zeros((4, 4)))
+    return [random_ryu(rng), random_mt(rng, dims=(3, 4, 5)), random_ryu(rng, dims=(6, 5, 6)),
+            MTProblem([zero] * 4), random_mt(rng), random_ryu(rng, dims=(1, 1, 1)),
+            random_mt(rng, dims=(3, 4, 5)), random_ryu(rng), random_mt(rng, dims=(6, 5, 6)),
+            MTProblem([whole_space(4)] * 4)]
+
+
+def full_space_rate_curves(problems, lams) -> np.ndarray:
+    """Oracle for `driver._rate_curves`: the same bounds, with no split along Z.
+
+    One stacked SVD of Id - P_Fix in the whole governing space gives each
+    problem's Fix^perp basis Q; the problems whose bases have k columns share
+    one eigenvalue solve of B = Q^T T Q, and the upper curve comes from one
+    Gram eigensolve of every (1 - lam) Id + lam B.  Returns a ``(2, problems,
+    relaxations)`` array (lower, then upper).
+    """
+    lam = _relaxations(lams).reshape(-1)
+    eye = np.eye(problems[0].governing_dim)
+    u, s = _svds(_computed(eye - np.stack([p._fix_space.projector for p in problems])))[:2]
+    dims = np.count_nonzero(_kept(s, 1.0), axis=-1)
+    t = eye + np.stack([p._step[0][-len(eye):] for p in problems])
+    curves = np.zeros((2, len(problems), lam.size))
+    for k in sorted(set(dims.tolist()) - {0}):
+        items = np.flatnonzero(dims == k)
+        q = u[items, :, :k]
+        b = np.swapaxes(q, 1, 2) @ t[items] @ q
+        mu = _eigvals(b)[:, None]
+        maps = (1.0 - lam)[:, None, None] * np.eye(k) + lam[:, None, None] * b[:, None]
+        curves[0, items] = np.abs((1.0 - lam)[:, None] + lam[:, None] * mu).max(-1)
+        curves[1, items] = _operator_norms(maps.reshape(-1, k, k)).reshape(len(items), -1)
+    return curves
 
 
 def relaxed_matrix(problem, lam) -> np.ndarray:

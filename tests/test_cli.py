@@ -514,7 +514,9 @@ def test_exp1_chunk_keeps_each_gram_stack_within_a_block(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
     exp1(n_instances=10)  # one chunk: 10 instances of each algorithm
     assert stacks and all(np.prod(shape) <= cli._BLOCK_ENTRIES for shape in stacks)
-    assert sum(shape[0] for shape in stacks) == 2 * 10 * 99
+    # T of every problem on (Z^perp)^2 (6 x 6 Gram matrices) and on one direction of Z (1 x 1)
+    assert sorted({shape[1:] for shape in stacks}) == [(1, 1), (6, 6)]
+    assert sum(shape[0] for shape in stacks) == 2 * 2 * 10 * 99
     # a slice holds more than one problem's 99 relaxations
     assert max(shape[0] for shape in stacks) > 99
 
@@ -770,6 +772,22 @@ def test_non_finite_input_is_a_format_error(tmp_path, capsys, field, overrides):
     assert main(["run", "--problem", path]) == 2
     err = capsys.readouterr().err
     assert f"{field} must be finite" in err and "nan.json" in err
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"lambda": "0.5"}, "relaxation must be a real number, got '0.5'"),
+    ({"start": [["3.0", "4.0"], [1.0, -2.0]]}, "start must hold only numbers"),
+    ({"start": [[3.0, 4.0], [True, False]]}, "start must hold only numbers"),
+    ({"anchors": [["0", "0"], [0.0, 0.0], [0.0, 0.0]]}, "anchors must hold only numbers"),
+    ({"subspaces": [{"d": 2, "basis": [["1.0", "0.0"]]}, {"d": 2, "basis": [[1.0, 1.0]]},
+                    {"d": 2, "basis": [[1.0, 0.0]]}]}, "basis must hold only numbers"),
+], ids=["text-lambda", "text-start", "bool-start", "text-anchor", "text-basis"])
+def test_problem_file_numbers_given_as_text_are_format_errors(tmp_path, capsys, overrides,
+                                                                message):
+    # float() and np.asarray(..., dtype=float) would read "0.5" as 0.5
+    path = write_problem(tmp_path / "p.json", **overrides)
+    code, out, err = _outcome(["run", "--problem", path], capsys)
+    assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
 
 
 @pytest.mark.parametrize("where", ["top", "subspace"])

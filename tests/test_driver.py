@@ -7,6 +7,7 @@ import splitproj.driver as driver
 import splitproj.linalg as linalg
 from helpers import (
     longdouble_distances,
+    mixed_problems,
     per_step_iterate,
     random_instance,
     random_mt,
@@ -40,6 +41,8 @@ from splitproj import (
     spectral_radius,
     tail_contraction,
 )
+from splitproj.cli import _instances
+from splitproj.splitting import _fill_fix_spaces
 
 
 def test_config_validation():
@@ -229,10 +232,20 @@ def _fix_complement_dim(p):
     return Subspace(np.eye(p.governing_dim) - p._fix.linear).dimension()
 
 
+def _part_widths(p):
+    """The Fix^perp dimensions of T on (Z^perp)^{n-1} and on Z^{n-1} for one
+    direction of Z (0 if Z = {0}): there T is (x, y) -> (x, 0) for Ryu and
+    the cyclic block shift for MT, whose Fix^perp dimensions are 1 and n - 2."""
+    z = p.intersection().dimension()
+    on_z = 1 if isinstance(p, RyuProblem) else p.n - 2
+    return _fix_complement_dim(p) - z * on_z, on_z if z else 0
+
+
 def test_rate_curve_retries_a_failed_stacked_svd_one_matrix_at_a_time(monkeypatch):
     rng = np.random.default_rng(24)
     p = random_mt(rng, n=4)
-    r = _fix_complement_dim(p)
+    perp, on_z = _part_widths(p)
+    assert (perp, on_z) == (12, 2)
     lams = [0.2, 0.5, 0.8]
     want = rate_curve(p, lams)
     real_linalg_svd = linalg.svd
@@ -248,7 +261,8 @@ def test_rate_curve_retries_a_failed_stacked_svd_one_matrix_at_a_time(monkeypatc
     monkeypatch.setattr(np.linalg, "eigvalsh", fail_stacked)
     monkeypatch.setattr(linalg, "svd", recorded)
     lower, upper = rate_curve(p, lams)
-    assert shapes == [(r, r)] * len(lams)
+    # the restriction to one direction of Z, (n - 1) square, comes first
+    assert shapes == [(on_z, on_z)] * len(lams) + [(perp, perp)] * len(lams)
     assert np.array_equal(lower, want[0])
     assert np.allclose(upper, want[1], rtol=1e-13, atol=0.0)
 
@@ -256,48 +270,45 @@ def test_rate_curve_retries_a_failed_stacked_svd_one_matrix_at_a_time(monkeypatc
 def test_rate_curve_failures_are_numerical(monkeypatch):
     rng = np.random.default_rng(25)
     p = random_ryu(rng)
-    r = _fix_complement_dim(p)
-    assert r < p.governing_dim  # so that only the SVDs of the error maps fail
+    perp, on_z = _part_widths(p)
+    assert (perp, on_z) == (6, 1)
     real_svd = np.linalg.svd
 
     def eigvalsh_fail(a, *args, **kwargs):  # the stacked Gram eigensolve
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    def svd_or_fail(a, *args, **kwargs):
-        if np.shape(a) == (r, r):
+    def svd_or_fail(a, *args, **kwargs):  # the bases come from stacked SVDs
+        if np.shape(a) == (perp, perp):
             raise np.linalg.LinAlgError("SVD did not converge")
         return real_svd(a, *args, **kwargs)
 
     with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "eigvalsh", eigvalsh_fail)
         patch.setattr(np.linalg, "svd", svd_or_fail)
-        with pytest.raises(NumericalFailure, match=f"{r}x{r}"):
+        with pytest.raises(NumericalFailure, match=f"{perp}x{perp}"):
             rate_curve(p, [0.5])
 
     def eigvals_fail(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigvals", eigvals_fail)
-    with pytest.raises(NumericalFailure, match=f"{r}x{r}"):
+    with pytest.raises(NumericalFailure, match=f"{on_z}x{on_z} matrix"):  # the Z part's, first
         rate_curve(p, [0.5])
     with pytest.raises(NumericalFailure, match="12x12"):
         spectral_radius(np.eye(12))
 
 
-def _mixed_problems(rng):
-    """Linear problems of one governing dimension, 12, whose Fix^perp
-    dimensions are 9, 7, 12, 3 and 0, interleaved."""
-    zero = Subspace(np.zeros((4, 4)))
-    return [random_ryu(rng), random_mt(rng, dims=(3, 4, 5)), random_ryu(rng, dims=(6, 5, 6)),
-            MTProblem([zero] * 4), random_mt(rng), random_ryu(rng, dims=(1, 1, 1)),
-            random_mt(rng, dims=(3, 4, 5)), random_ryu(rng), random_mt(rng, dims=(6, 5, 6))]
+def _z_perp_dims(problems):
+    return [p.d - p.intersection().dimension() for p in problems]
 
 
 def test_stacked_rate_curves_equal_each_problem_alone():
     rng = np.random.default_rng(27)
     lams = [round(0.01 * k, 12) for k in range(1, 100)]
-    problems = _mixed_problems(rng)
-    assert [_fix_complement_dim(p) for p in problems] == [9, 12, 7, 0, 9, 3, 12, 9, 7]
+    problems = mixed_problems(rng)
+    assert [_fix_complement_dim(p) for p in problems] == [9, 12, 7, 0, 9, 3, 12, 9, 7, 8]
+    # (n, d) = (3, 6) and (4, 4); Z^perp is all of R^d, a part of it, or {0}
+    assert _z_perp_dims(problems) == [3, 6, 1, 4, 3, 6, 6, 3, 1, 0]
     lower, upper = driver._rate_curves(problems, lams)
     assert lower.shape == upper.shape == (len(problems), len(lams))
     for i, p in enumerate(problems):
@@ -310,7 +321,7 @@ def test_stacked_rate_curves_equal_each_problem_alone():
 def test_stacked_rate_curves_retry_a_failed_basis_svd_one_matrix_at_a_time(monkeypatch):
     rng = np.random.default_rng(28)
     lams = [0.1, 0.5, 0.9]
-    problems = _mixed_problems(rng)
+    problems = mixed_problems(rng)
     want = driver._rate_curves(problems, lams)  # also builds each Fix T and T
     real_svd = np.linalg.svd
     failed = []
@@ -323,8 +334,53 @@ def test_stacked_rate_curves_retry_a_failed_basis_svd_one_matrix_at_a_time(monke
 
     monkeypatch.setattr(np.linalg, "svd", fail_stacked)
     lower, upper = driver._rate_curves(problems, lams)
-    assert failed == [(len(problems), 12, 12)]
+    # one SVD of Id - P_Z per (n, d): 8 problems at (3, 6), 2 at (4, 4); then one
+    # of Id - P_Fix per restriction size, (n - 1) r on Z^perp and n - 1 on a
+    # direction of Z: size 2 for 5 problems on Z and 2 on Z^perp, 3, 6 and 12
+    assert failed == [(8, 6, 6), (2, 4, 4), (7, 2, 2), (1, 3, 3), (3, 6, 6), (4, 12, 12)]
     assert np.array_equal(lower, want[0]) and np.array_equal(upper, want[1])
+
+
+def _floors(lams, n):
+    """The rate curves of T on Z^{n-1}: 1 - lam for Ryu (``n`` is None) and, for MT
+    on n subspaces, max |1 - lam + lam w| over the (n - 1)-th roots of unity w != 1."""
+    lams = np.asarray(lams)
+    if n is None:
+        return 1.0 - lams
+    w = np.exp(2j * np.pi * np.arange(1, n - 1) / (n - 1))
+    return np.abs(1.0 - lams[:, None] + lams[:, None] * w).max(-1)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("d", [1, 2, 6])
+def test_rate_curves_of_whole_spaces_are_the_closed_form_floor(n, d):
+    # Z = R^d: T is (x, y) -> (x, 0) (Ryu) or the cyclic block shift (MT),
+    # both normal, so both curves are the moduli of its relaxed eigenvalues
+    lams = [round(0.01 * k, 12) for k in range(1, 100)]
+    problems = [MTProblem([whole_space(d)] * n)]
+    floors = [_floors(lams, n)]
+    if n == 3:
+        problems.append(RyuProblem(*[whole_space(d)] * 3))
+        floors.append(_floors(lams, None))
+    curves = driver._rate_curves(problems, lams)
+    for side in curves:
+        assert np.max(np.abs(side - floors)) <= 1e-14
+    assert np.max(np.abs(_floors(lams, 3) - np.abs(1.0 - 2.0 * np.array(lams)))) <= 1e-15
+
+
+def test_rate_curves_with_a_nonzero_intersection_never_fall_below_the_floor():
+    lams = [round(0.01 * k, 12) for k in range(1, 100)]
+    instances = _instances(0, range(200), 6, (5, 5, 5), ("ryu", "mt"))
+    for algorithm, problems in instances.items():
+        assert {p.intersection().dimension() for p in problems} == {3}
+        _fill_fix_spaces(problems)
+        lower, upper = driver._rate_curves(problems, lams)
+        floor = _floors(lams, None if algorithm == "ryu" else 3)
+        assert np.all(lower >= floor - 1e-13) and np.all(upper >= lower - 1e-13)
+        if algorithm == "mt":
+            # |1 - 2 lam| is MT's whole lower curve on about a tenth of the pairs,
+            # and it rises past lam = 1/2, which keeps MT's best lam well below 1
+            assert 0.05 < np.mean(np.abs(lower - floor) <= 1e-12) < 0.15
 
 
 def test_tail_contraction_between_bounds():

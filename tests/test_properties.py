@@ -1,6 +1,7 @@
 """Property tests: the blocked counts kernel against its per-step oracle, the
-row writers against the `csv.writer` and `json.dumps` renderings, and
-chunk-built experiment instances against instances built one at a time."""
+split rate kernel against the full-space one, the row writers against the
+`csv.writer` and `json.dumps` renderings, and chunk-built experiment
+instances against instances built one at a time."""
 
 import numpy as np
 import pytest
@@ -12,10 +13,13 @@ from hypothesis import strategies as st  # noqa: E402
 from helpers import (  # noqa: E402
     Row,
     csv_writer_rendering,
+    full_space_rate_curves,
     json_dumps_rendering,
+    mixed_problems,
     random_instance,
     stepwise_batch_counts,
     tables_of,
+    whole_space,
 )
 from splitproj import (  # noqa: E402
     MTProblem,
@@ -29,9 +33,11 @@ from splitproj.cli import (  # noqa: E402
     _build_problem,
     _instance_subspaces,
     _instances,
+    default_lambda_grid,
     records_to_csv,
     records_to_json,
 )
+from splitproj.driver import _rate_curves  # noqa: E402
 from splitproj.splitting import _fill_fix_spaces  # noqa: E402
 
 
@@ -53,6 +59,52 @@ def test_block_counts_equal_the_stepwise_oracle(seed, k, max_iters, n, affine, t
     got = batch_iteration_counts(p, starts, lams, tol, max_iters)
     want = stepwise_batch_counts(p, starts, lams, tol, max_iters)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def _rate_problems(rng, n, d, kind):
+    """Linear problems of n subspaces of R^d, three instances, MT and (n = 3)
+    Ryu: all of R^d ("whole", so Z = R^d), Gaussian ones of codimension
+    ceil(d / n) to d - 2 (1 for d = 2), so that Z = {0} ("gaussian"), or the parallel
+    problems of consistent affine families of codimension 1 to about d / n
+    ("affine")."""
+    problems = []
+    for _ in range(3):
+        subs, anchors = [whole_space(d)] * n, None
+        if kind != "whole":
+            low, high = (-(-d // n), d - 1) if kind == "gaussian" else (1, (d - 1) // n + 1)
+            subs = random_instance(rng, d, tuple(d - rng.integers(low, max(low + 1, high), n)))
+        if kind == "affine":
+            v = rng.standard_normal(d)
+            anchors = [v + s.projector @ rng.standard_normal(d) for s in subs]
+        for algorithm in ("mt", "ryu")[:1 + (n == 3)]:
+            problems.append(_build_problem(algorithm, subs, anchors).parallel())
+    return problems
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 5), d=st.integers(2, 8),
+       kind=st.sampled_from(["whole", "gaussian", "affine", "mixed"]))
+def test_split_rate_curves_match_the_full_space_oracle(seed, n, d, kind):
+    rng = np.random.default_rng(seed)
+    lams = default_lambda_grid()
+    problems = mixed_problems(rng) if kind == "mixed" else _rate_problems(rng, n, d, kind)
+    try:
+        want = full_space_rate_curves(problems, lams)
+    except NumericalFailure:
+        # a closed-form Fix T that fails its projector check fails in both
+        with pytest.raises(NumericalFailure):
+            _rate_curves(problems, lams)
+        return
+    got = _rate_curves(problems, lams)
+    close = np.abs(got - want) <= 1e-12 * np.abs(want) + 1e-13
+    if kind == "mixed":
+        # items 2 and 8 have dims (6, 5, 6): on Z^perp, P_U = P_W = Id and
+        # P_V = 0, where T is a nilpotent 2x2 Jordan block, whose eigenvalue
+        # either kernel finds only to about sqrt(eps)
+        jordan = np.abs(got[0, [2, 8]] - want[0, [2, 8]])
+        assert jordan.max() <= 1e-6
+        close[0, [2, 8]] = True
+    assert close.all()
 
 
 _FLOATS = st.one_of(
