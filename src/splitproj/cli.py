@@ -221,7 +221,7 @@ def exp1(n_instances: int = 1000, lambda_grid=None, d: int = 6, dims=(5, 5, 5),
     """
     dims, algorithms = _checked(d, dims, algorithms, seed, n_instances=n_instances, jobs=jobs)
     grid = _checked_grid(lambda_grid)
-    # a chunk keeps one stacked Fix T projector, (n - 1) d square, in a block
+    # a chunk keeps one stacked T, (n - 1) d square, in a block
     chunks = _chunks(n_instances, jobs, ((len(dims) - 1) * d) ** 2)
     results = _run_parallel(
         _exp1_worker, [(seed, c, d, dims, grid, algorithms) for c in chunks], jobs)

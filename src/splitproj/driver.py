@@ -11,12 +11,12 @@ is within ``tol`` of that limit.
 All distances are Euclidean norms on the stacked block vectors: governing
 distances in R^{(n-1)d}, shadow distances in R^{nd}.
 
-The rate bounds are the spectral radius and the operator norm of the error
-map T_lam - P_Fix.  It is zero on Fix T, and T splits along the intersection
-Z: it maps (Z^perp)^{n-1} and Z^{n-1} into themselves.  So `_rate_curves`
-takes both bounds on the orthogonal complement of Fix T within each of the
-two, for a relaxation grid and a list of problems (an exp1 chunk) from
-stacked SVDs and eigensolves, and keeps the larger; `rate_curve` is its
+The rate bounds are the spectral radius and the operator norm of the error map
+T_lam - P_Fix.  It is zero on Fix T, and T splits along the intersection Z: it
+maps (Z^perp)^{n-1} and Z^{n-1} into themselves.  So `_rate_curves` takes both
+bounds on the orthogonal complement of Fix T within each of the two (on
+Z^perp, from the E part each Fix T is built from), for a relaxation grid and
+an exp1 chunk of problems, and keeps the larger; `rate_curve` is its
 one-problem call and `rate_bounds` the one-relaxation call of that.
 """
 
@@ -378,11 +378,11 @@ def _rate_curves(problems, lams) -> np.ndarray:
 
     Every P_i commutes with P_Z, so T and P_Fix map (Z^perp)^{n-1} and Z^{n-1}
     into themselves, and each bound is the larger of the two restrictions'.
-    `_svds` of Id - P_Z, one stack per (n, d), gives a basis U of R^d whose
-    first r columns span Z^perp (the cutoff of `Subspace.basis`); T acts alike
-    on every direction of Z, so the restrictions are Q^T T Q and Q^T P_Fix Q
-    for Q = Id_{n-1} (x) U[:, :r] and Id_{n-1} (x) U[:, r], and `_part_curves`
-    takes those of one size together.
+    Each problem's `_fix_split` (W, r, E_r), which its Fix T shares, gives
+    them: Q^T T Q and E_r for Q = Id_{n-1} (x) W[:, :r], and, as T acts alike
+    on every direction of Z, Q^T T Q and the closed-form P_Fix there for
+    Q = Id_{n-1} (x) W[:, r].  `_part_curves` takes those of one size together,
+    and a chunk never builds an (n - 1) d square P_Fix.
     """
     if any(p.is_affine for p in problems):
         raise ValueError("rate bounds are defined on linear problems; use problem.parallel()")
@@ -391,19 +391,20 @@ def _rate_curves(problems, lams) -> np.ndarray:
     for n, d in sorted({(p.n, p.d) for p in problems}):
         items = np.array([i for i, p in enumerate(problems) if (p.n, p.d) == (n, d)])
         group = [problems[i] for i in items]
-        u, s = _svds(np.eye(d) - np.stack([p.intersection().projector for p in group]))[:2]
-        ranks = np.count_nonzero(_kept(s, 1.0), axis=-1)  # dim Z^perp
+        w, ranks, e = zip(*(p._fix_split for p in group))
+        u, ranks = np.stack(w), np.array(ranks)
         m = (n - 1) * d
         t = np.eye(m) + np.stack([p._step[0][-m:] for p in group])
-        fix = np.stack([p._fix_space.projector for p in group])
+        on_z = [np.diag([1.0, 0.0]) if isinstance(p, RyuProblem) else np.full((n - 1,) * 2, 1 / (n - 1))
+                for p in group]  # P_Fix on one direction of Z
         for r in sorted(set(ranks.tolist())):  # np.unique would import numpy.ma
             sel = np.flatnonzero(ranks == r)
-            for side, w in enumerate((u[sel, :, :r], u[sel, :, r:r + 1])):  # Z^perp, then Z
-                if w.shape[-1]:
-                    q = np.einsum("ij,sab->siajb", np.eye(n - 1), w).reshape(len(sel), m, -1)
-                    qt = np.swapaxes(q, 1, 2)
+            for side, (cols, fix) in enumerate(((u[sel, :, :r], e), (u[sel, :, r:r + 1], on_z))):
+                if cols.shape[-1]:  # Z^perp, then a direction of Z
+                    q = np.kron(np.eye(n - 1), cols)
                     parts.setdefault(q.shape[-1], []).append(
-                        (side * len(problems) + items[sel], qt @ t[sel] @ q, qt @ fix[sel] @ q))
+                        (side * len(problems) + items[sel], np.swapaxes(q, 1, 2) @ t[sel] @ q,
+                         np.stack([fix[i] for i in sel])))
     curves = np.zeros((2, 2 * len(problems), lam.size))  # each problem on Z^perp, then on Z
     for size in sorted(parts):
         rows, t, fix = map(np.concatenate, zip(*parts[size]))

@@ -9,16 +9,16 @@ fixed-point set:
 
 Iterating the relaxed operator drives the forward-pass blocks (the "shadow")
 to a consensus point, which is the orthogonal projection of a start-dependent
-point onto the intersection of the subspaces.  Affine problems with nonempty
+point onto the intersection Z of the subspaces.  Affine problems with nonempty
 intersection are handled by the same formulas with translated resolvents and
-reduce internally to the parallel linear problem plus a shift.
+reduce internally to the parallel linear problem plus a shift.  Fix T is a
+copy of Z plus a part E of (Z^perp)^{n-1}, which the closed forms build there.
 
 Block vector layout: governing vectors are contiguous blocks of size d in
-index order (z_1, ..., z_{n-1}); forward passes return n blocks.  The
-forward pass and the displacement also take a
-``(governing_dim, k)`` matrix whose columns are k governing vectors; every
-block is then a ``(d, k)`` matrix.  The operators are (affine) linear, so
-their matrix forms are the forward pass run on the identity.
+index order (z_1, ..., z_{n-1}); forward passes return n blocks.  The forward
+pass and the displacement also take a ``(governing_dim, k)`` matrix of k
+governing columns, each block then a ``(d, k)`` matrix.  The operators are
+(affine) linear: their matrix forms are the forward pass on the identity.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import pseudoinverse
+from .linalg import _kept, _svds, pseudoinverse
 from .subspaces import (
     AffineSubspace,
     Subspace,
@@ -169,6 +169,11 @@ class _SplittingProblem:
         return matrix, offset
 
     @cached_property
+    def _fix_split(self) -> tuple:
+        """``(W, r, E_r)`` of `_fix_parts`, which Fix T and the rate bounds share."""
+        return _fix_parts([self])[0]
+
+    @cached_property
     def _fix_space(self) -> Subspace:
         """Fix T of the (linear) problem, from its closed form."""
         fix = fix_decomposition(self)
@@ -305,18 +310,15 @@ def ryu_fix_projector(p: RyuProblem) -> Subspace:
     Fix T decomposes orthogonally as (Z x {0}) + E where Z is the
     intersection and E pairs complement directions whose sum lies in the
     third complement; E is realized as an intersection of two explicit
-    projectors in R^{2d}.  This is the one-problem call of `_ryu_fix`.
+    projectors, on (Z^perp)^2 (`_fix_parts`).  This is `fix_decomposition`.
     """
-    return _unchecked(_ryu_fix(*_projector_stacks([p]))[0])
+    return fix_decomposition(p)
 
 
-def _ryu_fix(pz, pu, pv, pw) -> np.ndarray:
-    """`ryu_fix_projector` from ``(S, d, d)`` stacks of P_Z, P_U, P_V, P_W."""
-    S, d = pz.shape[:2]
+def _ryu_fix(pu, pv, pw) -> np.ndarray:
+    """The E part of `ryu_fix_projector` from ``(S, d, d)`` stacks of P_U, P_V, P_W."""
+    S, d = pu.shape[:2]
     eye = np.eye(d)
-    z_block = np.zeros((S, 2 * d, 2 * d))
-    z_block[:, :d, :d] = pz
-
     left = np.zeros((S, 2 * d, 2 * d))
     left[:, :d, :d] = eye - pu
     left[:, d:, d:] = eye - pv
@@ -325,9 +327,7 @@ def _ryu_fix(pz, pu, pv, pw) -> np.ndarray:
     w_axis = np.zeros((S, 2 * d, 2 * d))
     w_axis[:, d:, d:] = eye - pw
     right = _sums(complement(Subspace(p_diag)).projector, _checked(w_axis, stacked=True))
-
-    e_proj = _meet(_checked(left, stacked=True), right)
-    return _computed(z_block + e_proj)
+    return _meet(_checked(left, stacked=True), right)
 
 
 def mt_fix_projector(p: MTProblem) -> Subspace:
@@ -338,20 +338,18 @@ def mt_fix_projector(p: MTProblem) -> Subspace:
     intersection projector), and E is ran(Psi) cut with the last block's
     complement, where Psi is the partial-sum operator over the complement
     spaces.  ran(Psi) is realized as the range projector S S^+ of the
-    block lower-triangular matrix S with (i, j) block Id - P_j for j <= i.
-    This is the one-problem call of `_mt_fix`.
+    block lower-triangular matrix S with (i, j) block Id - P_j for j <= i,
+    on (Z^perp)^{n-1} (`_fix_parts`).  This is `fix_decomposition`.
     """
-    return _unchecked(_mt_fix(*_projector_stacks([p]))[0])
+    return fix_decomposition(p)
 
 
-def _mt_fix(pz, *ps) -> np.ndarray:
-    """`mt_fix_projector` from ``(S, d, d)`` stacks of P_Z and of each P_i."""
+def _mt_fix(*ps) -> np.ndarray:
+    """The E part of `mt_fix_projector` from ``(S, d, d)`` stacks of each P_i."""
     n = len(ps)
-    S, d = pz.shape[:2]
+    S, d = ps[0].shape[:2]
     m = (n - 1) * d
     eye = np.eye(d)
-    z_block = np.tile(pz, (1, n - 1, n - 1)) / (n - 1)
-
     s = np.zeros((S, m, m))
     for i in range(n - 1):
         for j in range(i + 1):
@@ -360,30 +358,48 @@ def _mt_fix(pz, *ps) -> np.ndarray:
 
     last_axis = np.tile(np.eye(m), (S, 1, 1))
     last_axis[:, -d:, -d:] = eye - ps[n - 1]
-
-    e_proj = _meet(ran_psi, _checked(last_axis, stacked=True))
-    return _computed(z_block + e_proj)
+    return _meet(ran_psi, _checked(last_axis, stacked=True))
 
 
-def _projector_stacks(problems) -> list:
-    """The stacks of the problems' P_Z, then of their P_i for each i."""
-    spaces = zip(*((p.intersection(), *p.subspaces) for p in problems))
-    return [np.stack([s.projector for s in column]) for column in spaces]
+def _fix_parts(problems) -> list:
+    """``(W, r, E_r)`` of each of linear problems of one class and one (n, d).
+
+    E lies in (Z^perp)^{n-1}, as every Id - P_i does.  `_svds` of Id - P_Z
+    gives a basis W of R^d whose first r columns W_r span Z^perp (the cutoff
+    of `Subspace.basis`); E_r, E in the coordinates of Q = Id_{n-1} (x) W_r,
+    is `_ryu_fix` or `_mt_fix` of the r x r restrictions W_r^T P_i W_r.
+    """
+    pz, *ps = (np.stack([s.projector for s in column])
+               for column in zip(*((p.intersection(), *p.subspaces) for p in problems)))
+    w, s = _svds(np.eye(pz.shape[-1]) - pz)[:2]
+    ranks = np.count_nonzero(_kept(s, 1.0), axis=-1).tolist()  # dim Z^perp
+    formula = _ryu_fix if isinstance(problems[0], RyuProblem) else _mt_fix
+    e = {}
+    for r in sorted(set(ranks) - {0}):  # np.unique would import numpy.ma
+        items = np.flatnonzero(np.array(ranks) == r)
+        wr = w[items, :, :r]
+        e_r = formula(*(np.swapaxes(wr, 1, 2) @ p[items] @ wr for p in ps))
+        _read_only(e_r)
+        e.update(zip(items.tolist(), e_r))
+    _read_only(w)
+    return [(w[i], r, e.get(i, np.zeros((0, 0)))) for i, r in enumerate(ranks)]
 
 
 def fix_decomposition(problem) -> Subspace:
-    return (ryu_fix_projector(problem) if isinstance(problem, RyuProblem)
-            else mt_fix_projector(problem))
+    """Fix T: the diagonal copy of Z (P_Z (+) 0 for Ryu, P_Z / (n - 1) in every
+    block for MT) plus Q E_r Q^T from the problem's `_fix_split`, checked."""
+    w, r, e = problem._fix_split
+    pz, k, d = problem.intersection().projector, problem.n - 1, problem.d
+    fix = (np.kron(np.diag([1.0, 0.0]), pz) if isinstance(problem, RyuProblem)
+           else np.tile(pz, (k, k)) / k)
+    q_e = (w[:, :r] @ e.reshape(k, r, k * r)).reshape(k * d, k, r)  # Q E, by blocks of rows
+    return _unchecked(_computed(fix + (q_e @ w[:, :r].T).reshape(k * d, k * d)))
 
 
 def _fill_fix_spaces(problems) -> None:
-    """Give linear problems of one class and one shape the Fix T that
-    `fix_decomposition` builds, from one stacked closed form."""
-    formula = _ryu_fix if isinstance(problems[0], RyuProblem) else _mt_fix
-    fix = formula(*_projector_stacks(problems))
-    _read_only(fix)
-    for problem, projector in zip(problems, fix):
-        problem._fix_space = _unchecked(projector)
+    """Fill the `_fix_split` of linear problems of one class and one (n, d) by one `_fix_parts`."""
+    for problem, split in zip(problems, _fix_parts(problems)):
+        problem._fix_split = split
 
 
 def affine_lift(amap: AffineMap, fix: Subspace, point) -> AffineMap:

@@ -16,6 +16,7 @@ one-item calls.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from numbers import Integral
@@ -280,10 +281,12 @@ def _integer(value) -> bool:
 def _numbers(value, name: str) -> np.ndarray:
     """``value`` as a float array, after checking that it is a number or an array
     of them, as a JSON file gives them (a string, boolean or null is not one)."""
-    value = np.asarray(value)
-    if value.dtype.kind not in "iuf":
+    array, flat = np.asarray(value), [value]
+    for _ in range(array.ndim if ((array == 0) | (array == 1)).any() else 0):  # a bool reads 0 or 1
+        flat = itertools.chain.from_iterable(flat)
+    if array.dtype.kind not in "iuf" or bool in set(map(type, flat)):
         raise ValueError(f"{name} must hold only numbers")
-    return value.astype(float)
+    return array.astype(float)
 
 
 def _ambient_dim(obj: dict) -> int:

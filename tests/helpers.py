@@ -32,7 +32,7 @@ from splitproj.cli import CSV_HEADER, Table
 from splitproj.driver import _relaxations
 from splitproj.linalg import _eigvals, _kept, _operator_norms, _svds, pseudoinverse
 from splitproj.splitting import _AFFINE_TOL, _governing, displacement
-from splitproj.subspaces import _computed
+from splitproj.subspaces import _computed, _meet, _spans, _sums
 
 
 def nullspace_intersection(projectors) -> np.ndarray:
@@ -84,6 +84,52 @@ def mixed_problems(rng):
             MTProblem([zero] * 4), random_mt(rng), random_ryu(rng, dims=(1, 1, 1)),
             random_mt(rng, dims=(3, 4, 5)), random_ryu(rng), random_mt(rng, dims=(6, 5, 6)),
             MTProblem([whole_space(4)] * 4)]
+
+
+def full_space_fix(problem) -> np.ndarray:
+    """Oracle for `fix_decomposition`: the closed forms on the whole governing
+    space, with no split along Z.
+
+    Ryu: (Z x {0}) + E, E the meet of diag(Id - P_U, Id - P_V) with the sum of
+    the anti-diagonal and {0} x W^perp.  MT: the diagonal copy of Z plus ran(S)
+    cut with the last block's complement, S block lower triangular with (i, j)
+    block Id - P_j.  Both E parts are (n - 1) d square; the sum is checked as a
+    computed projector.
+    """
+    pz = problem.intersection().projector
+    ps = [s.projector[None] for s in problem.subspaces]
+    n, d = problem.n, problem.d
+    m = (n - 1) * d
+    eye = np.eye(d)
+    if isinstance(problem, RyuProblem):
+        z_block = np.zeros((m, m))
+        z_block[:d, :d] = pz
+        left = np.zeros((1, m, m))
+        left[:, :d, :d] = eye - ps[0]
+        left[:, d:, d:] = eye - ps[1]
+        w_axis = np.zeros((1, m, m))
+        w_axis[:, d:, d:] = eye - ps[2]
+        anti = np.eye(m) - 0.5 * np.block([[eye, eye], [eye, eye]])
+        e = _meet(left, _sums(anti, w_axis))
+    else:
+        z_block = np.tile(pz, (n - 1, n - 1)) / (n - 1)
+        s = np.zeros((1, m, m))
+        for i in range(n - 1):
+            for j in range(i + 1):
+                s[:, i * d:(i + 1) * d, j * d:(j + 1) * d] = eye - ps[j]
+        last_axis = np.eye(m)[None].copy()
+        last_axis[:, -d:, -d:] = eye - ps[n - 1]
+        e = _meet(_spans(s, 1.0), last_axis)
+    return _computed(z_block + e[0])
+
+
+def fixed_point_projector(problem) -> np.ndarray:
+    """Oracle for Fix T with no closed form: the projector onto the kernel of
+    T - Id, from one SVD, with the generous cutoff of `nullspace_intersection`."""
+    t = operator_matrix(problem).linear
+    _, s, vt = np.linalg.svd(t - np.eye(len(t)))
+    kernel = vt[int(np.sum(s > 1e-10 * max(s[0], 1.0))):].T
+    return kernel @ kernel.T
 
 
 def full_space_rate_curves(problems, lams) -> np.ndarray:

@@ -6,7 +6,15 @@ import re
 import numpy as np
 import pytest
 
-from helpers import Row, csv_writer_rendering, nullspace_intersection, random_instance, rows_of, tables_of
+from helpers import (
+    Row,
+    csv_writer_rendering,
+    fixed_point_projector,
+    nullspace_intersection,
+    random_instance,
+    rows_of,
+    tables_of,
+)
 from splitproj import (
     GenerationError,
     NumericalFailure,
@@ -36,6 +44,7 @@ from splitproj.cli import (
     run_single,
 )
 import splitproj.cli as cli
+import splitproj.linalg as linalg
 import splitproj.splitting as splitting
 from splitproj.splitting import _fill_fix_spaces, displacement
 
@@ -790,6 +799,19 @@ def test_problem_file_numbers_given_as_text_are_format_errors(tmp_path, capsys, 
     assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"start": [[3.0, 4.0], [True, -2.0]]}, "start must hold only numbers"),
+    ({"anchors": [[0.0, 0.0], [0.0, False], [0.0, 0.0]]}, "anchors must hold only numbers"),
+    ({"subspaces": [{"d": 2, "basis": [[1, True]]}, {"d": 2, "basis": [[1.0, 1.0]]},
+                    {"d": 2, "basis": [[1.0, 0.0]]}]}, "basis must hold only numbers"),
+], ids=["start", "anchor", "basis"])
+def test_a_boolean_among_numbers_is_a_format_error(tmp_path, capsys, overrides, message):
+    # numpy reads [true, -2.0] as the float array [1.0, -2.0]
+    path = write_problem(tmp_path / "p.json", **overrides)
+    code, out, err = _outcome(["run", "--problem", path], capsys)
+    assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+
 @pytest.mark.parametrize("where", ["top", "subspace"])
 @pytest.mark.parametrize("d", [2.0, 2.5, True, 0])
 def test_non_integer_d_is_a_format_error(tmp_path, capsys, where, d):
@@ -947,18 +969,46 @@ def test_exp2_worker_builds_one_intersection_per_instance(monkeypatch):
     assert meets == {"_intersections": 1} and fixes == {"fix_decomposition": 2}
 
 
-def test_failed_projector_check_is_a_numerical_failure(capsys):
-    # iterated Anderson-Duffin loses idempotence on one of these instances
-    argv = ["exp1", "--n", "4", "--seed", "1444635452", "--dim", "6", "--sub-dims", "5,5,5"]
-    assert main(argv) == 3
+def _halve_pseudoinverses(monkeypatch, item=None):
+    """Make every stacked pseudoinverse, or only that of matrix ``item`` of a
+    stack, half the true one: a span projector B B^+ is then P / 2, and fails
+    its idempotence check by ||P||_F / 4."""
+    real = linalg._svds
+
+    def doubled(a):
+        u, s, vt = real(a)
+        if item is None or item < len(s):
+            s[slice(None) if item is None else item] *= 2.0
+        return u, s, vt
+
+    monkeypatch.setattr(linalg, "_svds", doubled)
+
+
+def test_failed_projector_check_is_a_numerical_failure(monkeypatch, capsys):
+    _halve_pseudoinverses(monkeypatch)
+    assert main(["exp1", "--n", "1", "--lambda", "0.5"]) == 3
     assert "projector not idempotent: ||P^2 - P||_F = " in capsys.readouterr().err
 
 
 def test_failed_fixed_point_projector_check_is_a_numerical_failure(monkeypatch, capsys):
-    # an E part that is the whole space makes Z + E fail its idempotence check
-    monkeypatch.setattr(splitting, "_meet", lambda pu, pv: 0.0 * pv + np.eye(pv.shape[-1]))
-    assert main(["exp1", "--n", "1", "--lambda", "0.5"]) == 3
+    # an E part that is twice a projector makes Z + Q E_r Q^T fail its idempotence check
+    monkeypatch.setattr(splitting, "_meet", lambda pu, pv: 0.0 * pv + 2.0 * np.eye(pv.shape[-1]))
+    assert main(["run", "--problem", str(GOLDEN / "run_affine_ryu.json")]) == 3
     assert "projector not idempotent: ||P^2 - P||_F = " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [1444635452, 2081619243, 1642037136])
+def test_exp1_chunks_whose_full_space_fix_failed_run(seed, capsys):
+    # on (n - 1) d square stacks, the E part of MT's Fix T lost idempotence on
+    # one instance of each of these chunks (exit 3); on Z^perp it holds
+    argv = ["exp1", "--n", "4", "--seed", str(seed), "--dim", "6", "--sub-dims", "5,5,5"]
+    assert main(argv) == 0 and capsys.readouterr().err == ""
+    for problems in cli._instances(seed, range(4), 6, (5, 5, 5), ("ryu", "mt")).values():
+        _fill_fix_spaces(problems)
+        for p in problems:
+            fix = p._fix_space.projector
+            assert np.max(np.abs(fix - fixed_point_projector(p))) <= 1e-11
+            assert np.linalg.norm(fix @ fix - fix) <= 1e-11
 
 
 @pytest.mark.parametrize("argv", [
@@ -1030,12 +1080,14 @@ def test_a_draw_below_full_rank_redraws_its_instance_as_built_alone(monkeypatch)
                               _instance_subspaces(seed, 2, d, dims)[0].projector)
 
 
-def test_failed_check_inside_a_stack_names_the_matrix(capsys):
-    # the reproducer's four instances are one chunk, and the fourth fails
+def test_failed_check_inside_a_stack_names_the_matrix(monkeypatch, capsys):
+    # the four instances are one chunk, and the span of the fourth's first
+    # (five-dimensional) subspace fails: ||P||_F / 4 = sqrt(5) / 4
+    _halve_pseudoinverses(monkeypatch, item=3)
     argv = ["exp1", "--n", "4", "--seed", "1444635452", "--dim", "6", "--sub-dims", "5,5,5"]
     assert main(argv) == 3
     assert capsys.readouterr().err == ("error: projector not idempotent: ||P^2 - P||_F = "
-                                       "1.500e-05 (matrix 3 of the stack)\n")
+                                       "5.590e-01 (matrix 3 of the stack)\n")
 
 
 _BAD_TEXT = [",", '"', "\r", "\n"]

@@ -322,7 +322,7 @@ def test_stacked_rate_curves_retry_a_failed_basis_svd_one_matrix_at_a_time(monke
     rng = np.random.default_rng(28)
     lams = [0.1, 0.5, 0.9]
     problems = mixed_problems(rng)
-    want = driver._rate_curves(problems, lams)  # also builds each Fix T and T
+    want = driver._rate_curves(problems, lams)  # also builds each split along Z and T
     real_svd = np.linalg.svd
     failed = []
 
@@ -334,10 +334,10 @@ def test_stacked_rate_curves_retry_a_failed_basis_svd_one_matrix_at_a_time(monke
 
     monkeypatch.setattr(np.linalg, "svd", fail_stacked)
     lower, upper = driver._rate_curves(problems, lams)
-    # one SVD of Id - P_Z per (n, d): 8 problems at (3, 6), 2 at (4, 4); then one
-    # of Id - P_Fix per restriction size, (n - 1) r on Z^perp and n - 1 on a
+    # the splits along Z are built, so the failed SVDs are one of
+    # Id - P_Fix per restriction size, (n - 1) r on Z^perp and n - 1 on a
     # direction of Z: size 2 for 5 problems on Z and 2 on Z^perp, 3, 6 and 12
-    assert failed == [(8, 6, 6), (2, 4, 4), (7, 2, 2), (1, 3, 3), (3, 6, 6), (4, 12, 12)]
+    assert failed == [(7, 2, 2), (1, 3, 3), (3, 6, 6), (4, 12, 12)]
     assert np.array_equal(lower, want[0]) and np.array_equal(upper, want[1])
 
 

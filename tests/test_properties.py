@@ -1,5 +1,5 @@
 """Property tests: the blocked counts kernel against its per-step oracle, the
-split rate kernel against the full-space one, the row writers against the
+split rate kernel and Fix T against their full-space forms, the row writers against the
 `csv.writer` and `json.dumps` renderings, and chunk-built experiment
 instances against instances built one at a time."""
 
@@ -13,6 +13,8 @@ from hypothesis import strategies as st  # noqa: E402
 from helpers import (  # noqa: E402
     Row,
     csv_writer_rendering,
+    fixed_point_projector,
+    full_space_fix,
     full_space_rate_curves,
     json_dumps_rendering,
     mixed_problems,
@@ -27,6 +29,7 @@ from splitproj import (  # noqa: E402
     RyuProblem,
     batch_iteration_counts,
     fix_decomposition,
+    from_basis,
     intersect_all,
 )
 from splitproj.cli import (  # noqa: E402
@@ -105,6 +108,34 @@ def test_split_rate_curves_match_the_full_space_oracle(seed, n, d, kind):
         assert jordan.max() <= 1e-6
         close[0, [2, 8]] = True
     assert close.all()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 5), d=st.integers(2, 8),
+       kind=st.sampled_from(["whole", "gaussian", "affine", "mixed"]))
+def test_fix_on_z_perp_matches_the_full_space_closed_form(seed, n, d, kind):
+    # "mixed": four instances whose subspaces share a random subspace of
+    # dimension 0 to d - 1 and add 0 to d - 1 random directions each, so that
+    # one stack mixes the dimensions of Z^perp and E is often nonzero
+    rng = np.random.default_rng(seed)
+    if kind == "mixed":
+        problems = []
+        for _ in range(4):
+            shared = rng.standard_normal((d, rng.integers(0, d)))
+            subs = [from_basis(np.hstack([shared, rng.standard_normal((d, rng.integers(0, d)))]))
+                    for _ in range(n)]
+            problems += [_build_problem(a, subs) for a in ("mt", "ryu")[:1 + (n == 3)]]
+    else:
+        problems = _rate_problems(rng, n, d, kind)
+    for cls in (MTProblem, RyuProblem)[:1 + (n == 3)]:
+        stack = [p for p in problems if isinstance(p, cls)]
+        _fill_fix_spaces(stack)
+        for p in stack:
+            try:
+                want = full_space_fix(p)
+            except NumericalFailure:  # the full-space form can lose idempotence
+                want = fixed_point_projector(p)
+            assert np.max(np.abs(p._fix_space.projector - want)) <= 1e-11
 
 
 _FLOATS = st.one_of(
