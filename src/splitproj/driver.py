@@ -45,6 +45,9 @@ _DOUBLINGS = 20
 #: and gain no speed), and one when a column set is too wide for two.
 _BLOCK_STEPS = 32
 _BLOCK_ENTRIES = 1 << 14
+#: `batch_iteration_counts` keeps at most this many entries (256 KiB) of the
+#: nd + m rows of F e over e in a block, stepped or propagated.
+_KERNEL_ENTRIES = 1 << 15
 
 
 @dataclass
@@ -76,6 +79,8 @@ def _check_stop(tol, max_iters) -> None:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if not _integer(max_iters) or max_iters < 0:
         raise ValueError(f"max_iters must be an integer >= 0, got {max_iters!r}")
+    if max_iters > np.iinfo(np.int64).max:  # the counts are int64
+        raise ValueError(f"max_iters must be at most 2**63 - 1, got {max_iters!r}")
 
 
 @dataclass
@@ -152,8 +157,7 @@ def orbit(problems, starts, lam):
     problems' step matrices ``[F; Id; T - Id]``, followed by
     z_{i+1} = z_i + lam (T - Id) z_i; a stacked product makes the same
     products item by item, so every problem's blocks keep the bits of a
-    stack of one.  Sending a boolean mask over the current columns keeps
-    only those columns, of every problem, from the next block on.
+    stack of one.  `iterate` and exp3 step the iterate with it.
     """
     shapes = {p._step[0].shape for p in problems}
     if len(shapes) != 1:
@@ -177,10 +181,7 @@ def orbit(problems, starts, lam):
             if affine:
                 w += offset[..., None]
             z = z + lam * w[..., -m:, :]
-        keep = yield block[..., :-m, :]
-        if keep is not None:
-            z = z[..., keep]
-            lam = lam[keep] if lam.ndim else lam
+        yield block[..., :-m, :]
 
 
 def iterate(problem, config: IterationConfig, start, record_history: bool = True) -> IterationTrace:
@@ -256,20 +257,19 @@ def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
     T is affine and z* = P_FixT z0 is a fixed point, so the error
     e = z - z* of a column obeys e <- e + lam D e, D the linear part of
     T - Id, and its shadow error is F e, F the linear forward pass.  The
-    columns step their errors together through `orbit` of the linear
-    problem, whose blocks stack F e over e, so a block's distances are
-    plain column norms.  A column leaves the working set after the block in
-    which both its counts become known, so a slow relaxation does not keep
-    the fast ones stepping.  Once the live columns fit a full block, each
-    block comes from the last tested error instead, in rounds of
-    ``_BLOCK_STEPS`` steps, as many as ``_BLOCK_ENTRIES`` entries and the
-    steps left allow.  Each round is one product per run of equal relaxations
-    (the columns are sorted by lam) with its `_propagators` power stack, from
-    the last error of the round before; the shadow errors of the whole
-    block are one 2-D product with F.
-    Every column is checked at k = 0, 1, ...,
-    ``max_iters``; a count still unknown after ``max_iters`` steps is
-    reported as ``max_iters``.
+    columns step their errors together into ``(steps, m, columns)`` blocks
+    of at least one step and at most ``_KERNEL_ENTRIES`` entries of the
+    nd + m rows of F e over e; a block's shadow errors are one 2-D product
+    with F, and its distances are plain column norms.  A column leaves the
+    working set after the block in which both its counts become known, so a
+    slow relaxation does not keep the fast ones stepping.  In the first
+    block, and while the live columns are too many for a round of
+    ``_BLOCK_STEPS`` steps, each step is one product with the m x m block D.
+    Then each block comes from the last tested error, in rounds, each one
+    product per run of equal relaxations (the columns are sorted by lam) with
+    its `_propagators` power stack, from the last error of the round before.
+    Every column is checked at k = 0, 1, ..., ``max_iters``; a count still
+    unknown after ``max_iters`` steps is reported as ``max_iters``.
     """
     z = _governing(problem, starts)
     if z.ndim != 2:
@@ -282,28 +282,48 @@ def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
     counts = np.full((2, k), max_iters, dtype=np.int64)
     if k == 0:
         return counts[1], counts[0]
-    # a block's rows [0, nd) are the shadow error and the rest the error;
-    # row 0 of counts and open_ is the shadow, row 1 the governing sequence
+    # row 0 of counts, open_ and hit is the shadow, row 1 the governing sequence
     linear = problem.parallel()
     matrix = linear._step[0]
     m = problem.governing_dim
-    nd = matrix.shape[0] - 2 * m
+    f, d = matrix[:-2 * m], matrix[-m:]
+    rows = matrix.shape[0] - m  # nd + m: F e over e
     open_ = np.ones((2, k), dtype=bool)
     cols = np.argsort(lam, kind="stable")  # equal relaxations side by side
     lam = lam[cols]
     limits = governing_limit(problem, z) if problem.is_affine else linear._fix_space.projector @ z
-    blocks = orbit([linear], (z - limits)[None, :, cols], lam)
-    block = next(blocks)[:, 0]
-    propagators, runs = {}, None
-    it = 0
+    last = (z - limits)[:, cols]  # the start error, then the last tested one
+    it, propagators, runs, keep = 0, {}, None, None
     while True:
-        block = block[:max_iters + 1 - it]
-        hit = open_ & (np.sqrt(np.add.reduceat(block * block, [0, nd], axis=1)) <= tol)
-        done = hit.any(axis=0)
+        c, left = cols.size, max_iters + 1 - it
+        fit = _KERNEL_ENTRIES // (rows * c)  # steps of every live column in a block
+        rounds = min(fit // _BLOCK_STEPS, -(-left // _BLOCK_STEPS))
+        if it and rounds:
+            if keep is not None or not runs:  # (a, b, propagator) per run of equal lam
+                cuts = [0, *(np.flatnonzero(lam[1:] != lam[:-1]) + 1).tolist(), lam.size]
+                if not propagators:  # the live columns only shrink from here
+                    firsts = lam[cuts[:-1]]
+                    propagators = dict(zip(firsts.tolist(), _propagators(d, firsts)))
+                runs = [(a, b, propagators[lam[a]]) for a, b in zip(cuts, cuts[1:])]
+            errors = np.empty((rounds, _BLOCK_STEPS * m, c))
+            for r in range(rounds):  # each round from the last error of the one before
+                for a, b, p in runs:
+                    np.matmul(p, last[:, a:b], out=errors[r, :, a:b])
+                last = errors[r, -m:]
+            errors = errors.reshape(-1, m, c)[:left]
+        else:
+            errors = np.empty((max(1, min(_BLOCK_STEPS, fit, left)), m, c))
+            errors[0] = last + lam * (d @ last) if it else last
+            for e, after in zip(errors, errors[1:]):
+                np.add(e, lam * (d @ e), out=after)
+        flat = errors.transpose(1, 0, 2).reshape(m, -1)  # (m, steps * columns)
+        blocks = (f @ flat).reshape(-1, len(errors), c), flat.reshape(m, -1, c)
+        hit = open_[:, None] & (np.sqrt([np.einsum("ijk,ijk->jk", x, x) for x in blocks]) <= tol)
+        done = hit.any(axis=1)
         keep = None
         if done.any():
-            rows, j = np.nonzero(done)
-            counts[rows, cols[j]] = it + hit.argmax(axis=0)[rows, j]
+            which, j = np.nonzero(done)
+            counts[which, cols[j]] = it + hit.argmax(axis=1)[which, j]
             open_ &= ~done
             live = open_.any(axis=0)
             if not live.all():
@@ -311,30 +331,10 @@ def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
                     break
                 keep = live
                 cols, open_, lam = cols[live], open_[:, live], lam[live]
-        it += block.shape[0]
+        it += len(errors)
         if it > max_iters:
             break
-        if cols.size * matrix.shape[0] * _BLOCK_STEPS > _BLOCK_ENTRIES:
-            block = blocks.send(keep)[:, 0]
-            continue
-        last = block[-1, nd:] if keep is None else block[-1, nd:][:, keep]
-        if keep is not None or not runs:  # (a, b, propagator) per run of equal lam
-            cuts = [0, *(np.flatnonzero(lam[1:] != lam[:-1]) + 1).tolist(), lam.size]
-            if not propagators:  # the live columns only shrink from here
-                firsts = lam[cuts[:-1]]
-                propagators = dict(zip(firsts.tolist(), _propagators(matrix[-m:], firsts)))
-            runs = [(a, b, propagators[lam[a]]) for a, b in zip(cuts, cuts[1:])]
-        c = cols.size
-        rounds = min(_BLOCK_ENTRIES // (_BLOCK_STEPS * (nd + m) * c),
-                     -(-(max_iters + 1 - it) // _BLOCK_STEPS))
-        errors = np.empty((rounds, _BLOCK_STEPS * m, c))
-        for r in range(rounds):  # each round from the last error of the one before
-            for a, b, p in runs:
-                np.matmul(p, last[:, a:b], out=errors[r, :, a:b])
-            last = errors[r, -m:]
-        errors = errors.reshape(-1, m, c).transpose(1, 0, 2)  # (m, steps, columns)
-        block = np.concatenate([(matrix[:nd] @ errors.reshape(m, -1)).reshape(nd, -1, c), errors])
-        block = block.transpose(1, 0, 2)
+        last = errors[-1] if keep is None else errors[-1][:, keep]
     return counts[1], counts[0]
 
 

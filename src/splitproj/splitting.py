@@ -312,6 +312,8 @@ def ryu_fix_projector(p: RyuProblem) -> Subspace:
     third complement; E is realized as an intersection of two explicit
     projectors, on (Z^perp)^2 (`_fix_parts`).  This is `fix_decomposition`.
     """
+    if not isinstance(p, RyuProblem):
+        raise TypeError(f"ryu_fix_projector needs a RyuProblem, got {type(p).__name__}")
     return fix_decomposition(p)
 
 
@@ -341,6 +343,8 @@ def mt_fix_projector(p: MTProblem) -> Subspace:
     block lower-triangular matrix S with (i, j) block Id - P_j for j <= i,
     on (Z^perp)^{n-1} (`_fix_parts`).  This is `fix_decomposition`.
     """
+    if not isinstance(p, MTProblem):
+        raise TypeError(f"mt_fix_projector needs an MTProblem, got {type(p).__name__}")
     return fix_decomposition(p)
 
 

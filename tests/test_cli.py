@@ -257,6 +257,15 @@ def test_api_arguments_are_checked_before_any_draw(function, kwargs, message, mo
         function(1, **kwargs)
 
 
+def test_a_max_iters_beyond_int64_is_a_usage_error_before_any_draw(monkeypatch, capsys):
+    # it was an OverflowError (exit 1) from the kernel's int64 counts
+    monkeypatch.setattr(cli, "_instances", _no_draw)
+    assert main(["exp2", "--n", "1", "--n-points", "1", "--lambda", "0.5",
+                 "--max-iters", "100000000000000000000"]) == 2
+    assert capsys.readouterr().err == (
+        "error: max_iters must be at most 2**63 - 1, got 100000000000000000000\n")
+
+
 @pytest.mark.parametrize("function, kwargs, message", [
     (exp1, dict(n_instances=1.5), "n_instances must be an integer, got 1.5"),
     (exp1, dict(n_instances=True), "n_instances must be an integer, got True"),
@@ -698,6 +707,14 @@ def test_exp2_csv_matches_golden_file():
     golden = GOLDEN / "exp2_seed7.csv"
     records = exp2(n_sets=2, n_points=3, lambda_grid=[0.05, 0.5, 0.95], seed=7)
     assert records_to_csv(records) == golden.read_text()
+
+
+def test_exp2_wide_phase_matches_golden_file(capsys):
+    # 25 points at each of 99 relaxations: 2 475 columns per algorithm, which
+    # start one step per block; written by the kernel that stepped them
+    # through `orbit`'s [F; Id; T - Id] product
+    assert main(["exp2", "--n", "1", "--n-points", "25", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "exp2_wide.csv").read_text()
 
 
 # The *_default.csv goldens are the paper-size runs (every flag at its

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -546,18 +544,25 @@ def test_batch_counts_of_no_columns(monkeypatch):
         batch_iteration_counts(p, empty, [], max_iters=2.5)
     with pytest.raises(ValueError, match="tol must be positive and finite, got nan"):
         batch_iteration_counts(p, empty, [], tol=float("nan"))
-    starts = []
-
-    def counted(*args):
-        starts.append(args)
-        return orbit(*args)
-
-    monkeypatch.setattr(driver, "orbit", counted)
+    shapes = _tested_blocks(monkeypatch)
     gov, sh = batch_iteration_counts(p, empty, [], max_iters=100_000)
-    assert not starts
+    assert not shapes
     assert gov.dtype == sh.dtype == np.int64 and gov.shape == sh.shape == (0,)
     batch_iteration_counts(p, rng.standard_normal((p.governing_dim, 1)), [0.5])
-    assert len(starts) == 1
+    assert shapes and all(s[2] == 1 for s in shapes)
+
+
+def test_batch_counts_take_budgets_up_to_the_int64_limit():
+    # the counts are int64; a larger budget was an OverflowError from np.full
+    p = random_ryu(np.random.default_rng(41))
+    start = np.ones((p.governing_dim, 1))
+    with pytest.raises(ValueError, match=r"^max_iters must be at most 2\*\*63 - 1, got 10{20}$"):
+        batch_iteration_counts(p, start, [0.5], max_iters=10 ** 20)
+    with pytest.raises(ValueError, match=r"at most 2\*\*63 - 1, got 9223372036854775808$"):
+        IterationConfig(0.5, max_iters=2 ** 63)
+    top = np.iinfo(np.int64).max
+    assert batch_iteration_counts(p, start, [0.5], max_iters=top) == \
+        batch_iteration_counts(p, start, [0.5])
 
 
 def test_batch_counts_validation():
@@ -622,25 +627,6 @@ def test_orbit_starts_at_the_start_and_its_shadow():
         assert np.array_equal(first[0, -p.governing_dim:], starts)
 
 
-@pytest.mark.parametrize("lams", [[0.1, 0.4, 0.7, 0.95], 0.6], ids=["per-column", "scalar"])
-def test_orbit_mask_keeps_the_kept_columns_on_their_own_course(lams):
-    rng = np.random.default_rng(30)
-    lams = np.asarray(lams)
-    keep = np.array([True, False, True, True])
-    for p in _kernel_problems(rng):
-        starts = rng.standard_normal((p.governing_dim, 4))
-        whole = orbit([p], starts[None], lams)
-        skipped = len(next(whole))
-        got = np.concatenate([whole.send(keep), next(whole)])[:, 0]
-        fresh = orbit([p], starts[None, :, keep], lams[keep] if lams.ndim else lams)
-        want = np.concatenate([next(fresh) for _ in range(3)])[skipped:, 0]
-        case = (type(p).__name__, p.n, p.is_affine)
-        assert len(got) == len(want) == 2 * driver._BLOCK_STEPS, case
-        for a, b in zip(got, want):
-            assert a.shape == b.shape == (p.n * p.d + p.governing_dim, 3), case
-            assert np.max(np.abs(a - b)) <= 1e-12, case
-
-
 def test_orbit_steps_the_relaxed_operator():
     rng = np.random.default_rng(31)
     lams = np.array([0.3, 0.8])
@@ -659,12 +645,11 @@ def test_orbit_blocks_stay_within_their_entry_budget(k):
         rows = p._step[0].shape[0]
         blocks = orbit([p], rng.standard_normal((1, p.governing_dim, k)), 0.5)
         first = next(blocks)
-        halved = blocks.send(np.arange(k) < k // 2)  # takes effect at this block
-        for width, block in ((k, first), (k // 2, halved)):
+        for block in (first, next(blocks)):
             steps = len(block)
-            assert block.shape[1:] == (1, rows - p.governing_dim, width)
+            assert block.shape[1:] == (1, rows - p.governing_dim, k)
             assert 1 <= steps <= driver._BLOCK_STEPS
-            assert steps == 1 or steps * rows * width <= driver._BLOCK_ENTRIES, (k, width)
+            assert steps == 1 or steps * rows * k <= driver._BLOCK_ENTRIES, k
         if k == 1:
             assert len(first) == driver._BLOCK_STEPS
         if k == 1200:
@@ -696,14 +681,6 @@ def test_stacked_orbit_equals_each_problem_s_own_orbit(k):
                              - problems[0].governing_dim, k)
         for p, s, mine in zip(problems, starts, got.swapaxes(0, 1)):
             assert np.array_equal(mine, _first_steps(orbit([p], s[None], lams), 70)[:, 0])
-        # a mask keeps the same columns of every problem
-        keep = np.arange(k) % 3 != 1
-        whole = orbit(problems, starts, lams)
-        skipped = len(next(whole))
-        kept = whole.send(keep)
-        fresh = _first_steps(orbit(problems, starts[..., keep], lams[keep]),
-                             skipped + len(kept))
-        assert np.max(np.abs(kept - fresh[skipped:])) <= 1e-12
 
 
 def test_stacked_orbit_needs_one_step_shape():
@@ -713,22 +690,25 @@ def test_stacked_orbit_needs_one_step_shape():
         next(orbit(problems, [np.zeros((12, 1)), np.zeros((18, 1))], 0.5))
 
 
-def test_batch_counts_equal_the_stepwise_oracle_at_block_edges():
+def test_batch_counts_equal_the_stepwise_oracle_at_block_edges(monkeypatch):
     # the oracle steps the iterate, the kernel the error; away from rounding
     # ties at tol the counts agree exactly, across block edges and a budget
     # that ends inside a block
+    shapes = _tested_blocks(monkeypatch)
     rng = np.random.default_rng(33)
     mid_block = 0
     for p in _kernel_problems(rng):
         m = p.governing_dim
-        for k in (1, 99, 400):  # 400 columns take one step per block
+        for k in (1, 99, 1200):  # 1200 columns start with blocks of one step
             starts = rng.standard_normal((m, k))
             starts[:, 1::5] = governing_limit(p, starts[:, 1::5])  # converged at step 0
             lams = rng.uniform(0.05, 0.99, k)
-            assert k < 400 or len(next(orbit([p], starts[None], lams))) == 1
             for max_iters in (0, 1, 31, 32, 33):
                 for tol in (1e-1, 1e-6):
+                    shapes.clear()
                     got = batch_iteration_counts(p, starts, lams, tol, max_iters)
+                    assert k < 1200 or shapes[0][0] == 1
+                    assert all(s[0] == 1 or np.prod(s) <= driver._KERNEL_ENTRIES for s in shapes)
                     want = stepwise_batch_counts(p, starts, lams, tol, max_iters)
                     case = (type(p).__name__, p.n, p.is_affine, k, max_iters, tol)
                     assert np.array_equal(got[0], want[0]), case
@@ -742,45 +722,73 @@ def test_batch_counts_equal_the_stepwise_oracle_at_block_edges():
     assert mid_block > 0
 
 
-def _orbit_steps(monkeypatch):
-    """Patch `driver.orbit` to count the steps it yields; returns the count."""
-    steps = [0]
+def _tested_blocks(monkeypatch):
+    """Patch the numpy of `driver` so that the counts kernel records the
+    ``(steps, rows, columns)`` shape of each block it tests, rows counting
+    the shadow and the error rows; returns the list."""
+    shapes, rows = [], []
 
-    def counted(*args):
-        blocks = orbit(*args)
-        keep = None
-        while True:
-            block = blocks.send(keep)
-            steps[0] += len(block)
-            keep = yield block
+    def recorded(subscripts, block, *args):  # (rows, steps, columns): the shadow, then the error
+        rows.append(block.shape[0])
+        if len(rows) % 2 == 0:
+            shapes.append((block.shape[1], sum(rows[-2:]), block.shape[2]))
+        return np.einsum(subscripts, block, *args)
 
-    monkeypatch.setattr(driver, "orbit", counted)
-    return steps
+    class Numpy:
+        einsum = staticmethod(recorded)
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(driver, "np", Numpy())
+    return shapes
+
+
+def _propagated(monkeypatch, shapes):
+    """Patch `driver._propagators` to record how many blocks ``shapes`` (of
+    `_tested_blocks`) holds when it is called: the blocks stepped one step
+    at a time before the first propagated one.  Returns the list."""
+    calls, real = [], driver._propagators
+
+    def recorded(*args):
+        calls.append(len(shapes))
+        return real(*args)
+
+    monkeypatch.setattr(driver, "_propagators", recorded)
+    return calls
 
 
 def test_batch_counts_switch_to_propagators_mid_run(monkeypatch):
-    # 40 columns step through orbit until the six slow ones are all that is
-    # live (they fit a full block up to n = 5); those finish on propagated
-    # blocks
-    steps = _orbit_steps(monkeypatch)
+    # 40 columns step one step at a time until the six slow ones are all
+    # that is live (they fit a full round up to n = 5); those finish on
+    # propagated blocks
+    shapes = _tested_blocks(monkeypatch)
+    switches = _propagated(monkeypatch, shapes)
     rng = np.random.default_rng(34)
     for p in _kernel_problems(rng):
         starts = rng.standard_normal((p.governing_dim, 40))
         lams = np.r_[rng.uniform(0.3, 0.99, 34), 0.05, 0.06, 0.06, 0.07, 0.08, 0.08]
-        rows = p._step[0].shape[0]
-        assert 40 * rows * driver._BLOCK_STEPS > driver._BLOCK_ENTRIES
-        assert 6 * rows * driver._BLOCK_STEPS <= driver._BLOCK_ENTRIES
-        steps[0] = 0
+        rows = p.n * p.d + p.governing_dim
+        assert 40 * rows * driver._BLOCK_STEPS > driver._KERNEL_ENTRIES
+        assert 6 * rows * driver._BLOCK_STEPS <= driver._KERNEL_ENTRIES
+        shapes.clear()
+        switches.clear()
         got = batch_iteration_counts(p, starts, lams, 1e-6, 20_000)
         want = stepwise_batch_counts(p, starts, lams, 1e-6, 20_000)
         case = (type(p).__name__, p.n, p.is_affine)
         assert all(map(np.array_equal, got, want)), case
-        assert 0 < steps[0] < np.max(want) // 2, case
+        [first] = switches
+        assert 0 < sum(s[0] for s in shapes[:first]) < np.max(want) // 2, case
+        # a block is stepped while its columns are too many for a round
+        assert all(c * rows * driver._BLOCK_STEPS > driver._KERNEL_ENTRIES
+                   for _, _, c in shapes[1:first]), case
+        assert shapes[first][2] * rows * driver._BLOCK_STEPS <= driver._KERNEL_ENTRIES, case
 
 
 @pytest.mark.parametrize("max_iters", [33, 50, 63, 64, 65, 100])
 def test_batch_counts_budget_ends_inside_a_propagated_block(max_iters, monkeypatch):
-    steps = _orbit_steps(monkeypatch)
+    shapes = _tested_blocks(monkeypatch)
+    switches = _propagated(monkeypatch, shapes)
     rng = np.random.default_rng(35)
     capped = 0
     problems = _kernel_problems(rng)
@@ -788,32 +796,17 @@ def test_batch_counts_budget_ends_inside_a_propagated_block(max_iters, monkeypat
         starts = rng.standard_normal((p.governing_dim, 3))
         lams = [0.01, 0.2, 0.02]
         for tol in (1e-6, 1e-2):
+            shapes.clear()
+            switches.clear()
             got = batch_iteration_counts(p, starts, lams, tol, max_iters)
             want = stepwise_batch_counts(p, starts, lams, tol, max_iters)
             assert all(map(np.array_equal, got, want)), (type(p).__name__, p.n, tol)
             capped += np.count_nonzero(np.concatenate(want) == max_iters)
+            # three columns fit a full round, so only each call's first block
+            # is stepped, and the propagated ones stop at the budget
+            assert shapes[0][0] == driver._BLOCK_STEPS and switches == [1]
+            assert sum(s[0] for s in shapes) <= max_iters + 1
     assert capped > 0
-    # three columns fit a full block, so orbit gives only each call's first
-    assert steps[0] == len(problems) * 2 * driver._BLOCK_STEPS
-
-
-def _tested_blocks(monkeypatch):
-    """Patch the numpy of `driver` so that the counts kernel records the
-    ``(steps, rows, columns)`` shape of each block it tests; returns the list."""
-    shapes = []
-
-    def reduceat(block, *args, **kwargs):
-        shapes.append(block.shape)
-        return np.add.reduceat(block, *args, **kwargs)
-
-    class Numpy:
-        add = SimpleNamespace(reduceat=reduceat)
-
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-    monkeypatch.setattr(driver, "np", Numpy())
-    return shapes
 
 
 def test_lone_slow_column_finishes_on_multi_round_blocks(monkeypatch):
@@ -830,7 +823,7 @@ def test_lone_slow_column_finishes_on_multi_round_blocks(monkeypatch):
         assert all(map(np.array_equal, got, want)), case
         assert min(want[0][0], want[1][0]) > 1_000, case
         rows = shapes[0][1]
-        rounds = driver._BLOCK_ENTRIES // (driver._BLOCK_STEPS * rows)
+        rounds = driver._KERNEL_ENTRIES // (driver._BLOCK_STEPS * rows)
         assert rounds > 1
         assert [s[0] for s in shapes[:3]] == [driver._BLOCK_STEPS] + 2 * [
             rounds * driver._BLOCK_STEPS], case
@@ -838,9 +831,9 @@ def test_lone_slow_column_finishes_on_multi_round_blocks(monkeypatch):
 
 @pytest.mark.parametrize("max_iters", [127, 128, 129, 1_000])
 def test_batch_counts_budget_ends_inside_a_multi_round_block(max_iters, monkeypatch):
-    # after orbit's first 32 steps, rounds start at steps 32, 64, 96, 128, ...;
-    # the budget ends one step before, at and one step after the start of a
-    # round, or several blocks later
+    # after the first block's 32 stepped steps, rounds start at steps 32, 64,
+    # 96, 128, ...; the budget ends one step before, at and one step after
+    # the start of a round, or several blocks later
     shapes = _tested_blocks(monkeypatch)
     rng = np.random.default_rng(38)
     capped = 0
@@ -859,7 +852,8 @@ def test_batch_counts_budget_ends_inside_a_multi_round_block(max_iters, monkeypa
 
 
 def test_narrow_blocks_hold_at_most_block_entries(monkeypatch):
-    # the rounds of a block, of every live column, fit in _BLOCK_ENTRIES
+    # the steps or the rounds of a block, of every live column, fit in
+    # _KERNEL_ENTRIES; only a block of one step may hold more
     shapes = _tested_blocks(monkeypatch)
     rng = np.random.default_rng(39)
     for p in _kernel_problems(rng):
@@ -869,8 +863,8 @@ def test_narrow_blocks_hold_at_most_block_entries(monkeypatch):
             got = batch_iteration_counts(p, starts, lams, 1e-6, 5_000)
             want = stepwise_batch_counts(p, starts, lams, 1e-6, 5_000)
             assert all(map(np.array_equal, got, want)), (type(p).__name__, p.n, k)
-    assert all(np.prod(s) <= driver._BLOCK_ENTRIES for s in shapes)
-    assert max(s[0] for s in shapes) == 17 * driver._BLOCK_STEPS  # one column, 30 rows
+    assert all(s[0] == 1 or np.prod(s) <= driver._KERNEL_ENTRIES for s in shapes)
+    assert max(s[0] for s in shapes) == 34 * driver._BLOCK_STEPS  # one column, 30 rows
 
 
 def test_batch_counts_of_a_linear_problem_build_no_affine_fix_projector():

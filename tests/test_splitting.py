@@ -160,6 +160,18 @@ def test_ryu_matrix_whole_space():
     assert np.allclose(amap.linear, want, atol=1e-14)
 
 
+@pytest.mark.parametrize("projector, other", [("ryu", "mt"), ("mt", "ryu")])
+def test_fix_projector_rejects_a_problem_of_the_other_class(projector, other):
+    # both call fix_decomposition, which picks the formula from the class, so
+    # each returned the other algorithm's Fix T
+    rng = np.random.default_rng(42)
+    p = random_mt(rng) if other == "mt" else random_ryu(rng)
+    function = ryu_fix_projector if projector == "ryu" else mt_fix_projector
+    name = "RyuProblem, got MTProblem" if projector == "ryu" else "MTProblem, got RyuProblem"
+    with pytest.raises(TypeError, match=f"^{projector}_fix_projector needs an? {name}$"):
+        function(p)
+
+
 def test_ryu_fix_projector_whole_space():
     d = 3
     p = RyuProblem(whole_space(d), whole_space(d), whole_space(d))
