@@ -684,7 +684,9 @@ def test_one_parser_serves_every_call_of_a_process(capsys):
 @pytest.mark.parametrize("name, argv", [
     ("seed5", []),
     ("seed5_mt4", ["--algorithm", "mt", "--sub-dims", "5,5,5,5"]),
-], ids=["seed5", "seed5_mt4"])
+    # MT's middle forward blocks at more than one block
+    ("seed5_mt5", ["--algorithm", "mt", "--sub-dims", "5,5,5,5,5"]),
+], ids=["seed5", "seed5_mt4", "seed5_mt5"])
 def test_exp3_csv_matches_golden_file(name, argv, capsys):
     # written by the loop over the step matrix that `orbit` replaced
     assert main(["exp3", "--n", "5", "--n-points", "4", "--seed", "5", *argv]) == 0
@@ -706,6 +708,15 @@ def test_exp2_csv_matches_golden_file():
     # written by the step-by-step loop that the column kernel replaced
     golden = GOLDEN / "exp2_seed7.csv"
     records = exp2(n_sets=2, n_points=3, lambda_grid=[0.05, 0.5, 0.95], seed=7)
+    assert records_to_csv(records) == golden.read_text()
+
+
+def test_exp2_mt5_csv_matches_golden_file():
+    # MT at n = 5: three middle forward blocks; written by the forward pass
+    # that looped over them by hand
+    golden = GOLDEN / "exp2_seed7_mt5.csv"
+    records = exp2(n_sets=2, n_points=3, lambda_grid=[0.05, 0.5, 0.95], seed=7,
+                   algorithms=("mt",), dims=(5, 5, 5, 5, 5))
     assert records_to_csv(records) == golden.read_text()
 
 
