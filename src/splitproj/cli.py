@@ -72,7 +72,9 @@ CSV_HEADER = ("experiment", "algorithm", "lambda", "instance_seed",
 #: never collide with subspace-set seeds (seed XOR index is injective).
 _POINT_INDEX_BASE = 1 << 20
 
-_ALGORITHMS = ("ryu", "mt")
+#: The problem class of each operator name; each class describes its operator.
+_OPERATORS = {cls.name: cls for cls in (RyuProblem, MTProblem)}
+_ALGORITHMS = tuple(_OPERATORS)
 
 
 class ProblemFormatError(Exception):
@@ -140,17 +142,15 @@ def _start_points(seed: int, n_points: int, d: int) -> np.ndarray:
 
 def _build_problem(algorithm: str, subs, anchors=None):
     """The problem of the operator named ``algorithm``, one of `_ALGORITHMS`."""
-    if algorithm == "mt":
-        return MTProblem(subs, affine_anchors=anchors)
-    if algorithm != "ryu":
+    if algorithm not in _ALGORITHMS:
         raise ValueError(f"algorithm must be one of {_ALGORITHMS}, got {algorithm!r}")
-    _check_ryu_count(len(subs))
-    return RyuProblem(*subs, affine_anchors=anchors)
+    _check_count(algorithm, len(subs))
+    return _OPERATORS[algorithm]._of(subs, affine_anchors=anchors)
 
 
-def _check_ryu_count(count: int) -> None:
-    if count != 3:
-        raise ValueError(f"the ryu operator needs exactly 3 subspaces, got {count}; use "
+def _check_count(name: str, count: int) -> None:
+    if (needed := _OPERATORS[name]._arity) not in (None, count):
+        raise ValueError(f"the {name} operator needs exactly {needed} subspaces, got {count}; use "
                          '--algorithm mt (in a problem file, "algorithm": "mt") for other counts')
 
 
@@ -188,11 +188,12 @@ def _chunks(count: int, jobs: int, entries: int) -> list:
 
 
 def _run_parallel(worker, arglist, jobs: int):
-    """The worker's results, in argument order."""
-    if jobs <= 1:
+    """The worker's results, in argument order, from at most one process per
+    task (a fork pool starts all its workers at the first), or serially."""
+    if (workers := min(jobs, len(arglist))) <= 1:
         return [worker(args) for args in arglist]
     from concurrent.futures import ProcessPoolExecutor  # ~20 ms to import, so only here
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, arglist))
 
 
@@ -262,13 +263,10 @@ def exp2_counts(n_sets: int = 100, n_points: int = 100, lambda_grid=None,
     """Per-run (governing, shadow) iteration counts keyed by (algorithm, lambda):
     ``(runs, 2)`` integer arrays, one (governing, shadow) row per run.
 
-    A run is one (set, point, algorithm, lambda).  For each subspace set
-    and algorithm, all ``n_points * len(grid)`` runs are the columns of one
-    call of the column kernel `batch_iteration_counts`: the problem and its
-    limits are built once, the columns are stepped together, and a column
-    leaves the working set as soon as both its governing and its shadow
-    count are known.  Runs that never reach ``tol`` contribute
-    ``max_iters``.  Rows are ordered by (set index, point index).
+    A run is one (set, point, algorithm, lambda).  The runs of a subspace set
+    and algorithm are the columns of one `batch_iteration_counts` call; runs
+    that never reach ``tol`` contribute ``max_iters``.  Rows are ordered by
+    (set index, point index).
     """
     dims, algorithms = _checked(d, dims, algorithms, seed, n_sets=n_sets, n_points=n_points,
                                 jobs=jobs)
@@ -411,8 +409,7 @@ def run_single(path: str, tol: float = 1e-6, max_iters: int = 10_000,
         metric += ["governing_distance"] * len(gov) + ["shadow_distance"] * len(sh)
         iteration += [*range(len(gov)), *range(len(sh))]
         value += gov + sh
-    algorithm = "ryu" if isinstance(problem, RyuProblem) else "mt"
-    return _table("single", 0, algorithm, lam, metric, value, iteration)
+    return _table("single", 0, problem.name, lam, metric, value, iteration)
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +506,8 @@ def _checked(d: int, dims, algorithms, seed, **counts):
     names = () if isinstance(algorithms, str) else tuple(algorithms)
     if not names or any(a not in _ALGORITHMS for a in names) or len(set(names)) < len(names):
         raise ValueError(f"need distinct algorithms from {_ALGORITHMS}, got {algorithms!r}")
-    if "ryu" in names:
-        _check_ryu_count(len(dims))
+    for name in names:
+        _check_count(name, len(dims))
     return dims, names
 
 
@@ -565,9 +562,10 @@ def _parse_dims(text: str):
 
 
 def _parse_algorithms(text: str):
-    if text not in ("ryu", "mt", "both"):
+    choices = (*_ALGORITHMS, "both")
+    if text not in choices:
         raise argparse.ArgumentTypeError(
-            f"invalid choice: {text!r} (choose from 'ryu', 'mt', 'both')")
+            f"invalid choice: {text!r} (choose from {', '.join(map(repr, choices))})")
     return _ALGORITHMS if text == "both" else (text,)
 
 

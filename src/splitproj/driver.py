@@ -12,12 +12,9 @@ All distances are Euclidean norms on the stacked block vectors: governing
 distances in R^{(n-1)d}, shadow distances in R^{nd}.
 
 The rate bounds are the spectral radius and the operator norm of the error map
-T_lam - P_Fix.  It is zero on Fix T, and T splits along the intersection Z: it
-maps (Z^perp)^{n-1} and Z^{n-1} into themselves.  So `_rate_curves` takes both
-bounds on the orthogonal complement of Fix T within each of the two (on
-Z^perp, from the E part each Fix T is built from), for a relaxation grid and
-an exp1 chunk of problems, and keeps the larger; `rate_curve` is its
-one-problem call and `rate_bounds` the one-relaxation call of that.
+T_lam - P_Fix, which `_rate_curves` takes on (Z^perp)^{n-1} and on Z^{n-1}
+apart, for a relaxation grid and an exp1 chunk of problems; `rate_curve` is
+its one-problem call and `rate_bounds` the one-relaxation call of that.
 """
 
 from __future__ import annotations
@@ -28,12 +25,7 @@ from numbers import Real
 import numpy as np
 
 from .linalg import _eigvals, _kept, _norms, _operator_norms, _svds
-from .splitting import (
-    RyuProblem,
-    _governing,
-    forward_blocks,
-    operator_matrix,
-)
+from .splitting import _governing, forward_blocks, operator_matrix
 from .subspaces import _computed, _integer
 
 #: Distance ratios averaged by `tail_contraction`.
@@ -120,24 +112,18 @@ def governing_limit(problem, start) -> np.ndarray:
 
 
 def shadow_limit(problem, start) -> np.ndarray:
-    """Limit of the shadow sequence: n copies of the intersection projection.
-
-    The projected point is the first start block for the three-subspace
-    two-variable operator and the block average for the general-n one; for
-    affine problems the projection is onto the affine intersection.  A
-    ``(governing_dim, k)`` matrix of starts gives a ``(n d, k)`` matrix of
-    limits.
+    """Limit of the shadow sequence: n copies of the (affine) intersection
+    projection of the mean of the start blocks where the problem's lift vector
+    l is 1, the first block for Ryu and the block average for MT.  A
+    ``(governing_dim, k)`` matrix of starts gives a ``(n d, k)`` matrix of limits.
     """
     start = _governing(problem, start)
-    d, n = problem.d, problem.n
-    blocks = start.reshape((n - 1, d) + start.shape[1:])
-    p_point = blocks[0] if isinstance(problem, RyuProblem) else blocks.mean(axis=0)
-    pz = problem.intersection().projector
-    anchor = problem.intersection_point
-    if start.ndim == 2:
-        anchor = anchor[:, None]
-    solution = anchor + pz @ (p_point - anchor)
-    return np.tile(solution, (n,) + (1,) * (start.ndim - 1))
+    columns = (1,) * (start.ndim - 1)
+    blocks = start.reshape((problem.n - 1, problem.d) + start.shape[1:])
+    anchor = problem.intersection_point.reshape((-1,) + columns)
+    solution = anchor + problem.intersection().projector @ (
+        blocks[problem._lift == 1].mean(axis=0) - anchor)
+    return np.tile(solution, (problem.n,) + columns)
 
 
 def shadow(problem, z) -> np.ndarray:
@@ -380,9 +366,9 @@ def _rate_curves(problems, lams) -> np.ndarray:
     into themselves, and each bound is the larger of the two restrictions'.
     Each problem's `_fix_split` (W, r, E_r), which its Fix T shares, gives
     them: Q^T T Q and E_r for Q = Id_{n-1} (x) W[:, :r], and, as T acts alike
-    on every direction of Z, Q^T T Q and the closed-form P_Fix there for
-    Q = Id_{n-1} (x) W[:, r].  `_part_curves` takes those of one size together,
-    and a chunk never builds an (n - 1) d square P_Fix.
+    on every direction of Z, Q^T T Q and P_Fix = l l^T / sum(l) there, l the
+    lift vector, for Q = Id_{n-1} (x) W[:, r].  `_part_curves` takes those of
+    one size together, and a chunk never builds an (n - 1) d square P_Fix.
     """
     if any(p.is_affine for p in problems):
         raise ValueError("rate bounds are defined on linear problems; use problem.parallel()")
@@ -395,8 +381,7 @@ def _rate_curves(problems, lams) -> np.ndarray:
         u, ranks = np.stack(w), np.array(ranks)
         m = (n - 1) * d
         t = np.eye(m) + np.stack([p._step[0][-m:] for p in group])
-        on_z = [np.diag([1.0, 0.0]) if isinstance(p, RyuProblem) else np.full((n - 1,) * 2, 1 / (n - 1))
-                for p in group]  # P_Fix on one direction of Z
+        on_z = [np.outer(p._lift, p._lift) / p._lift.sum() for p in group]  # P_Fix on Z
         for r in sorted(set(ranks.tolist())):  # np.unique would import numpy.ma
             sel = np.flatnonzero(ranks == r)
             for side, (cols, fix) in enumerate(((u[sel, :, :r], e), (u[sel, :, r:r + 1], on_z))):

@@ -1,18 +1,17 @@
 """Resolvent-splitting operators specialized to subspace projections.
 
-Two operators are provided, each acting on a stacked product space and each
-defined by its forward pass, with a closed-form projector onto its
-fixed-point set:
-
-* the Ryu operator for exactly three subspaces, acting on R^{2d};
-* the Malitsky-Tam (MT) operator for n >= 3 subspaces, acting on R^{(n-1)d}.
-
-Iterating the relaxed operator drives the forward-pass blocks (the "shadow")
-to a consensus point, which is the orthogonal projection of a start-dependent
-point onto the intersection Z of the subspaces.  Affine problems with nonempty
-intersection are handled by the same formulas with translated resolvents and
-reduce internally to the parallel linear problem plus a shift.  Fix T is a
-copy of Z plus a part E of (Z^perp)^{n-1}, which the closed forms build there.
+Two operators act on a stacked product space, each with a closed-form
+projector onto its fixed-point set: the Ryu operator for exactly three
+subspaces, on R^{2d}, and the Malitsky-Tam (MT) operator for n >= 3, on
+R^{(n-1)d}.  Each problem class describes its operator once, as data
+(`_terms`): its forward and displacement blocks as signed sums of the blocks
+x_i and z_i in the paper's notation, which one evaluator (`_signed_sum`)
+runs, and a 0/1 lift vector l with Fix T ∩ Z^{n-1} = l ⊗ Z for the
+intersection Z, which every formula on Z reads.  Fix T is that copy of Z
+plus a part E of (Z^perp)^{n-1}, which the class's closed form (`_e_part`)
+builds there.  Affine problems with nonempty intersection are handled by
+the same formulas with translated resolvents and reduce internally to the
+parallel linear problem plus a shift.
 
 Block vector layout: governing vectors are contiguous blocks of size d in
 index order (z_1, ..., z_{n-1}); forward passes return n blocks.  The forward
@@ -23,8 +22,9 @@ governing columns, each block then a ``(d, k)`` matrix.  The operators are
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -78,7 +78,12 @@ class _SplittingProblem:
     from stacked formulas instead.
     """
 
+    name: str
+    _arity: int | None = None  # the number of subspaces taken (None: any n >= 3)
+
     def _init_common(self, subspaces, affine_anchors):
+        if len(subspaces) < 3:
+            raise ValueError(f"need at least 3 subspaces, got {len(subspaces)}")
         dims = {s.ambient_dim for s in subspaces}
         if len(dims) != 1:
             raise ValueError(f"subspaces have mixed ambient dimensions: {sorted(dims)}")
@@ -133,11 +138,24 @@ class _SplittingProblem:
         """The linear problem with the same direction subspaces (self if linear)."""
         return self._parallel if self.is_affine else self
 
+    @classmethod
+    def _of(cls, subspaces, affine_anchors=None) -> _SplittingProblem:
+        return cls(subspaces, affine_anchors=affine_anchors)
+
+    @classmethod
+    def from_affine(cls, affine_subspaces):
+        affine_subspaces = list(affine_subspaces)
+        return cls._of([a.direction for a in affine_subspaces],
+                       affine_anchors=[a.anchor for a in affine_subspaces])
+
+    @property
+    def _lift(self) -> np.ndarray:
+        """The lift vector l of `_terms`, as floats: Fix T ∩ Z^{n-1} = l ⊗ Z."""
+        return np.array(self._terms(self.n)[2], dtype=float)
+
     @cached_property
     def _parallel(self) -> _SplittingProblem:
-        if isinstance(self, RyuProblem):
-            return RyuProblem(*self._subspaces)
-        return MTProblem(self._subspaces)
+        return self._of(self._subspaces)
 
     @cached_property
     def _intersection(self) -> Subspace:
@@ -183,12 +201,11 @@ class _SplittingProblem:
     @cached_property
     def _fix(self) -> AffineMap:
         """P_FixT: the linear Fix T projector shifted through a fixed point of T,
-        the lifted intersection point (x*, 0) for Ryu or (x*, ..., x*) for MT,
-        where every forward block is x* (the origin for linear problems)."""
-        x = self._intersection_point
-        point = (np.concatenate([x, np.zeros(self.d)]) if isinstance(self, RyuProblem)
-                 else np.tile(x, self.n - 1))
-        fix = affine_lift(operator_matrix(self), self.parallel()._fix_space, point)
+        x* lifted into the blocks where l = 1 (0 elsewhere), where every forward
+        block is x* (the origin for linear problems)."""
+        point = np.zeros((self.n - 1, self.d))
+        point[self._lift == 1] = self._intersection_point
+        fix = affine_lift(operator_matrix(self), self.parallel()._fix_space, point.ravel())
         _read_only(fix.linear, fix.offset)
         return fix
 
@@ -204,29 +221,73 @@ class _SplittingProblem:
 class RyuProblem(_SplittingProblem):
     """Three subspaces of a common R^d, optionally translated (affine)."""
 
+    name = "ryu"
+    _arity = 3
+
     def __init__(self, u: Subspace, v: Subspace, w: Subspace, affine_anchors=None):
         self._init_common((u, v, w), affine_anchors)
 
     @classmethod
+    def _of(cls, subspaces, affine_anchors=None) -> RyuProblem:
+        return cls(*subspaces, affine_anchors=affine_anchors)
+
+    @staticmethod
+    def _terms(n) -> tuple:
+        """``(forward, displacement, l)``: x_i = P_i(forward[i - 1]) and the
+        blocks of T z - z as sums of the blocks x_i and z_i, and the lift vector."""
+        return ("z1", "x1+z2", "x1-z1+x2-z2"), ("x3-x1", "x3-x2"), (1, 0)
+
+    @staticmethod
+    def _e_part(pu, pv, pw) -> np.ndarray:
+        """The E part of `ryu_fix_projector`, the meet of two explicit projectors,
+        from ``(S, d, d)`` stacks of P_U, P_V, P_W."""
+        S, d = pu.shape[:2]
+        eye = np.eye(d)
+        left = np.zeros((S, 2 * d, 2 * d))
+        left[:, :d, :d] = eye - pu
+        left[:, d:, d:] = eye - pv
+        p_diag = 0.5 * np.block([[eye, eye], [eye, eye]])
+        w_axis = np.zeros((S, 2 * d, 2 * d))
+        w_axis[:, d:, d:] = eye - pw
+        right = _sums(complement(Subspace(p_diag)).projector, _checked(w_axis, stacked=True))
+        return _meet(_checked(left, stacked=True), right)
+
+    @classmethod
     def from_affine(cls, a: AffineSubspace, b: AffineSubspace, c: AffineSubspace):
-        return cls(a.direction, b.direction, c.direction,
-                   affine_anchors=(a.anchor, b.anchor, c.anchor))
+        return super().from_affine((a, b, c))
 
 
 class MTProblem(_SplittingProblem):
     """n >= 3 subspaces of a common R^d, optionally translated (affine)."""
 
-    def __init__(self, subspaces, affine_anchors=None):
-        subspaces = tuple(subspaces)
-        if len(subspaces) < 3:
-            raise ValueError(f"need at least 3 subspaces, got {len(subspaces)}")
-        self._init_common(subspaces, affine_anchors)
+    name = "mt"
 
-    @classmethod
-    def from_affine(cls, affine_subspaces):
-        affine_subspaces = list(affine_subspaces)
-        return cls([a.direction for a in affine_subspaces],
-                   affine_anchors=[a.anchor for a in affine_subspaces])
+    def __init__(self, subspaces, affine_anchors=None):
+        self._init_common(tuple(subspaces), affine_anchors)
+
+    @staticmethod
+    @cache
+    def _terms(n) -> tuple:
+        """`RyuProblem._terms` of the MT operator on n subspaces."""
+        return (("z1", *(f"x{i - 1}+z{i}-z{i - 1}" for i in range(2, n)), f"x1+x{n - 1}-z{n - 1}"),
+                tuple(f"x{i + 1}-x{i}" for i in range(1, n)), (1,) * (n - 1))
+
+    @staticmethod
+    def _e_part(*ps) -> np.ndarray:
+        """The E part of `mt_fix_projector` from ``(S, d, d)`` stacks of each P_i; ran(Psi)
+        is the range projector S S^+ of the block lower-triangular S with (i, j) block Id - P_j."""
+        n = len(ps)
+        S, d = ps[0].shape[:2]
+        m = (n - 1) * d
+        eye = np.eye(d)
+        s = np.zeros((S, m, m))
+        for i in range(n - 1):
+            for j in range(i + 1):
+                s[:, i * d:(i + 1) * d, j * d:(j + 1) * d] = eye - ps[j]
+        ran_psi = _spans(s, 1.0)  # the blocks of S are complements of projectors
+        last_axis = np.tile(np.eye(m), (S, 1, 1))
+        last_axis[:, -d:, -d:] = eye - ps[n - 1]
+        return _meet(ran_psi, _checked(last_axis, stacked=True))
 
 
 def _common_point(subspaces, anchors) -> np.ndarray:
@@ -257,35 +318,33 @@ def _common_point(subspaces, anchors) -> np.ndarray:
 # Forward passes, operator steps and their matrix forms
 # ---------------------------------------------------------------------------
 
-def forward_blocks(problem, z) -> list:
-    """Forward-pass blocks [x_1, ..., x_n] at a governing point z.
+_parse = cache(re.compile(r"([+-]?)([xz])(\d+)").findall)  # (sign, x or z, index) terms
 
-    ``z`` may also be a ``(governing_dim, k)`` matrix of columns; each
-    block is then the ``(d, k)`` matrix of that block over all columns.
-    """
-    z = _governing(problem, z)
-    d = problem.d
-    if isinstance(problem, RyuProblem):
-        x, y = z[:d], z[d:]
-        x1 = problem.resolvent(0, x)
-        x2 = problem.resolvent(1, x1 + y)
-        x3 = problem.resolvent(2, x1 - x + x2 - y)
-        return [x1, x2, x3]
-    n = problem.n
-    zs = [z[i * d:(i + 1) * d] for i in range(n - 1)]
-    xs = [problem.resolvent(0, zs[0])]
-    for i in range(1, n - 1):
-        xs.append(problem.resolvent(i, xs[i - 1] + zs[i] - zs[i - 1]))
-    xs.append(problem.resolvent(n - 1, xs[0] + xs[n - 2] - zs[n - 2]))
-    return xs
+
+def _signed_sum(terms: str, blocks: dict):
+    """The signed sum ``terms`` of blocks, such as "x1-z1+x2-z2", left to right from
+    the first block itself (0 + x would turn a -0.0 of x into 0.0)."""
+    total = None
+    for sign, kind, i in _parse(terms):
+        block = blocks[kind][int(i) - 1]
+        total = block if total is None else total - block if sign == "-" else total + block
+    return total
+
+
+def forward_blocks(problem, z) -> list:
+    """Forward-pass blocks [x_1, ..., x_n] at a governing point z, or their
+    ``(d, k)`` matrices at a ``(governing_dim, k)`` matrix of columns."""
+    z, d = _governing(problem, z), problem.d
+    blocks = {"z": [z[i * d:(i + 1) * d] for i in range(problem.n - 1)], "x": []}
+    for i, terms in enumerate(problem._terms(problem.n)[0]):
+        blocks["x"].append(problem.resolvent(i, _signed_sum(terms, blocks)))
+    return blocks["x"]
 
 
 def displacement(problem, blocks) -> np.ndarray:
     """T z - z expressed through the forward blocks at z (vector or columns)."""
-    if isinstance(problem, RyuProblem):
-        x1, x2, x3 = blocks
-        return np.concatenate([x3 - x1, x3 - x2])
-    return np.concatenate([blocks[i + 1] - blocks[i] for i in range(len(blocks) - 1)])
+    return np.concatenate([_signed_sum(terms, {"x": blocks})
+                           for terms in problem._terms(problem.n)[1]])
 
 
 def operator_matrix(problem) -> AffineMap:
@@ -305,64 +364,21 @@ def operator_matrix(problem) -> AffineMap:
 # ---------------------------------------------------------------------------
 
 def ryu_fix_projector(p: RyuProblem) -> Subspace:
-    """Closed-form projector onto the fixed-point set of the Ryu operator.
-
-    Fix T decomposes orthogonally as (Z x {0}) + E where Z is the
-    intersection and E pairs complement directions whose sum lies in the
-    third complement; E is realized as an intersection of two explicit
-    projectors, on (Z^perp)^2 (`_fix_parts`).  This is `fix_decomposition`.
-    """
+    """Closed-form projector onto the fixed-point set of the Ryu operator:
+    (Z x {0}) + E, E the pairs of complement directions whose sum lies in the
+    third complement (`RyuProblem._e_part`).  This is `fix_decomposition`."""
     if not isinstance(p, RyuProblem):
         raise TypeError(f"ryu_fix_projector needs a RyuProblem, got {type(p).__name__}")
     return fix_decomposition(p)
 
 
-def _ryu_fix(pu, pv, pw) -> np.ndarray:
-    """The E part of `ryu_fix_projector` from ``(S, d, d)`` stacks of P_U, P_V, P_W."""
-    S, d = pu.shape[:2]
-    eye = np.eye(d)
-    left = np.zeros((S, 2 * d, 2 * d))
-    left[:, :d, :d] = eye - pu
-    left[:, d:, d:] = eye - pv
-
-    p_diag = 0.5 * np.block([[eye, eye], [eye, eye]])
-    w_axis = np.zeros((S, 2 * d, 2 * d))
-    w_axis[:, d:, d:] = eye - pw
-    right = _sums(complement(Subspace(p_diag)).projector, _checked(w_axis, stacked=True))
-    return _meet(_checked(left, stacked=True), right)
-
-
 def mt_fix_projector(p: MTProblem) -> Subspace:
-    """Closed-form projector onto the fixed-point set of the MT operator.
-
-    Fix T decomposes orthogonally as D + E: D is the diagonal copy of the
-    intersection (its projector averages the blocks and applies the
-    intersection projector), and E is ran(Psi) cut with the last block's
-    complement, where Psi is the partial-sum operator over the complement
-    spaces.  ran(Psi) is realized as the range projector S S^+ of the
-    block lower-triangular matrix S with (i, j) block Id - P_j for j <= i,
-    on (Z^perp)^{n-1} (`_fix_parts`).  This is `fix_decomposition`.
-    """
+    """Closed-form projector onto the fixed-point set of the MT operator: the diagonal
+    copy of Z plus E, ran(Psi) cut with the last block's complement, Psi the partial-sum
+    operator over the complement spaces (`MTProblem._e_part`).  This is `fix_decomposition`."""
     if not isinstance(p, MTProblem):
         raise TypeError(f"mt_fix_projector needs an MTProblem, got {type(p).__name__}")
     return fix_decomposition(p)
-
-
-def _mt_fix(*ps) -> np.ndarray:
-    """The E part of `mt_fix_projector` from ``(S, d, d)`` stacks of each P_i."""
-    n = len(ps)
-    S, d = ps[0].shape[:2]
-    m = (n - 1) * d
-    eye = np.eye(d)
-    s = np.zeros((S, m, m))
-    for i in range(n - 1):
-        for j in range(i + 1):
-            s[:, i * d:(i + 1) * d, j * d:(j + 1) * d] = eye - ps[j]
-    ran_psi = _spans(s, 1.0)  # the blocks of S are complements of projectors
-
-    last_axis = np.tile(np.eye(m), (S, 1, 1))
-    last_axis[:, -d:, -d:] = eye - ps[n - 1]
-    return _meet(ran_psi, _checked(last_axis, stacked=True))
 
 
 def _fix_parts(problems) -> list:
@@ -371,18 +387,17 @@ def _fix_parts(problems) -> list:
     E lies in (Z^perp)^{n-1}, as every Id - P_i does.  `_svds` of Id - P_Z
     gives a basis W of R^d whose first r columns W_r span Z^perp (the cutoff
     of `Subspace.basis`); E_r, E in the coordinates of Q = Id_{n-1} (x) W_r,
-    is `_ryu_fix` or `_mt_fix` of the r x r restrictions W_r^T P_i W_r.
+    is the class's `_e_part` of the r x r restrictions W_r^T P_i W_r.
     """
     pz, *ps = (np.stack([s.projector for s in column])
                for column in zip(*((p.intersection(), *p.subspaces) for p in problems)))
     w, s = _svds(np.eye(pz.shape[-1]) - pz)[:2]
     ranks = np.count_nonzero(_kept(s, 1.0), axis=-1).tolist()  # dim Z^perp
-    formula = _ryu_fix if isinstance(problems[0], RyuProblem) else _mt_fix
     e = {}
     for r in sorted(set(ranks) - {0}):  # np.unique would import numpy.ma
         items = np.flatnonzero(np.array(ranks) == r)
         wr = w[items, :, :r]
-        e_r = formula(*(np.swapaxes(wr, 1, 2) @ p[items] @ wr for p in ps))
+        e_r = problems[0]._e_part(*(np.swapaxes(wr, 1, 2) @ p[items] @ wr for p in ps))
         _read_only(e_r)
         e.update(zip(items.tolist(), e_r))
     _read_only(w)
@@ -390,12 +405,12 @@ def _fix_parts(problems) -> list:
 
 
 def fix_decomposition(problem) -> Subspace:
-    """Fix T: the diagonal copy of Z (P_Z (+) 0 for Ryu, P_Z / (n - 1) in every
-    block for MT) plus Q E_r Q^T from the problem's `_fix_split`, checked."""
+    """Fix T: the copy l ⊗ Z of the intersection, projector kron(l l^T, P_Z) / sum(l)
+    for the problem's lift vector l (P_Z (+) 0 for Ryu, P_Z / (n - 1) in every
+    block for MT), plus Q E_r Q^T from the problem's `_fix_split`, checked."""
     w, r, e = problem._fix_split
-    pz, k, d = problem.intersection().projector, problem.n - 1, problem.d
-    fix = (np.kron(np.diag([1.0, 0.0]), pz) if isinstance(problem, RyuProblem)
-           else np.tile(pz, (k, k)) / k)
+    pz, k, d, lift = problem.intersection().projector, problem.n - 1, problem.d, problem._lift
+    fix = np.kron(np.outer(lift, lift), pz) / lift.sum()  # divided after the kron, as P_Z / k
     q_e = (w[:, :r] @ e.reshape(k, r, k * r)).reshape(k * d, k, r)  # Q E, by blocks of rows
     return _unchecked(_computed(fix + (q_e @ w[:, :r].T).reshape(k * d, k * d)))
 
@@ -431,10 +446,12 @@ def _read_only(*arrays) -> None:
 
 
 def _governing(p, z) -> np.ndarray:
-    """A governing vector, or a ``(governing_dim, k)`` matrix of k such columns."""
+    """A finite governing vector, or a ``(governing_dim, k)`` matrix of k such columns."""
     z = np.asarray(z, dtype=float)
     if z.ndim != 2:
         z = z.reshape(-1)
     if z.shape[0] != p.governing_dim:
         raise ValueError(f"governing vector has dimension {z.shape[0]}, expected {p.governing_dim}")
+    if not np.isfinite(z).all():
+        raise ValueError("governing vector must be finite")
     return z

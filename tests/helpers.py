@@ -16,10 +16,12 @@ from itertools import chain, groupby
 import numpy as np
 
 from splitproj import (
+    AffineMap,
     IterationTrace,
     MTProblem,
     RyuProblem,
     Subspace,
+    affine_lift,
     forward_blocks,
     governing_limit,
     operator_matrix,
@@ -29,10 +31,10 @@ from splitproj import (
     shadow_limit,
 )
 from splitproj.cli import CSV_HEADER, Table
-from splitproj.driver import _relaxations
+from splitproj.driver import _part_curves, _relaxations
 from splitproj.linalg import _eigvals, _kept, _operator_norms, _svds, pseudoinverse
 from splitproj.splitting import _AFFINE_TOL, _governing, displacement
-from splitproj.subspaces import _computed, _meet, _spans, _sums
+from splitproj.subspaces import _computed, _meet, _spans, _sums, _unchecked
 
 
 def nullspace_intersection(projectors) -> np.ndarray:
@@ -412,3 +414,123 @@ def json_dumps_rendering(records) -> str:
     return json.dumps([dict(zip(CSV_HEADER, (r.experiment, r.algorithm, r.lam, r.instance_seed,
                                              r.metric_name, r.iteration, r.metric_value)))
                        for r in _documented_order(records)], indent=2) + "\n"
+
+
+# Oracles for the operator descriptions: each operator written out by hand,
+# with its own class branches, as the code was before the classes described
+# their operators as term lists and a lift vector.
+
+def hand_forward_blocks(problem, z) -> list:
+    """Oracle for `forward_blocks`: the Ryu and the MT forward passes by hand."""
+    z = _governing(problem, z)
+    d = problem.d
+    if isinstance(problem, RyuProblem):
+        x, y = z[:d], z[d:]
+        x1 = problem.resolvent(0, x)
+        x2 = problem.resolvent(1, x1 + y)
+        x3 = problem.resolvent(2, x1 - x + x2 - y)
+        return [x1, x2, x3]
+    n = problem.n
+    zs = [z[i * d:(i + 1) * d] for i in range(n - 1)]
+    xs = [problem.resolvent(0, zs[0])]
+    for i in range(1, n - 1):
+        xs.append(problem.resolvent(i, xs[i - 1] + zs[i] - zs[i - 1]))
+    xs.append(problem.resolvent(n - 1, xs[0] + xs[n - 2] - zs[n - 2]))
+    return xs
+
+
+def hand_displacement(problem, blocks) -> np.ndarray:
+    """Oracle for `displacement`: T z - z of each operator by hand."""
+    if isinstance(problem, RyuProblem):
+        x1, x2, x3 = blocks
+        return np.concatenate([x3 - x1, x3 - x2])
+    return np.concatenate([blocks[i + 1] - blocks[i] for i in range(len(blocks) - 1)])
+
+
+def hand_step(problem) -> tuple:
+    """Oracle for `_step`: ``[F; Id; T - Id]`` and its offset from the hand passes."""
+    m = problem.governing_dim
+    if problem.is_affine:
+        matrix = hand_step(problem.parallel())[0]
+        at_origin = hand_forward_blocks(problem, np.zeros((m, 1)))
+        offset = np.concatenate([np.concatenate(at_origin)[:, 0], np.zeros(m),
+                                 hand_displacement(problem, at_origin)[:, 0]])
+        return matrix, offset
+    blocks = hand_forward_blocks(problem, np.eye(m))
+    matrix = np.vstack([np.concatenate(blocks), np.eye(m), hand_displacement(problem, blocks)])
+    return matrix, np.zeros(matrix.shape[0])
+
+
+def hand_fix_split(problem) -> tuple:
+    """Oracle for `_fix_split` of a linear problem: ``(W, r, E_r)``, the E part
+    chosen by class."""
+    pz, *ps = (s.projector[None] for s in (problem.intersection(), *problem.subspaces))
+    w, sv = _svds(np.eye(problem.d) - pz)[:2]
+    r = int(np.count_nonzero(_kept(sv, 1.0)))
+    if not r:
+        return w[0], 0, np.zeros((0, 0))
+    formula = RyuProblem._e_part if isinstance(problem, RyuProblem) else MTProblem._e_part
+    wr = w[[0], :, :r]
+    return w[0], r, formula(*(np.swapaxes(wr, 1, 2) @ p @ wr for p in ps))[0]
+
+
+def hand_fix_decomposition(problem) -> np.ndarray:
+    """Oracle for `fix_decomposition`'s projector: the copy of Z by class."""
+    w, r, e = hand_fix_split(problem)
+    pz, k, d = problem.intersection().projector, problem.n - 1, problem.d
+    fix = (np.kron(np.diag([1.0, 0.0]), pz) if isinstance(problem, RyuProblem)
+           else np.tile(pz, (k, k)) / k)
+    q_e = (w[:, :r] @ e.reshape(k, r, k * r)).reshape(k * d, k, r)
+    return _computed(fix + (q_e @ w[:, :r].T).reshape(k * d, k * d))
+
+
+def hand_fix(problem) -> AffineMap:
+    """Oracle for `_fix`: P_FixT through the lifted point of `lifted_point`."""
+    matrix, offset = hand_step(problem)
+    m = problem.governing_dim
+    fix = _unchecked(hand_fix_decomposition(problem.parallel()))
+    return affine_lift(AffineMap(np.eye(m) + matrix[-m:], offset[-m:]), fix, lifted_point(problem))
+
+
+def hand_shadow_limit(problem, start) -> np.ndarray:
+    """Oracle for `shadow_limit`: the first start block for Ryu, the block mean for MT."""
+    start = _governing(problem, start)
+    d, n = problem.d, problem.n
+    blocks = start.reshape((n - 1, d) + start.shape[1:])
+    p_point = blocks[0] if isinstance(problem, RyuProblem) else blocks.mean(axis=0)
+    pz = problem.intersection().projector
+    anchor = problem.intersection_point
+    if start.ndim == 2:
+        anchor = anchor[:, None]
+    solution = anchor + pz @ (p_point - anchor)
+    return np.tile(solution, (n,) + (1,) * (start.ndim - 1))
+
+
+def hand_rate_curves(problems, lams) -> np.ndarray:
+    """Oracle for `driver._rate_curves`, as a ``(2, problems, relaxations)``
+    array: the bounds on Z^perp and on a direction of Z, where P_Fix is
+    diag(1, 0) for Ryu and the block mean for MT, and the larger of the two."""
+    lam = _relaxations(lams).reshape(-1)
+    parts = {}
+    for n, d in sorted({(p.n, p.d) for p in problems}):
+        items = np.array([i for i, p in enumerate(problems) if (p.n, p.d) == (n, d)])
+        group = [problems[i] for i in items]
+        w, ranks, e = zip(*(hand_fix_split(p) for p in group))
+        u, ranks = np.stack(w), np.array(ranks)
+        m = (n - 1) * d
+        t = np.eye(m) + np.stack([hand_step(p)[0][-m:] for p in group])
+        on_z = [np.diag([1.0, 0.0]) if isinstance(p, RyuProblem) else np.full((n - 1,) * 2, 1 / (n - 1))
+                for p in group]
+        for r in sorted(set(ranks.tolist())):
+            sel = np.flatnonzero(ranks == r)
+            for side, (cols, fix) in enumerate(((u[sel, :, :r], e), (u[sel, :, r:r + 1], on_z))):
+                if cols.shape[-1]:
+                    q = np.kron(np.eye(n - 1), cols)
+                    parts.setdefault(q.shape[-1], []).append(
+                        (side * len(problems) + items[sel], np.swapaxes(q, 1, 2) @ t[sel] @ q,
+                         np.stack([fix[i] for i in sel])))
+    curves = np.zeros((2, 2 * len(problems), lam.size))
+    for size in sorted(parts):
+        rows, t, fix = map(np.concatenate, zip(*parts[size]))
+        curves[:, rows] = _part_curves(t, fix, lam)
+    return curves.reshape(2, 2, len(problems), lam.size).max(axis=1)

@@ -129,6 +129,36 @@ def test_exp2_serial_equals_parallel():
     assert records_to_csv(exp2(**kwargs)) == records_to_csv(exp2(**kwargs, jobs=2))
 
 
+def test_a_pool_starts_at_most_one_worker_per_task(monkeypatch):
+    # a fork pool starts all its workers at the first task, so --jobs 8 on
+    # five sets used to start eight processes, and one set with --jobs 3
+    # three; a stub pool records its size and runs the tasks here
+    import concurrent.futures
+
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, worker, arglist):
+            return map(worker, arglist)
+
+    runs = [(exp3, dict(n_sets=5, n_points=2, n_iters=5, seed=1, jobs=8)),
+            (exp2, dict(n_sets=1, n_points=1, lambda_grid=[0.5], seed=1, jobs=3)),
+            (exp1, dict(n_instances=2, lambda_grid=[0.5], seed=1, jobs=4))]
+    want = [records_to_csv(f(**{**kwargs, "jobs": 1})) for f, kwargs in runs]
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    assert [records_to_csv(f(**kwargs)) for f, kwargs in runs] == want
+    assert sizes == [5, 2]
+
+
 def test_exp3_trace_shape_and_qualitative_behavior():
     records = rows_of(exp3(n_sets=5, n_points=4, lam=0.3, n_iters=150, seed=5))
     by = {}

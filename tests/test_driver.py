@@ -27,6 +27,7 @@ from splitproj import (
     asymptotic_contraction,
     batch_iteration_counts,
     fix_decomposition,
+    forward_blocks,
     governing_limit,
     iterate,
     iteration_counts,
@@ -81,6 +82,25 @@ def test_max_iters_must_be_a_nonnegative_integer():
     config = IterationConfig(0.5, tol=1e-300, max_iters=np.int64(3))
     assert iteration_counts(p, config, start) == (3, 3)
     assert iterate(p, config, start).iterations == 3
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("make", [random_ryu, random_mt], ids=["ryu", "mt"])
+def test_non_finite_governing_vectors_are_rejected(make, bad):
+    # a NaN start used to count as a capped run, and iterate took every step
+    # of its budget to report converged=False
+    p = make(np.random.default_rng(3))
+    start = np.ones(p.governing_dim)
+    start[2] = bad
+    config = IterationConfig(0.5)
+    calls = [lambda: iterate(p, config, start), lambda: iteration_counts(p, config, start),
+             lambda: batch_iteration_counts(p, start[:, None], [0.5]),
+             lambda: governing_limit(p, start), lambda: shadow_limit(p, start),
+             lambda: forward_blocks(p, start),
+             lambda: next(orbit([p], start[None, :, None], 0.5))]
+    for call in calls:
+        with pytest.raises(ValueError, match="^governing vector must be finite$"):
+            call()
 
 
 def test_iterate_from_fixed_point():

@@ -1,7 +1,8 @@
 """Property tests: the blocked counts kernel against its per-step oracle, the
-split rate kernel and Fix T against their full-space forms, the row writers against the
-`csv.writer` and `json.dumps` renderings, and chunk-built experiment
-instances against instances built one at a time."""
+split rate kernel and Fix T against their full-space forms, the forms built
+from the operator descriptions against the hand-written operators, the row
+writers against the `csv.writer` and `json.dumps` renderings, and chunk-built
+experiment instances against instances built one at a time."""
 
 import numpy as np
 import pytest
@@ -16,6 +17,12 @@ from helpers import (  # noqa: E402
     fixed_point_projector,
     full_space_fix,
     full_space_rate_curves,
+    hand_fix,
+    hand_fix_decomposition,
+    hand_forward_blocks,
+    hand_rate_curves,
+    hand_shadow_limit,
+    hand_step,
     json_dumps_rendering,
     mixed_problems,
     random_instance,
@@ -29,8 +36,11 @@ from splitproj import (  # noqa: E402
     RyuProblem,
     batch_iteration_counts,
     fix_decomposition,
+    forward_blocks,
     from_basis,
     intersect_all,
+    rate_curve,
+    shadow_limit,
 )
 from splitproj.cli import (  # noqa: E402
     _build_problem,
@@ -62,6 +72,51 @@ def test_block_counts_equal_the_stepwise_oracle(seed, k, max_iters, n, affine, t
     got = batch_iteration_counts(p, starts, lams, tol, max_iters)
     want = stepwise_batch_counts(p, starts, lams, tol, max_iters)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def _bits(build) -> list:
+    """The int64 views of the arrays that ``build()`` returns, so that a
+    zero's sign counts, or ``[NumericalFailure]`` if it raises one."""
+    try:
+        return [np.ascontiguousarray(a, dtype=float).view(np.int64) for a in build()]
+    except NumericalFailure:
+        return [NumericalFailure]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([0, 3, 4, 5, 6]), d=st.integers(2, 8),
+       affine=st.booleans())
+def test_operator_descriptions_keep_the_bits_of_the_hand_written_operators(seed, n, d, affine):
+    # n = 0 is the Ryu operator, otherwise MT on n subspaces; the subspaces
+    # share a random subspace, so that Z is often nonzero, and sometimes R^d,
+    # where a lifted point with a product 0 x* would hold a -0.0
+    rng = np.random.default_rng(seed)
+    shared = rng.standard_normal((d, rng.integers(0, d + 1)))
+    subs = [from_basis(np.hstack([shared, rng.standard_normal((d, rng.integers(0, d)))]))
+            for _ in range(max(n, 3))]
+    anchors = None
+    if affine:
+        v = rng.standard_normal(d)
+        anchors = [v + s.projector @ rng.standard_normal(d) for s in subs]
+    p = MTProblem(subs, affine_anchors=anchors) if n else RyuProblem(*subs, affine_anchors=anchors)
+    linear = p.parallel()
+    starts = rng.standard_normal((p.governing_dim, 3))
+    lams = [0.05, 0.5, 0.95]
+    pairs = [
+        (lambda: forward_blocks(p, starts), lambda: hand_forward_blocks(p, starts)),
+        (lambda: p._step, lambda: hand_step(p)),
+        (lambda: [fix_decomposition(linear).projector], lambda: [hand_fix_decomposition(linear)]),
+        (lambda: (p._fix.linear, p._fix.offset),
+         lambda: (lambda fix: (fix.linear, fix.offset))(hand_fix(p))),
+        (lambda: (shadow_limit(p, starts), shadow_limit(p, starts[:, 0])),
+         lambda: (hand_shadow_limit(p, starts), hand_shadow_limit(p, starts[:, 0]))),
+        (lambda: rate_curve(linear, lams), lambda: hand_rate_curves([linear], lams)[:, 0]),
+    ]
+    for got, want in pairs:
+        got, want = _bits(got), _bits(want)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g is w if w is NumericalFailure else np.array_equal(g, w)
 
 
 def _rate_problems(rng, n, d, kind):
