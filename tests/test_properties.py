@@ -106,8 +106,7 @@ def test_operator_descriptions_keep_the_bits_of_the_hand_written_operators(seed,
         (lambda: forward_blocks(p, starts), lambda: hand_forward_blocks(p, starts)),
         (lambda: p._step, lambda: hand_step(p)),
         (lambda: [fix_decomposition(linear).projector], lambda: [hand_fix_decomposition(linear)]),
-        (lambda: (p._fix.linear, p._fix.offset),
-         lambda: (lambda fix: (fix.linear, fix.offset))(hand_fix(p))),
+        (lambda: (p._fix.linear, p._fix.offset), lambda: (hand_fix(p).linear, hand_fix(p).offset)),
         (lambda: (shadow_limit(p, starts), shadow_limit(p, starts[:, 0])),
          lambda: (hand_shadow_limit(p, starts), hand_shadow_limit(p, starts[:, 0]))),
         (lambda: rate_curve(linear, lams), lambda: hand_rate_curves([linear], lams)[:, 0]),
