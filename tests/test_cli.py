@@ -750,6 +750,26 @@ def test_exp2_mt5_csv_matches_golden_file():
     assert records_to_csv(records) == golden.read_text()
 
 
+_SEED7 = ["--n", "2", "--n-points", "3", "--lambda-grid", "0.05:0.45:0.95", "--seed", "7"]
+
+
+@pytest.mark.parametrize("name, argv", [
+    # dim Z = n - 2 = 2: two factor columns of the Z coefficients
+    ("seed7_mt4", [*_SEED7, "--algorithm", "mt", "--sub-dims", "5,5,5,5"]),
+    # dim Z = 5 > n - 2: five Z coordinates fold into one
+    ("seed7_d9", [*_SEED7, "--dim", "9", "--sub-dims", "7,8,8"]),
+    # Z = R^d: Ryu's whole error lies on Z and MT's is 0
+    ("seed7_whole", [*_SEED7, "--sub-dims", "6,6,6"]),
+    # counts of thousands of steps, to tol 1e-10
+    ("seed11_tight", ["--n", "2", "--n-points", "5", "--tol", "1e-10", "--max-iters", "20000",
+                      "--lambda-grid", "0.01:0.1:0.91", "--seed", "11"]),
+], ids=["seed7_mt4", "seed7_d9", "seed7_whole", "seed11_tight"])
+def test_exp2_edge_csv_matches_golden_file(name, argv, capsys):
+    # written by the kernel that stepped the error in all (n - 1) d rows
+    assert main(["exp2", *argv]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"exp2_{name}.csv").read_text()
+
+
 def test_exp2_wide_phase_matches_golden_file(capsys):
     # 25 points at each of 99 relaxations: 2 475 columns per algorithm, which
     # start one step per block; written by the kernel that stepped them
