@@ -9,7 +9,8 @@ Every limit is thus known in closed form, so a run stops once its iterate
 is within ``tol`` of that limit.
 
 All distances are Euclidean norms on the stacked block vectors: governing
-distances in R^{(n-1)d}, shadow distances in R^{nd}.
+distances in R^{(n-1)d}, shadow distances in R^{nd}; the counts kernel takes
+them in coordinates split along the intersection Z (`_split_errors`).
 
 The rate bounds are the spectral radius and the operator norm of the error map
 T_lam - P_Fix, which `_rate_curves` takes on (Z^perp)^{n-1} and on Z^{n-1}
@@ -38,7 +39,7 @@ _DOUBLINGS = 20
 _BLOCK_STEPS = 32
 _BLOCK_ENTRIES = 1 << 14
 #: `batch_iteration_counts` keeps at most this many entries (256 KiB) of the
-#: nd + m rows of F e over e in a block, stepped or propagated.
+#: rows of F' x over x in a block, stepped or propagated.
 _KERNEL_ENTRIES = 1 << 15
 
 
@@ -231,6 +232,34 @@ def _propagators(d, lams) -> np.ndarray:
     return np.stack(powers, axis=1).reshape(len(lams), -1, d.shape[1])
 
 
+def _split_errors(p, errors) -> tuple:
+    """F', D' and the ``(governing_dim, k)`` errors of a linear problem in the
+    coordinates x of `batch_iteration_counts`.  With (W, r) from `_fix_split`,
+    the part on (Z^perp)^{n-1} is Q^T e for Q = Id_{n-1} (x) W_r, stepped by
+    Q^T D Q, with shadow Q_s^T F Q.  On Z^{n-1} = R^{n-1} (x) Z, D and F act as
+    D_Z (x) Id and F_Z (x) Id, and e is orthogonal to l (x) Z, so its Z
+    coefficients are V Y, V an orthonormal basis of l^perp, and enter the norms
+    only through Y Y^T: Y gives way to R^T of the QR factors of Y^T ((n - 2) x c,
+    c = min(dim Z, n - 2)), stepped by Id_c (x) V^T D_Z V, with shadow
+    Id_c (x) F_Z V.  D' and F' are the block-diagonal sums of the two parts."""
+    (w, r), n, d, k = p._fix_split[:2], p.n, p.d, errors.shape[1]
+    f, dm = (w.T @ a.reshape(-1, d, n - 1, d).swapaxes(1, 2) @ w  # the d x d blocks in W
+             for a in (p._step[0][:n * d], p._step[0][-(n - 1) * d:]))
+    v = np.linalg.svd(p._lift[None])[2][1:].T
+    e = w.T @ errors.reshape(n - 1, d, k)
+    y = (v.T @ e[:, r:].reshape(n - 1, -1)).reshape(n - 2, d - r, k)
+    factor = np.linalg.qr(y.T, mode="r")  # (k, c, n - 2), each R^T R = Y Y^T
+    c, parts = factor.shape[1], []  # W[:, -1] lies in Z when c > 0
+    for x, on_z in ((f, f[:, :, -1, -1] @ v), (dm, v.T @ dm[:, :, -1, -1] @ v)):
+        rows = len(x) * r
+        out = np.zeros((rows + c * len(on_z), (n - 1) * r + c * (n - 2)))
+        out[:rows, :(n - 1) * r] = x[:, :, :r, :r].swapaxes(1, 2).reshape(rows, (n - 1) * r)
+        out[rows:, (n - 1) * r:] = (np.eye(c)[:, None, :, None] * on_z[:, None]).reshape(
+            c * len(on_z), c * (n - 2))
+        parts.append(out)
+    return (*parts, np.vstack([e[:, :r].reshape((n - 1) * r, k), factor.reshape(k, -1).T]))
+
+
 def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
                            max_iters: int = 10_000) -> tuple:
     """`iteration_counts` for many runs of one problem, stepped together.
@@ -242,15 +271,18 @@ def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
 
     T is affine and z* = P_FixT z0 is a fixed point, so the error
     e = z - z* of a column obeys e <- e + lam D e, D the linear part of
-    T - Id, and its shadow error is F e, F the linear forward pass.  The
-    columns step their errors together into ``(steps, m, columns)`` blocks
-    of at least one step and at most ``_KERNEL_ENTRIES`` entries of the
-    nd + m rows of F e over e; a block's shadow errors are one 2-D product
-    with F, and its distances are plain column norms.  A column leaves the
+    T - Id, and its shadow error is F e, F the linear forward pass.  As every
+    P_i commutes with P_Z, the kernel steps e in the coordinates x of
+    `_split_errors`, by D', with ||x|| = ||e|| and ||F' x|| = ||F e|| up to
+    rounding: m = 7 rows of x and 12 of F' x on default instances, not 12
+    and 18.  The columns step x together into ``(steps, m, columns)`` blocks
+    of at least one step and at most ``_KERNEL_ENTRIES`` entries of the rows
+    of F' x over x; a block's shadow errors are one 2-D product with F', and
+    its distances are plain column norms.  A column leaves the
     working set after the block in which both its counts become known, so a
     slow relaxation does not keep the fast ones stepping.  In the first
     block, and while the live columns are too many for a round of
-    ``_BLOCK_STEPS`` steps, each step is one product with the m x m block D.
+    ``_BLOCK_STEPS`` steps, each step is one product with the m x m D'.
     Then each block comes from the last tested error, in rounds, each one
     product per run of equal relaxations (the columns are sorted by lam) with
     its `_propagators` power stack, from the last error of the round before.
@@ -270,15 +302,14 @@ def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
         return counts[1], counts[0]
     # row 0 of counts, open_ and hit is the shadow, row 1 the governing sequence
     linear = problem.parallel()
-    matrix = linear._step[0]
-    m = problem.governing_dim
-    f, d = matrix[:-2 * m], matrix[-m:]
-    rows = matrix.shape[0] - m  # nd + m: F e over e
+    limits = governing_limit(problem, z) if problem.is_affine else linear._fix_space.projector @ z
+    f, d, last = _split_errors(linear, z - limits)
+    m = d.shape[0]
+    rows = f.shape[0] + m  # F' x over x
     open_ = np.ones((2, k), dtype=bool)
     cols = np.argsort(lam, kind="stable")  # equal relaxations side by side
     lam = lam[cols]
-    limits = governing_limit(problem, z) if problem.is_affine else linear._fix_space.projector @ z
-    last = (z - limits)[:, cols]  # the start error, then the last tested one
+    last = last[:, cols]  # the start error, then the last tested one
     it, propagators, runs, keep = 0, {}, None, None
     while True:
         c, left = cols.size, max_iters + 1 - it

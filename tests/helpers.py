@@ -337,21 +337,49 @@ def longdouble_distances(problem, start, lam, n_steps) -> tuple:
     in ``np.longdouble``, with D and the forward pass F taken as the
     problem's stored float64 matrices.  Returns the governing distances
     ||e_k|| and the shadow distances ||F e_k|| for k = 0..n_steps, so a
-    count at ``tol`` is the first k whose distance is at most ``tol``.
+    count at ``tol`` is the first k whose distance is at most ``tol``.  A
+    ``(governing_dim, k)`` matrix of starts, with one relaxation or one per
+    column, gives two ``(n_steps + 1, k)`` arrays.
     """
     matrix = problem.parallel()._step[0].astype(np.longdouble)
     m = problem.governing_dim
     f, d = matrix[:-2 * m], matrix[-m:]
-    z = np.asarray(start, dtype=float).reshape(-1)
+    z = np.asarray(start, dtype=float)
+    columns = z.reshape(m, -1)
     fix = problem._fix
-    e = z.astype(np.longdouble) - (fix.linear.astype(np.longdouble) @ z + fix.offset)
-    errors = [e]
-    for _ in range(n_steps):
-        e = e + np.longdouble(lam) * (d @ e)
-        errors.append(e)
-    errors = np.array(errors)
-    return (np.sqrt(np.sum(errors * errors, axis=1)),
-            np.sqrt(np.sum((errors @ f.T) ** 2, axis=1)))
+    e = columns.astype(np.longdouble) - (fix.linear.astype(np.longdouble) @ columns
+                                         + fix.offset[:, None])
+    lam = np.asarray(lam, dtype=np.longdouble)
+    gov, sh = [], []
+    for i in range(n_steps + 1):
+        if i:
+            e = e + lam * (d @ e)
+        gov.append(np.sqrt(np.sum(e * e, axis=0)))
+        sh.append(np.sqrt(np.sum((f @ e) ** 2, axis=0)))
+    out = np.array(gov), np.array(sh)
+    return out if z.ndim == 2 else tuple(x[:, 0] for x in out)
+
+
+def count_margins(problem, starts, lams, tol, counts, max_iters) -> tuple:
+    """Oracle for how near to rounding the counts of `batch_iteration_counts` lie.
+
+    ``counts`` holds the governing and the shadow counts of the columns of
+    ``starts`` (run at ``lams``, as in the kernel).  Returns two ``(2, k)``
+    arrays, governing over shadow, from the `longdouble_distances` d_j of
+    each column: the relative margin min(|d_{c-1}/tol - 1|, |d_c/tol - 1|)
+    at each count c (|d_0/tol - 1| at c = 0), and the extended-precision
+    counts, the first j with d_j <= tol, or ``max_iters`` if none within the
+    steps stepped (one past the largest count, at most ``max_iters``).
+    """
+    counts = np.asarray(counts)
+    steps = min(max_iters, int(counts.max()) + 1)
+    dist = np.stack(longdouble_distances(problem, starts, lams, steps))  # (2, steps + 1, k)
+    ratio = np.abs(dist / tol - 1)
+    at = [np.take_along_axis(ratio, c[:, None], axis=1)[:, 0]
+          for c in (counts, np.maximum(counts - 1, 0))]
+    reached = dist <= tol
+    exact = np.where(reached.any(axis=1), reached.argmax(axis=1), max_iters)
+    return np.minimum(*at).astype(float), exact
 
 
 #: One output row, as the oracles read it; an iteration of None is a row

@@ -4,6 +4,7 @@ import pytest
 import splitproj.driver as driver
 import splitproj.linalg as linalg
 from helpers import (
+    count_margins,
     longdouble_distances,
     mixed_problems,
     per_step_iterate,
@@ -779,24 +780,26 @@ def _propagated(monkeypatch, shapes):
 
 
 def test_batch_counts_switch_to_propagators_mid_run(monkeypatch):
-    # 40 columns step one step at a time until the six slow ones are all
+    # 70 columns step one step at a time until the six slow ones are all
     # that is live (they fit a full round up to n = 5); those finish on
     # propagated blocks
     shapes = _tested_blocks(monkeypatch)
     switches = _propagated(monkeypatch, shapes)
     rng = np.random.default_rng(34)
     for p in _kernel_problems(rng):
-        starts = rng.standard_normal((p.governing_dim, 40))
-        lams = np.r_[rng.uniform(0.3, 0.99, 34), 0.05, 0.06, 0.06, 0.07, 0.08, 0.08]
-        rows = p.n * p.d + p.governing_dim
-        assert 40 * rows * driver._BLOCK_STEPS > driver._KERNEL_ENTRIES
-        assert 6 * rows * driver._BLOCK_STEPS <= driver._KERNEL_ENTRIES
+        starts = rng.standard_normal((p.governing_dim, 70))
+        lams = np.r_[rng.uniform(0.3, 0.99, 64), 0.05, 0.06, 0.06, 0.07, 0.08, 0.08]
         shapes.clear()
         switches.clear()
         got = batch_iteration_counts(p, starts, lams, 1e-6, 20_000)
         want = stepwise_batch_counts(p, starts, lams, 1e-6, 20_000)
         case = (type(p).__name__, p.n, p.is_affine)
         assert all(map(np.array_equal, got, want)), case
+        # the shadow and error rows on Z^perp and on Z, against nd + (n - 1) d = 30, 42, 54
+        rows = shapes[0][1]
+        assert rows == {3: 12 + 7, 4: 24 + 16, 5: 30 + 23}[p.n], case
+        assert 70 * rows * driver._BLOCK_STEPS > driver._KERNEL_ENTRIES
+        assert 6 * rows * driver._BLOCK_STEPS <= driver._KERNEL_ENTRIES
         [first] = switches
         assert 0 < sum(s[0] for s in shapes[:first]) < np.max(want) // 2, case
         # a block is stepped while its columns are too many for a round
@@ -884,7 +887,8 @@ def test_narrow_blocks_hold_at_most_block_entries(monkeypatch):
             want = stepwise_batch_counts(p, starts, lams, 1e-6, 5_000)
             assert all(map(np.array_equal, got, want)), (type(p).__name__, p.n, k)
     assert all(s[0] == 1 or np.prod(s) <= driver._KERNEL_ENTRIES for s in shapes)
-    assert max(s[0] for s in shapes) == 34 * driver._BLOCK_STEPS  # one column, 30 rows
+    # one column of 19 rows (12 shadow and 7 error rows), against 34 rounds of 30 rows
+    assert max(s[0] for s in shapes) == 53 * driver._BLOCK_STEPS
 
 
 def test_batch_counts_of_a_linear_problem_build_no_affine_fix_projector():
@@ -956,3 +960,20 @@ def test_stacked_propagators_keep_the_bits_of_the_per_relaxation_loop():
         for _ in range(driver._BLOCK_STEPS - 1):
             powers.append(step @ powers[-1])
         assert np.array_equal(item, np.vstack(powers))
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9])
+def test_counts_equal_the_extended_precision_counts_outside_rounding(tol):
+    # exp2's layout, one start point at each of the 99 relaxations: a count
+    # may differ from the one of the extended-precision recurrence only where
+    # a distance at its crossing lies within 1e-6 of tol, relatively
+    from splitproj.cli import _instances, _start_points, default_lambda_grid
+
+    grid = default_lambda_grid()
+    for algorithm in ("ryu", "mt"):
+        [p] = _instances(2, range(1), 6, (5, 5, 5), (algorithm,))[algorithm]
+        starts = np.tile(np.repeat(_start_points(2, 1, 6), len(grid), axis=1), (p.n - 1, 1))
+        counts = batch_iteration_counts(p, starts, grid, tol, 20_000)
+        margins, exact = count_margins(p, starts, grid, tol, counts, 20_000)
+        assert np.all((np.array(counts) == exact) | (margins < 1e-6)), algorithm
+        assert np.median(margins) > 1e-3

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from helpers import (  # noqa: E402
@@ -38,6 +38,7 @@ from splitproj import (  # noqa: E402
     fix_decomposition,
     forward_blocks,
     from_basis,
+    governing_limit,
     intersect_all,
     rate_curve,
     shadow_limit,
@@ -50,7 +51,7 @@ from splitproj.cli import (  # noqa: E402
     records_to_csv,
     records_to_json,
 )
-from splitproj.driver import _rate_curves  # noqa: E402
+from splitproj.driver import _rate_curves, _split_errors  # noqa: E402
 from splitproj.splitting import _fill_fix_spaces  # noqa: E402
 
 
@@ -72,6 +73,44 @@ def test_block_counts_equal_the_stepwise_oracle(seed, k, max_iters, n, affine, t
     got = batch_iteration_counts(p, starts, lams, tol, max_iters)
     want = stepwise_batch_counts(p, starts, lams, tol, max_iters)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([0, 3, 4, 5, 6]), d=st.integers(2, 8),
+       shared=st.integers(0, 8), extra=st.integers(0, 8), affine=st.booleans())
+@example(seed=1, n=0, d=4, shared=8, extra=0, affine=False)  # Z = R^d: r = 0
+@example(seed=2, n=5, d=6, shared=0, extra=1, affine=True)  # five lines: Z = {0}, r = d
+@example(seed=3, n=0, d=8, shared=5, extra=1, affine=False)  # dim Z = 5 > n - 2
+@example(seed=4, n=6, d=8, shared=1, extra=2, affine=False)  # dim Z = 1 < n - 2
+def test_split_errors_follow_the_full_space_recurrence(seed, n, d, shared, extra, affine):
+    # n = 0 is the Ryu operator, otherwise MT on n subspaces; each subspace
+    # spans a shared random subspace of dimension min(shared, d) and 0..extra
+    # random directions of its own
+    rng = np.random.default_rng(seed)
+    common = rng.standard_normal((d, min(shared, d)))
+    subs = [from_basis(np.hstack([common, rng.standard_normal((d, rng.integers(0, extra + 1)))]))
+            for _ in range(max(n, 3))]
+    anchors = None
+    if affine:
+        v = rng.standard_normal(d)
+        anchors = [v + s.projector @ rng.standard_normal(d) for s in subs]
+    p = MTProblem(subs, affine_anchors=anchors) if n else RyuProblem(*subs, affine_anchors=anchors)
+    m = p.governing_dim
+    z = rng.standard_normal((m, 4))
+    try:
+        e = z - governing_limit(p, z)
+    except NumericalFailure:  # a closed-form Fix T that fails its projector check
+        return
+    f_full, d_full = p.parallel()._step[0][:-2 * m], p.parallel()._step[0][-m:]
+    f, d_split, x = _split_errors(p.parallel(), e)
+    scale = 1e-10 * np.linalg.norm(e, axis=0)
+    for lam in (0.3, 0.7):
+        e_k, x_k = e, x
+        for _ in range(65):  # k = 0..64
+            for a, b in ((e_k, x_k), (f_full @ e_k, f @ x_k)):
+                assert np.all(np.abs(np.linalg.norm(a, axis=0) - np.linalg.norm(b, axis=0))
+                              <= scale)
+            e_k, x_k = e_k + lam * (d_full @ e_k), x_k + lam * (d_split @ x_k)
 
 
 def _bits(build) -> list:
