@@ -795,7 +795,7 @@ def test_batch_counts_switch_to_propagators_mid_run(monkeypatch):
         want = stepwise_batch_counts(p, starts, lams, 1e-6, 20_000)
         case = (type(p).__name__, p.n, p.is_affine)
         assert all(map(np.array_equal, got, want)), case
-        # the shadow and error rows on Z^perp and on Z, against nd + (n - 1) d = 30, 42, 54
+        # the shadow and error rows on Z^perp and on Z
         rows = shapes[0][1]
         assert rows == {3: 12 + 7, 4: 24 + 16, 5: 30 + 23}[p.n], case
         assert 70 * rows * driver._BLOCK_STEPS > driver._KERNEL_ENTRIES
@@ -887,7 +887,7 @@ def test_narrow_blocks_hold_at_most_block_entries(monkeypatch):
             want = stepwise_batch_counts(p, starts, lams, 1e-6, 5_000)
             assert all(map(np.array_equal, got, want)), (type(p).__name__, p.n, k)
     assert all(s[0] == 1 or np.prod(s) <= driver._KERNEL_ENTRIES for s in shapes)
-    # one column of 19 rows (12 shadow and 7 error rows), against 34 rounds of 30 rows
+    # one column of 19 rows: 12 shadow and 7 error rows
     assert max(s[0] for s in shapes) == 53 * driver._BLOCK_STEPS
 
 
