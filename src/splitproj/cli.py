@@ -261,7 +261,8 @@ def exp2_counts(n_sets: int = 100, n_points: int = 100, lambda_grid=None,
                 tol: float = 1e-6, max_iters: int = 10_000, d: int = 6,
                 dims=(5, 5, 5), seed: int = 0, algorithms=_ALGORITHMS, jobs: int = 1):
     """Per-run (governing, shadow) iteration counts keyed by (algorithm, lambda):
-    ``(runs, 2)`` integer arrays, one (governing, shadow) row per run.
+    ``(runs, 2)`` integer arrays, the items of one ``(keys, runs, 2)`` array,
+    one (governing, shadow) row per run.
 
     A run is one (set, point, algorithm, lambda).  The runs of a subspace set
     and algorithm are the columns of one `batch_iteration_counts` call; runs
@@ -274,9 +275,11 @@ def exp2_counts(n_sets: int = 100, n_points: int = 100, lambda_grid=None,
     grid = _checked_grid(lambda_grid)
     results = _run_parallel(_exp2_worker, [(seed, i, d, dims, grid, algorithms, n_points,
                                             tol, max_iters) for i in range(n_sets)], jobs)
-    # popping frees each set's arrays as soon as they are concatenated
-    return {key: np.concatenate([out.pop(key) for out in results])
-            for key in [(algorithm, lam) for algorithm in algorithms for lam in grid]}
+    keys = [(algorithm, lam) for algorithm in algorithms for lam in grid]
+    counts = np.empty((len(keys), n_sets * n_points, 2), dtype=np.int64)
+    for item, key in zip(counts, keys):  # popping frees each set's arrays once copied
+        np.concatenate([out.pop(key) for out in results], out=item)
+    return dict(zip(keys, counts))
 
 
 def exp2(n_sets: int = 100, n_points: int = 100, lambda_grid=None,
@@ -287,14 +290,16 @@ def exp2(n_sets: int = 100, n_points: int = 100, lambda_grid=None,
     Emits ``median_governing_iterations`` (distance to the fixed-point
     projection of the start) and ``median_shadow_iterations`` (distance of
     the stacked forward blocks to their limit): the lower medians over all
-    (set, point) runs of the counts from `exp2_counts`.
+    (set, point) runs of the counts from `exp2_counts`, from one sort.
     """
     counts = exp2_counts(n_sets, n_points, lambda_grid, tol, max_iters, d,
                          dims, seed, algorithms, jobs)
     algorithm, lam = zip(*counts)
+    ordered = counts[algorithm[0], lam[0]].base  # every key's runs: one array, sorted in place
+    ordered.sort(axis=1)
     return _table("exp2", seed, np.array(algorithm)[:, None], np.array(lam)[:, None],
                   ["median_governing_iterations", "median_shadow_iterations"],
-                  [lower_median(values) for values in counts.values()])
+                  ordered[:, (ordered.shape[1] - 1) // 2])
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ is within ``tol`` of that limit.
 
 All distances are Euclidean norms on the stacked block vectors: governing
 distances in R^{(n-1)d}, shadow distances in R^{nd}; the counts kernel takes
-them in coordinates split along the intersection Z (`_split_errors`).
+them split along Z (`_split_errors`), past the steps `_skips` proves above tol.
 
 The rate bounds are the spectral radius and the operator norm of the error map
 T_lam - P_Fix, which `_rate_curves` takes on (Z^perp)^{n-1} and on Z^{n-1}
@@ -25,7 +25,7 @@ from numbers import Real
 
 import numpy as np
 
-from .linalg import _eigvals, _kept, _norms, _operator_norms, _svds
+from .linalg import _eigvals, _kept, _norms, _operator_norms, _svds, pseudoinverse
 from .splitting import _governing, forward_blocks, operator_matrix
 from .subspaces import _computed, _integer
 
@@ -260,14 +260,45 @@ def _split_errors(p, errors) -> tuple:
     return (*parts, np.vstack([e[:, :r].reshape((n - 1) * r, k), factor.reshape(k, -1).T]))
 
 
+def _skips(f, d, x, lam, tol, max_iters) -> np.ndarray:
+    """The steps s of `batch_iteration_counts`, as floats, at most ``max_iters + 1``."""
+    eps = np.finfo(float).eps
+    try:
+        mu, v = np.linalg.eig(d.T)  # unit columns, v^T D' = mu v^T
+    except np.linalg.LinAlgError:
+        return np.zeros(x.shape[1])
+    y = pseudoinverse(f).T @ v  # y^T F' = v^T where v lies in the row space of F'
+    at, rho, steps = np.abs(v.T @ x), np.abs(1.0 + lam * mu[:, None]), []
+    for scale, residual, size in ((np.ones(len(mu)), d.T @ v - v * mu, np.linalg.norm(d)),
+                                  (np.linalg.norm(y, axis=0), f.T @ y - v, np.linalg.norm(f))):
+        sound = np.linalg.norm(residual, axis=0) <= 64 * eps * size * scale
+        with np.errstate(divide="ignore", invalid="ignore"):
+            low = at / scale[:, None]  # each mode's bound at step 0
+            k = np.ceil(np.log(2 * tol / low) / np.log(rho))
+        steps.append(np.where(sound[:, None] & (rho < 1) & (low > 2 * tol), k, 0.0).max(axis=0))
+    skips = np.minimum(np.minimum(*steps), max_iters + 1.0)
+    skips[2 * tol < 1e5 * eps * np.linalg.norm(x, axis=0)] = 0.0  # near the rounding floor
+    return skips
+
+
+def _jumped(d, x, lam, skips) -> np.ndarray:
+    """M^s x per column, s its skip and M = Id + lam D' at its lam (sorted)."""
+    firsts = np.r_[True, lam[1:] != lam[:-1]]
+    power, at, x = np.eye(len(d)) + lam[firsts][:, None, None] * d, np.cumsum(firsts) - 1, x.copy()
+    while skips.any():
+        odd = np.flatnonzero(skips & 1)
+        x[:, odd] = (power[at[odd]] @ x.T[odd, :, None])[..., 0].T
+        skips, power = skips >> 1, power @ power
+    return x
+
+
 def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
                            max_iters: int = 10_000) -> tuple:
     """`iteration_counts` for many runs of one problem, stepped together.
 
     Column j of the ``(governing_dim, k)`` matrix ``starts`` is run with
     relaxation ``lams[j]``; returns two integer arrays of length k, the
-    governing and the shadow counts of each column.  The columns' limits
-    come from one matrix product.
+    governing and the shadow counts of each column.
 
     T is affine and z* = P_FixT z0 is a fixed point, so the error
     e = z - z* of a column obeys e <- e + lam D e, D the linear part of
@@ -275,18 +306,26 @@ def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
     P_i commutes with P_Z, the kernel steps e in the coordinates x of
     `_split_errors`, by D', with ||x|| = ||e|| and ||F' x|| = ||F e|| up to
     rounding: m = 7 rows of x and 12 of F' x on default instances, not 12
-    and 18.  The columns step x together into ``(steps, m, columns)`` blocks
-    of at least one step and at most ``_KERNEL_ENTRIES`` entries of the rows
-    of F' x over x; a block's shadow errors are one 2-D product with F', and
-    its distances are plain column norms.  A column leaves the
-    working set after the block in which both its counts become known, so a
-    slow relaxation does not keep the fast ones stepping.  In the first
-    block, and while the live columns are too many for a round of
-    ``_BLOCK_STEPS`` steps, each step is one product with the m x m D'.
+    and 18.  A left eigenpair v^T D' = mu v^T (unit v) gives, for
+    M = Id + lam D', ||M^k x|| >= |1 + lam mu|^k |v^T x| and, with
+    y^T = v^T F'^+, ||F' M^k x|| >= |1 + lam mu|^k |v^T x| / ||y|| if
+    y^T F' = v^T.  Over the modes with |1 + lam mu| < 1 and residuals at
+    rounding level, `_skips` takes the s leading steps these keep above
+    2 tol, none where 2 tol < 1e5 eps ||x_0|| (near the rounding floor); a
+    column steps on from M^s x_0 (`_jumped`, by repeated squaring), or
+    reports ``max_iters`` unstepped if s > ``max_iters``.  The columns step
+    x together into ``(steps, m, columns)`` blocks of at least one step and
+    at most ``_KERNEL_ENTRIES`` entries of the rows of F' x over x; a block's
+    shadow errors are one 2-D product with F', and its distances are plain
+    column norms.  A column leaves the working set after the block in which
+    both its counts become known or its step passes ``max_iters``, so a slow
+    relaxation does not keep the fast ones stepping.  In the first block,
+    and while the live columns are too many for a round of ``_BLOCK_STEPS``
+    steps, each step is one product with the m x m D'.
     Then each block comes from the last tested error, in rounds, each one
     product per run of equal relaxations (the columns are sorted by lam) with
     its `_propagators` power stack, from the last error of the round before.
-    Every column is checked at k = 0, 1, ..., ``max_iters``; a count still
+    Every column is checked at k = s, ..., ``max_iters``; a count still
     unknown after ``max_iters`` steps is reported as ``max_iters``.
     """
     z = _governing(problem, starts)
@@ -306,13 +345,16 @@ def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
     f, d, last = _split_errors(linear, z - limits)
     m = d.shape[0]
     rows = f.shape[0] + m  # F' x over x
-    open_ = np.ones((2, k), dtype=bool)
+    skips = _skips(f, d, last, lam, tol, max_iters)
+    if skips.min() > max_iters:  # every column stays above tol to the budget
+        return counts[1], counts[0]
     cols = np.argsort(lam, kind="stable")  # equal relaxations side by side
-    lam = lam[cols]
-    last = last[:, cols]  # the start error, then the last tested one
+    lam, skip = lam[cols], np.minimum(skips[cols], max_iters).astype(np.int64)
+    last = _jumped(d, last[:, cols], lam, skip)  # the start error, then the last tested one
+    open_ = np.ones((2, k), dtype=bool)
     it, propagators, runs, keep = 0, {}, None, None
-    while True:
-        c, left = cols.size, max_iters + 1 - it
+    while True:  # column j is at step skip[j] + it
+        c, left = cols.size, max_iters + 1 - it - int(skip.min())
         fit = _KERNEL_ENTRIES // (rows * c)  # steps of every live column in a block
         rounds = min(fit // _BLOCK_STEPS, -(-left // _BLOCK_STEPS))
         if it and rounds:
@@ -336,21 +378,18 @@ def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
         flat = errors.transpose(1, 0, 2).reshape(m, -1)  # (m, steps * columns)
         blocks = (f @ flat).reshape(-1, len(errors), c), flat.reshape(m, -1, c)
         hit = open_[:, None] & (np.sqrt([np.einsum("ijk,ijk->jk", x, x) for x in blocks]) <= tol)
+        hit &= skip + it + np.arange(len(errors))[:, None] <= max_iters
         done = hit.any(axis=1)
-        keep = None
-        if done.any():
-            which, j = np.nonzero(done)
-            counts[which, cols[j]] = it + hit.argmax(axis=1)[which, j]
-            open_ &= ~done
-            live = open_.any(axis=0)
-            if not live.all():
-                if not live.any():
-                    break
-                keep = live
-                cols, open_, lam = cols[live], open_[:, live], lam[live]
+        which, j = np.nonzero(done)
+        counts[which, cols[j]] = skip[j] + it + hit.argmax(axis=1)[which, j]
+        open_ &= ~done
         it += len(errors)
-        if it > max_iters:
-            break
+        live, keep = open_.any(axis=0) & (skip + it <= max_iters), None
+        if not live.all():
+            if not live.any():
+                break
+            keep = live
+            cols, open_, lam, skip = cols[live], open_[:, live], lam[live], skip[live]
         last = errors[-1] if keep is None else errors[-1][:, keep]
     return counts[1], counts[0]
 

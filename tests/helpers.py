@@ -31,7 +31,7 @@ from splitproj import (
     shadow_limit,
 )
 from splitproj.cli import CSV_HEADER, Table
-from splitproj.driver import _part_curves, _relaxations
+from splitproj.driver import _part_curves, _relaxations, _split_errors
 from splitproj.linalg import _eigvals, _kept, _operator_norms, _svds, pseudoinverse
 from splitproj.splitting import _AFFINE_TOL, _governing, displacement
 from splitproj.subspaces import _computed, _meet, _spans, _sums, _unchecked
@@ -341,14 +341,42 @@ def longdouble_distances(problem, start, lam, n_steps) -> tuple:
     ``(governing_dim, k)`` matrix of starts, with one relaxation or one per
     column, gives two ``(n_steps + 1, k)`` arrays.
     """
-    matrix = problem.parallel()._step[0].astype(np.longdouble)
+    matrix = problem.parallel()._step[0]
     m = problem.governing_dim
-    f, d = matrix[:-2 * m], matrix[-m:]
     z = np.asarray(start, dtype=float)
     columns = z.reshape(m, -1)
     fix = problem._fix
     e = columns.astype(np.longdouble) - (fix.linear.astype(np.longdouble) @ columns
                                          + fix.offset[:, None])
+    out = _longdouble_steps(matrix[:-2 * m], matrix[-m:], e, lam, n_steps)
+    return out if z.ndim == 2 else tuple(x[:, 0] for x in out)
+
+
+def split_errors(problem, starts) -> tuple:
+    """F', D' and the split start errors x_0 of `batch_iteration_counts`:
+    `_split_errors` of the errors z_0 - P_FixT z_0 of a ``(governing_dim, k)``
+    matrix of starts."""
+    z = np.asarray(starts, dtype=float).reshape(problem.governing_dim, -1)
+    linear = problem.parallel()
+    limits = governing_limit(problem, z) if problem.is_affine else linear._fix_space.projector @ z
+    return _split_errors(linear, z - limits)
+
+
+def split_longdouble_distances(problem, start, lam, n_steps) -> tuple:
+    """`longdouble_distances` in the counts kernel's coordinates: steps
+    x <- x + lam D' x from the split start errors of `split_errors`, in
+    ``np.longdouble``, and returns the distances ||x_k|| and ||F' x_k||.
+    Unlike the full-space recurrence, it feeds no rounding of D's coupling of
+    Z^perp and Z into l (x) Z, so its distances keep the split kernel's floor
+    at tight ``tol`` too."""
+    out = _longdouble_steps(*split_errors(problem, start), lam, n_steps)
+    return out if np.ndim(start) == 2 else tuple(x[:, 0] for x in out)
+
+
+def _longdouble_steps(f, d, e, lam, n_steps) -> tuple:
+    """||e_k|| and ||F e_k|| for k = 0..n_steps of e <- e + lam D e, stepped in
+    ``np.longdouble`` from the columns of e, as two ``(n_steps + 1, k)`` arrays."""
+    f, d, e = (np.asarray(a).astype(np.longdouble) for a in (f, d, e))
     lam = np.asarray(lam, dtype=np.longdouble)
     gov, sh = [], []
     for i in range(n_steps + 1):
@@ -356,24 +384,25 @@ def longdouble_distances(problem, start, lam, n_steps) -> tuple:
             e = e + lam * (d @ e)
         gov.append(np.sqrt(np.sum(e * e, axis=0)))
         sh.append(np.sqrt(np.sum((f @ e) ** 2, axis=0)))
-    out = np.array(gov), np.array(sh)
-    return out if z.ndim == 2 else tuple(x[:, 0] for x in out)
+    return np.array(gov), np.array(sh)
 
 
-def count_margins(problem, starts, lams, tol, counts, max_iters) -> tuple:
+def count_margins(problem, starts, lams, tol, counts, max_iters,
+                  oracle=longdouble_distances) -> tuple:
     """Oracle for how near to rounding the counts of `batch_iteration_counts` lie.
 
     ``counts`` holds the governing and the shadow counts of the columns of
     ``starts`` (run at ``lams``, as in the kernel).  Returns two ``(2, k)``
-    arrays, governing over shadow, from the `longdouble_distances` d_j of
-    each column: the relative margin min(|d_{c-1}/tol - 1|, |d_c/tol - 1|)
+    arrays, governing over shadow, from the distances d_j of each column
+    that ``oracle`` gives (`longdouble_distances`, or
+    `split_longdouble_distances` below tol 1e-10): the relative margin min(|d_{c-1}/tol - 1|, |d_c/tol - 1|)
     at each count c (|d_0/tol - 1| at c = 0), and the extended-precision
     counts, the first j with d_j <= tol, or ``max_iters`` if none within the
     steps stepped (one past the largest count, at most ``max_iters``).
     """
     counts = np.asarray(counts)
     steps = min(max_iters, int(counts.max()) + 1)
-    dist = np.stack(longdouble_distances(problem, starts, lams, steps))  # (2, steps + 1, k)
+    dist = np.stack(oracle(problem, starts, lams, steps))  # (2, steps + 1, k)
     ratio = np.abs(dist / tol - 1)
     at = [np.take_along_axis(ratio, c[:, None], axis=1)[:, 0]
           for c in (counts, np.maximum(counts - 1, 0))]

@@ -14,6 +14,8 @@ from helpers import (
     relaxed_matrix,
     scalar_iterate,
     scalar_iteration_counts,
+    split_errors,
+    split_longdouble_distances,
     step,
     stepwise_batch_counts,
     stepwise_shadow_distances,
@@ -765,6 +767,13 @@ def _tested_blocks(monkeypatch):
     return shapes
 
 
+def _no_skips(monkeypatch):
+    """Patch `driver._skips` to certify no step, so that every column steps
+    from its start error through the stepped and propagated blocks that the
+    shape tests pin."""
+    monkeypatch.setattr(driver, "_skips", lambda f, d, x, *args: np.zeros(x.shape[1]))
+
+
 def _propagated(monkeypatch, shapes):
     """Patch `driver._propagators` to record how many blocks ``shapes`` (of
     `_tested_blocks`) holds when it is called: the blocks stepped one step
@@ -810,6 +819,7 @@ def test_batch_counts_switch_to_propagators_mid_run(monkeypatch):
 
 @pytest.mark.parametrize("max_iters", [33, 50, 63, 64, 65, 100])
 def test_batch_counts_budget_ends_inside_a_propagated_block(max_iters, monkeypatch):
+    _no_skips(monkeypatch)
     shapes = _tested_blocks(monkeypatch)
     switches = _propagated(monkeypatch, shapes)
     rng = np.random.default_rng(35)
@@ -836,6 +846,7 @@ def test_lone_slow_column_finishes_on_multi_round_blocks(monkeypatch):
     # a lone lambda = 0.01 column takes thousands of steps, nearly all of
     # them in blocks of many rounds, each round from the one before
     rng = np.random.default_rng(37)
+    _no_skips(monkeypatch)
     shapes = _tested_blocks(monkeypatch)
     for p in _kernel_problems(rng)[:6]:  # Ryu, and MT at n = 3 and 4
         start = rng.standard_normal((p.governing_dim, 1))
@@ -857,6 +868,7 @@ def test_batch_counts_budget_ends_inside_a_multi_round_block(max_iters, monkeypa
     # after the first block's 32 stepped steps, rounds start at steps 32, 64,
     # 96, 128, ...; the budget ends one step before, at and one step after
     # the start of a round, or several blocks later
+    _no_skips(monkeypatch)
     shapes = _tested_blocks(monkeypatch)
     rng = np.random.default_rng(38)
     capped = 0
@@ -977,3 +989,93 @@ def test_counts_equal_the_extended_precision_counts_outside_rounding(tol):
         margins, exact = count_margins(p, starts, grid, tol, counts, 20_000)
         assert np.all((np.array(counts) == exact) | (margins < 1e-6)), algorithm
         assert np.median(margins) > 1e-3
+
+
+def test_every_distance_before_a_skip_exceeds_twice_tol():
+    # the certificate of `driver._skips`, checked by the extended-precision
+    # recurrence in the kernel's own coordinates, on Ryu and MT, linear and
+    # affine, with zero, whole-space and nilpotent (6, 5, 6) instances
+    rng = np.random.default_rng(44)
+    skipped = 0
+    for p in _kernel_problems(rng) + mixed_problems(rng):
+        for tol in (1e-3, 1e-6, 1e-9, 1e-12):
+            starts = 10 ** rng.uniform(-3, 3) * rng.standard_normal((p.governing_dim, 8))
+            lams = np.r_[0.01, 0.99, rng.uniform(0.01, 0.99, 6)]
+            skips = driver._skips(*split_errors(p, starts), lams, tol, 5_000)
+            assert np.array_equal(skips, np.floor(skips)) and skips.max() <= 5_001
+            steps = int(skips.max())
+            before = np.arange(steps + 1)[:, None] < skips
+            for dist in split_longdouble_distances(p, starts, lams, steps):
+                assert np.all((dist > 2 * tol) | ~before), (type(p).__name__, p.n, tol)
+            skipped += int(skips.sum())
+    assert skipped > 100_000
+
+
+def test_a_column_certified_past_its_budget_reports_it_unstepped(monkeypatch):
+    # lambda = 0.01 from a start of norm about 3 stays above 2e-6 for
+    # hundreds of steps, so a budget of 100 ends inside the certificate
+    shapes = _tested_blocks(monkeypatch)
+    rng = np.random.default_rng(45)
+    for p in _kernel_problems(rng):
+        start = rng.standard_normal((p.governing_dim, 1))
+        assert driver._skips(*split_errors(p, start), np.array([0.01]), 1e-6, 100) == [101]
+        shapes.clear()
+        got = batch_iteration_counts(p, start, [0.01], 1e-6, 100)
+        assert (got[0][0], got[1][0]) == (100, 100) and not shapes
+        assert all(map(np.array_equal, got, stepwise_batch_counts(p, start, [0.01], 1e-6, 100)))
+        # beside a column that steps, it leaves after the first block
+        starts = np.hstack([start, governing_limit(p, start) + 1e-5 * rng.standard_normal(
+            (p.governing_dim, 1))])
+        got = batch_iteration_counts(p, starts, [0.01, 0.5], 1e-6, 100)
+        assert all(map(np.array_equal, got, stepwise_batch_counts(p, starts, [0.01, 0.5],
+                                                                  1e-6, 100)))
+        assert got[0][0] == got[1][0] == 100 and shapes
+
+
+def test_no_skip_where_tol_lies_near_the_rounding_floor(monkeypatch):
+    # Ryu on three lines of R^6 with starts of norm about 350: at tol 1e-12
+    # the distances floor near tol, within 1e5 eps of the start; skipping
+    # there moved governing counts by 3 to 1643 steps on these seeds
+    for seed in (0, 6, 10):
+        rng = np.random.default_rng(seed)
+        p = mixed_problems(rng)[5]
+        starts = 100 * rng.standard_normal((p.governing_dim, 16))
+        lams = rng.uniform(0.01, 0.99, 16)
+        x = split_errors(p, starts)
+        assert not driver._skips(*x, lams, 1e-12, 5_000).any()
+        assert driver._skips(*x, lams, 1e-6, 5_000).all()
+        got = batch_iteration_counts(p, starts, lams, 1e-12, 5_000)
+        with monkeypatch.context() as patch:
+            _no_skips(patch)
+            want = batch_iteration_counts(p, starts, lams, 1e-12, 5_000)
+        assert all(map(np.array_equal, got, want)), seed
+
+
+@pytest.mark.parametrize("tol", [1e-11, 1e-12])
+def test_counts_equal_the_split_extended_precision_counts_outside_rounding(tol):
+    # below tol 1e-10 only the oracle in the kernel's coordinates vouches for
+    # a count: exp2's layout, one start point at 25 relaxations
+    from splitproj.cli import _instances, _start_points
+
+    grid = np.round(np.linspace(0.03, 0.99, 25), 12)
+    for algorithm in ("ryu", "mt"):
+        [p] = _instances(2, range(1), 6, (5, 5, 5), (algorithm,))[algorithm]
+        starts = np.tile(np.repeat(_start_points(2, 1, 6), len(grid), axis=1), (p.n - 1, 1))
+        counts = batch_iteration_counts(p, starts, grid, tol, 20_000)
+        margins, exact = count_margins(p, starts, grid, tol, counts, 20_000,
+                                       oracle=split_longdouble_distances)
+        assert np.all((np.array(counts) == exact) | (margins < 1e-6)), algorithm
+        assert np.median(margins) > 1e-3
+
+
+def test_skips_take_only_contracting_modes_with_rounding_level_residuals():
+    # D' = diag(-1, -0.5, -0.2) with F' = [e_1^T; e_2^T]: the slowest mode is
+    # not in the row space of F', so it bounds only the governing distances,
+    # 59 steps above 2 tol = 2e-3 at lam = 0.5, and the shadow ones only for
+    # the 22 steps of mu = -0.5; a mode of mu = 0 never contracts and bounds
+    # nothing
+    d, x, lam = np.diag([-1.0, -0.5, -0.2]), np.ones((3, 1)), np.array([0.5])
+    assert driver._skips(np.eye(3), d, x, lam, 1e-3, 100).tolist() == [59.0]
+    assert driver._skips(np.eye(3)[:2], d, x, lam, 1e-3, 100).tolist() == [22.0]
+    assert driver._skips(np.eye(1), np.zeros((1, 1)), x[:1], lam, 1e-3, 100).tolist() == [0.0]
+    assert driver._skips(np.eye(3), d, x, lam, 1e-3, 40).tolist() == [41.0]

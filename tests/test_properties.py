@@ -7,6 +7,8 @@ experiment instances against instances built one at a time."""
 import numpy as np
 import pytest
 
+import splitproj.driver as driver
+
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
@@ -111,6 +113,40 @@ def test_split_errors_follow_the_full_space_recurrence(seed, n, d, shared, extra
                 assert np.all(np.abs(np.linalg.norm(a, axis=0) - np.linalg.norm(b, axis=0))
                               <= scale)
             e_k, x_k = e_k + lam * (d_full @ e_k), x_k + lam * (d_split @ x_k)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([0, 3, 4, 5]), d=st.integers(2, 8),
+       nilpotent=st.booleans(), affine=st.booleans(), scale=st.integers(-3, 3),
+       tol=st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12]), max_iters=st.integers(0, 5_000))
+@example(seed=5, n=0, d=6, nilpotent=True, affine=False, scale=0, tol=1e-12, max_iters=5_000)
+@example(seed=6, n=3, d=6, nilpotent=True, affine=True, scale=3, tol=1e-9, max_iters=5_000)
+def test_skipped_counts_equal_the_stepped_counts(seed, n, d, nilpotent, affine, scale, tol,
+                                                 max_iters):
+    # n = 0 is the Ryu operator, otherwise MT on n subspaces of dimensions 1..d,
+    # so that whole-space subspaces sit beside proper ones; "nilpotent" draws
+    # dims (6, 5, 6) in R^6 (n = 3), where T has a nilpotent Jordan block on Z^perp
+    rng = np.random.default_rng(seed)
+    if nilpotent:
+        n, d, dims = min(n, 3), 6, (6, 5, 6)
+    else:
+        dims = tuple(int(k) for k in rng.integers(1, d + 1, max(n, 3)))
+    subs = random_instance(rng, d, dims)
+    anchors = None
+    if affine:
+        v = rng.standard_normal(d)
+        anchors = [v + s.projector @ rng.standard_normal(d) for s in subs]
+    p = MTProblem(subs, affine_anchors=anchors) if n else RyuProblem(*subs, affine_anchors=anchors)
+    starts = 10.0 ** scale * rng.standard_normal((p.governing_dim, 16))
+    lams = np.r_[0.01, 0.5, 0.99, rng.uniform(0.01, 0.99, 13)]
+    try:
+        got = batch_iteration_counts(p, starts, lams, tol, max_iters)
+    except NumericalFailure:  # a closed-form Fix T that fails its projector check
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(driver, "_skips", lambda f, d, x, *args: np.zeros(x.shape[1]))
+        want = batch_iteration_counts(p, starts, lams, tol, max_iters)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def _bits(build) -> list:
