@@ -298,7 +298,8 @@ def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
 
     Column j of the ``(governing_dim, k)`` matrix ``starts`` is run with
     relaxation ``lams[j]``; returns two integer arrays of length k, the
-    governing and the shadow counts of each column.
+    governing and the shadow counts of each column.  The columns' limits
+    come from one matrix product.
 
     T is affine and z* = P_FixT z0 is a fixed point, so the error
     e = z - z* of a column obeys e <- e + lam D e, D the linear part of
@@ -349,12 +350,12 @@ def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
     if skips.min() > max_iters:  # every column stays above tol to the budget
         return counts[1], counts[0]
     cols = np.argsort(lam, kind="stable")  # equal relaxations side by side
-    lam, skip = lam[cols], np.minimum(skips[cols], max_iters).astype(np.int64)
-    last = _jumped(d, last[:, cols], lam, skip)  # the start error, then the last tested one
+    lam, offset = lam[cols], np.minimum(skips[cols], max_iters).astype(np.int64)
+    last = _jumped(d, last[:, cols], lam, offset)  # the start error, then the last tested one
     open_ = np.ones((2, k), dtype=bool)
     it, propagators, runs, keep = 0, {}, None, None
-    while True:  # column j is at step skip[j] + it
-        c, left = cols.size, max_iters + 1 - it - int(skip.min())
+    while True:  # column j is at step offset[j] + it
+        c, left = cols.size, max_iters + 1 - it - int(offset.min())
         fit = _KERNEL_ENTRIES // (rows * c)  # steps of every live column in a block
         rounds = min(fit // _BLOCK_STEPS, -(-left // _BLOCK_STEPS))
         if it and rounds:
@@ -378,18 +379,18 @@ def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
         flat = errors.transpose(1, 0, 2).reshape(m, -1)  # (m, steps * columns)
         blocks = (f @ flat).reshape(-1, len(errors), c), flat.reshape(m, -1, c)
         hit = open_[:, None] & (np.sqrt([np.einsum("ijk,ijk->jk", x, x) for x in blocks]) <= tol)
-        hit &= skip + it + np.arange(len(errors))[:, None] <= max_iters
+        hit &= offset + it + np.arange(len(errors))[:, None] <= max_iters
         done = hit.any(axis=1)
         which, j = np.nonzero(done)
-        counts[which, cols[j]] = skip[j] + it + hit.argmax(axis=1)[which, j]
+        counts[which, cols[j]] = offset[j] + it + hit.argmax(axis=1)[which, j]
         open_ &= ~done
         it += len(errors)
-        live, keep = open_.any(axis=0) & (skip + it <= max_iters), None
+        live, keep = open_.any(axis=0) & (offset + it <= max_iters), None
         if not live.all():
             if not live.any():
                 break
             keep = live
-            cols, open_, lam, skip = cols[live], open_[:, live], lam[live], skip[live]
+            cols, open_, lam, offset = cols[live], open_[:, live], lam[live], offset[live]
         last = errors[-1] if keep is None else errors[-1][:, keep]
     return counts[1], counts[0]
 

@@ -1,8 +1,9 @@
-"""Property tests: the blocked counts kernel against its per-step oracle, the
-split rate kernel and Fix T against their full-space forms, the forms built
-from the operator descriptions against the hand-written operators, the row
-writers against the `csv.writer` and `json.dumps` renderings, and chunk-built
-experiment instances against instances built one at a time."""
+"""Property tests: the blocked counts kernel against its per-step oracle and
+against itself with no spectral skips, the split rate kernel and Fix T
+against their full-space forms, the forms built from the operator
+descriptions against the hand-written operators, the row writers against the
+`csv.writer` and `json.dumps` renderings, and chunk-built experiment
+instances against instances built one at a time."""
 
 import numpy as np
 import pytest
