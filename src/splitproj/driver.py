@@ -36,11 +36,9 @@ _DOUBLINGS = 20
 #: `orbit` yields at most this many steps per block, fewer when a block would
 #: hold more than ``_BLOCK_ENTRIES`` entries (128 KiB; larger blocks cost memory
 #: and gain no speed), and one when a column set is too wide for two.
+#: `batch_iteration_counts` sizes its stepped and propagated blocks by that budget too.
 _BLOCK_STEPS = 32
 _BLOCK_ENTRIES = 1 << 14
-#: `batch_iteration_counts` keeps at most this many entries (256 KiB) of the
-#: rows of F' x over x in a block, stepped or propagated.
-_KERNEL_ENTRIES = 1 << 15
 
 
 @dataclass
@@ -272,7 +270,7 @@ def _skips(f, d, x, lam, tol, max_iters) -> np.ndarray:
     for scale, residual, size in ((np.ones(len(mu)), d.T @ v - v * mu, np.linalg.norm(d)),
                                   (np.linalg.norm(y, axis=0), f.T @ y - v, np.linalg.norm(f))):
         sound = np.linalg.norm(residual, axis=0) <= 64 * eps * size * scale
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):  # low may be 0 and 2 tol / low overflow; masked below
             low = at / scale[:, None]  # each mode's bound at step 0
             k = np.ceil(np.log(2 * tol / low) / np.log(rho))
         steps.append(np.where(sound[:, None] & (rho < 1) & (low > 2 * tol), k, 0.0).max(axis=0))
@@ -316,7 +314,7 @@ def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
     column steps on from M^s x_0 (`_jumped`, by repeated squaring), or
     reports ``max_iters`` unstepped if s > ``max_iters``.  The columns step
     x together into ``(steps, m, columns)`` blocks of at least one step and
-    at most ``_KERNEL_ENTRIES`` entries of the rows of F' x over x; a block's
+    at most ``_BLOCK_ENTRIES`` entries of the rows of F' x over x; a block's
     shadow errors are one 2-D product with F', and its distances are plain
     column norms.  A column leaves the working set after the block in which
     both its counts become known or its step passes ``max_iters``, so a slow
@@ -356,7 +354,7 @@ def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
     it, propagators, runs, keep = 0, {}, None, None
     while True:  # column j is at step offset[j] + it
         c, left = cols.size, max_iters + 1 - it - int(offset.min())
-        fit = _KERNEL_ENTRIES // (rows * c)  # steps of every live column in a block
+        fit = _BLOCK_ENTRIES // (rows * c)  # steps of every live column in a block
         rounds = min(fit // _BLOCK_STEPS, -(-left // _BLOCK_STEPS))
         if it and rounds:
             if keep is not None or not runs:  # (a, b, propagator) per run of equal lam

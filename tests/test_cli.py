@@ -1,7 +1,7 @@
 import json
-import os
 import pathlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -791,8 +791,6 @@ def test_exp3_at_full_defaults_matches_golden_file(capsys):
     assert capsys.readouterr().out == (GOLDEN / "exp3_default.csv").read_text()
 
 
-@pytest.mark.skipif(not os.environ.get("SPLITPROJ_FULL_EXP2"),
-                    reason="full-default exp2 takes minutes; set SPLITPROJ_FULL_EXP2=1 to run it")
 def test_exp2_at_full_defaults_matches_golden_file(capsys):
     assert main(["exp2"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "exp2_default.csv").read_text()
@@ -974,6 +972,17 @@ def test_failed_run_removes_the_out_file_it_created(tmp_path, capsys):
 def test_non_finite_tol_is_a_usage_error(argv, value, capsys):
     assert main(argv) == 2
     assert f"tol must be positive and finite, got {value}" in capsys.readouterr().err
+
+
+def test_a_huge_finite_tol_counts_every_run_at_step_0(capsys):
+    # every start lies within tol of its limits; 2 tol over a mode's bound
+    # overflowed in `driver._skips`, a RuntimeWarning though no count moved
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["exp2", "--n", "1", "--n-points", "1", "--lambda", "0.5",
+                     "--tol", "1e300"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 4 and all(row.endswith("_iterations,,0") for row in rows)
 
 
 def assert_csv_close(got, want, close=None):

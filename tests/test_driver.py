@@ -731,7 +731,7 @@ def test_batch_counts_equal_the_stepwise_oracle_at_block_edges(monkeypatch):
                     shapes.clear()
                     got = batch_iteration_counts(p, starts, lams, tol, max_iters)
                     assert k < 1200 or shapes[0][0] == 1
-                    assert all(s[0] == 1 or np.prod(s) <= driver._KERNEL_ENTRIES for s in shapes)
+                    assert all(s[0] == 1 or np.prod(s) <= driver._BLOCK_ENTRIES for s in shapes)
                     want = stepwise_batch_counts(p, starts, lams, tol, max_iters)
                     case = (type(p).__name__, p.n, p.is_affine, k, max_iters, tol)
                     assert np.array_equal(got[0], want[0]), case
@@ -807,14 +807,14 @@ def test_batch_counts_switch_to_propagators_mid_run(monkeypatch):
         # the shadow and error rows on Z^perp and on Z
         rows = shapes[0][1]
         assert rows == {3: 12 + 7, 4: 24 + 16, 5: 30 + 23}[p.n], case
-        assert 70 * rows * driver._BLOCK_STEPS > driver._KERNEL_ENTRIES
-        assert 6 * rows * driver._BLOCK_STEPS <= driver._KERNEL_ENTRIES
+        assert 70 * rows * driver._BLOCK_STEPS > driver._BLOCK_ENTRIES
+        assert 6 * rows * driver._BLOCK_STEPS <= driver._BLOCK_ENTRIES
         [first] = switches
         assert 0 < sum(s[0] for s in shapes[:first]) < np.max(want) // 2, case
         # a block is stepped while its columns are too many for a round
-        assert all(c * rows * driver._BLOCK_STEPS > driver._KERNEL_ENTRIES
+        assert all(c * rows * driver._BLOCK_STEPS > driver._BLOCK_ENTRIES
                    for _, _, c in shapes[1:first]), case
-        assert shapes[first][2] * rows * driver._BLOCK_STEPS <= driver._KERNEL_ENTRIES, case
+        assert shapes[first][2] * rows * driver._BLOCK_STEPS <= driver._BLOCK_ENTRIES, case
 
 
 @pytest.mark.parametrize("max_iters", [33, 50, 63, 64, 65, 100])
@@ -857,7 +857,7 @@ def test_lone_slow_column_finishes_on_multi_round_blocks(monkeypatch):
         assert all(map(np.array_equal, got, want)), case
         assert min(want[0][0], want[1][0]) > 1_000, case
         rows = shapes[0][1]
-        rounds = driver._KERNEL_ENTRIES // (driver._BLOCK_STEPS * rows)
+        rounds = driver._BLOCK_ENTRIES // (driver._BLOCK_STEPS * rows)
         assert rounds > 1
         assert [s[0] for s in shapes[:3]] == [driver._BLOCK_STEPS] + 2 * [
             rounds * driver._BLOCK_STEPS], case
@@ -888,7 +888,7 @@ def test_batch_counts_budget_ends_inside_a_multi_round_block(max_iters, monkeypa
 
 def test_narrow_blocks_hold_at_most_block_entries(monkeypatch):
     # the steps or the rounds of a block, of every live column, fit in
-    # _KERNEL_ENTRIES; only a block of one step may hold more
+    # _BLOCK_ENTRIES; only a block of one step may hold more
     shapes = _tested_blocks(monkeypatch)
     rng = np.random.default_rng(39)
     for p in _kernel_problems(rng):
@@ -898,9 +898,45 @@ def test_narrow_blocks_hold_at_most_block_entries(monkeypatch):
             got = batch_iteration_counts(p, starts, lams, 1e-6, 5_000)
             want = stepwise_batch_counts(p, starts, lams, 1e-6, 5_000)
             assert all(map(np.array_equal, got, want)), (type(p).__name__, p.n, k)
-    assert all(s[0] == 1 or np.prod(s) <= driver._KERNEL_ENTRIES for s in shapes)
-    # one column of 19 rows: 12 shadow and 7 error rows
-    assert max(s[0] for s in shapes) == 53 * driver._BLOCK_STEPS
+    assert all(s[0] == 1 or np.prod(s) <= driver._BLOCK_ENTRIES for s in shapes)
+    # one column of 19 rows: 12 shadow and 7 error rows, in 26 rounds
+    rounds = driver._BLOCK_ENTRIES // (19 * driver._BLOCK_STEPS)
+    assert max(s[0] for s in shapes) == rounds * driver._BLOCK_STEPS
+
+
+@pytest.mark.parametrize("skips", [True, False], ids=["spectral-start", "no-skips"])
+def test_the_block_budget_moves_no_count(skips, monkeypatch):
+    # _BLOCK_ENTRIES only sizes the counts kernel's blocks.  exp2's layout, one
+    # start point (narrow) or 20 (wide at every budget) at each of the 99
+    # relaxations, gives the same counts at every budget from 2^12 to 2^16,
+    # those of the stepwise oracle except on a rounding tie: a crossing within
+    # 1e-5 of tol, relatively, where the kernel's are the extended-precision
+    # counts.  Without skips every column steps through the budget's blocks.
+    from splitproj.cli import _instances, _start_points, default_lambda_grid
+
+    if not skips:
+        _no_skips(monkeypatch)
+    grid = np.array(default_lambda_grid())
+    for algorithm, dims in (("ryu", (5, 5, 5)), ("mt", (5, 5, 5)), ("mt", (5, 5, 5, 5))):
+        [p] = _instances(2, range(1), 6, dims, (algorithm,))[algorithm]
+        for points in (1, 20):
+            starts = np.tile(np.repeat(_start_points(2, points, 6), len(grid), axis=1),
+                             (p.n - 1, 1))
+            lams = np.tile(grid, points)
+            for tol in (1e-6, 1e-9):
+                case = (algorithm, p.n, points, tol)
+                got = []
+                for budget in (1 << 12, 1 << 13, 1 << 14, 1 << 15, 1 << 16):
+                    monkeypatch.setattr(driver, "_BLOCK_ENTRIES", budget)
+                    got.append(np.array(batch_iteration_counts(p, starts, lams, tol, 10_000)))
+                assert all(np.array_equal(g, got[0]) for g in got[1:]), case
+                want = np.array(stepwise_batch_counts(p, starts, lams, tol, 10_000))
+                ties = np.flatnonzero((got[0] != want).any(axis=0))
+                if ties.size:
+                    margins, exact = count_margins(p, starts[:, ties], lams[ties], tol,
+                                                   got[0][:, ties], 10_000)
+                    assert np.array_equal(exact, got[0][:, ties]), case
+                    assert np.all(margins[got[0][:, ties] != want[:, ties]] < 1e-5), case
 
 
 def test_batch_counts_of_a_linear_problem_build_no_affine_fix_projector():
