@@ -54,7 +54,7 @@ from .splitting import InconsistentAffineError, MTProblem, RyuProblem, _fill_fix
 from .subspaces import (
     GenerationError,
     _ambient_dim,
-    _dimensions,
+    _bases,
     _integer,
     _intersections,
     _numbers,
@@ -165,7 +165,7 @@ def _instances(seed: int, indices, d: int, dims, algorithms) -> dict:
     rngs = [np.random.default_rng(seed ^ i) for i in indices]
     spans = [_spans(np.stack([rng.random((k, d)) for rng in rngs]).transpose(0, 2, 1))
              for k in dims]
-    ranks = _dimensions(np.concatenate(spans)).reshape(len(dims), -1)
+    ranks = _bases(np.concatenate(spans))[1].reshape(len(dims), -1)
     for i in np.flatnonzero(np.any(ranks != np.array(dims)[:, None], axis=0)):
         for p, s in zip(spans, _instance_subspaces(seed, indices[i], d, dims)):
             p[i] = s.projector
@@ -421,61 +421,53 @@ def run_single(path: str, tol: float = 1e-6, max_iters: int = 10_000,
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _render(tables, text, real: str, blank: str, head: str, row: str, glue: str) -> str:
-    """The rows of the tables, checked and in order, joined by ``glue``.
+def _render(table: Table, text, real: str, blank: str, head: str, row: str, glue: str) -> str:
+    """The rows of the table, checked and in order, joined by ``glue``.
 
     A value that is not finite raises a NumericalFailure, and a lambda outside
-    (0, 1) a ValueError.  One `np.lexsort` orders the rows by experiment,
-    algorithm, lambda, seed, iteration (none first) and metric.  A run of rows
-    that share the first four formats ``head`` of them once, and one ``%`` per
-    row puts that text before ``row % (metric, iteration, value)``.  `text`
-    renders each distinct text field, ``real % lam`` each distinct lambda, and
-    ``blank`` a missing iteration."""
-    sizes = [len(t.value) for t in tables]
-    if not sum(sizes):
+    (0, 1) a ValueError.  One `np.lexsort` orders the rows by algorithm,
+    lambda, iteration (none first) and metric.  A run of rows that share
+    algorithm and lambda formats ``head % (experiment, algorithm, lambda, seed)``
+    once, and one ``%`` per row puts that text before ``row % (metric,
+    iteration, value)``.  `text` renders each distinct text field, ``real % lam``
+    each distinct lambda, and ``blank`` a missing iteration."""
+    if not len(table.value):
         return ""
-    # the experiment and seed of each table, as each row's index in their sorted values
-    experiments, seeds = (sorted({getattr(t, f) for t in tables}) for f in ("experiment", "seed"))
-    e, s = (np.repeat([keys.index(getattr(t, f)) for t in tables], sizes)
-            for keys, f in ((experiments, "experiment"), (seeds, "seed")))
-    algorithm, lam, metric, iteration, value = map(np.concatenate, zip(*(t[2:] for t in tables)))
-    order = np.lexsort((metric, iteration, s, lam, algorithm, e))
-    e, algorithm, lam, s, metric, iteration, value = (
-        c[order] for c in (e, algorithm, lam, s, metric, iteration, value))
+    order = np.lexsort((table.metric, table.iteration, table.lam, table.algorithm))
+    algorithm, lam, metric, iteration, value = (c[order] for c in table[2:])
     if not np.isfinite(value).all():
         raise NumericalFailure(f"metric {metric[~np.isfinite(value)][0]} is not finite")
     outside = lam[~((0.0 < lam) & (lam < 1.0))]
     if len(outside):
         raise ValueError(f"lambda must lie in (0, 1), got {outside[0]}")
-    new = np.concatenate([[True], (e[1:] != e[:-1]) | (algorithm[1:] != algorithm[:-1])
-                          | (lam[1:] != lam[:-1]) | (s[1:] != s[:-1])])
+    new = np.concatenate([[True], (algorithm[1:] != algorithm[:-1]) | (lam[1:] != lam[:-1])])
     algorithms, lams, names = algorithm[new].tolist(), lam[new].tolist(), metric.tolist()
-    texts = {x: text(x) for x in {*experiments, *algorithms, *names}}
+    texts = {x: text(x) for x in {table.experiment, *algorithms, *names}}
     reals = {x: real % x for x in set(lams)}
-    heads = np.array([head % (texts[experiments[i]], texts[a], reals[x], seeds[k]) for i, a, x, k
-                      in zip(e[new].tolist(), algorithms, lams, s[new].tolist())], dtype=object)
+    heads = np.array([head % (texts[table.experiment], texts[a], reals[x], table.seed)
+                      for a, x in zip(algorithms, lams)], dtype=object)
     iterations = np.where(iteration < 0, blank, iteration.astype(object))
     return glue.join(map(("%s" + row).__mod__, zip(heads[np.cumsum(new) - 1].tolist(),
                                                    map(texts.__getitem__, names),
                                                    iterations.tolist(), value.tolist())))
 
 
-def records_to_csv(*tables: Table) -> str:
-    """The rows of the tables as `csv.writer` writes them, floats to 17
+def records_to_csv(table: Table) -> str:
+    """The rows of the table as `csv.writer` writes them, floats to 17
     significant digits.  No field is quoted, so the text must hold six commas
     and one LF per row and no double quote or CR, or a ValueError is raised."""
-    body = _render(tables, str, "%.17g", "", "%s,%s,%s,%s,", "%s,%s,%.17g\n", "")
-    rows = sum(len(t.value) for t in tables)
+    body = _render(table, str, "%.17g", "", "%s,%s,%s,%s,", "%s,%s,%.17g\n", "")
+    rows = len(table.value)
     if body.count(",") != 6 * rows or body.count("\n") != rows or '"' in body or "\r" in body:
         raise ValueError("a text field holds a comma, a double quote, CR or LF")
     return ",".join(CSV_HEADER) + "\n" + body
 
 
-def records_to_json(*tables: Table) -> str:
-    """`json.dumps(rows, indent=2)` of the rows of the tables as objects
+def records_to_json(table: Table) -> str:
+    """`json.dumps(rows, indent=2)` of the rows of the table as objects
     keyed by `CSV_HEADER`."""
     keys = [f'    "{key}": %s' for key in CSV_HEADER]
-    body = _render(tables, json.dumps, "%r", "null", "  {\n" + "".join(k + ",\n" for k in keys[:4]),
+    body = _render(table, json.dumps, "%r", "null", "  {\n" + "".join(k + ",\n" for k in keys[:4]),
                    ",\n".join(keys[4:]) + "\n  }", ",\n")
     return f"[\n{body}\n]\n" if body else "[]\n"
 

@@ -25,9 +25,9 @@ from numbers import Real
 
 import numpy as np
 
-from .linalg import _eigvals, _kept, _norms, _operator_norms, _svds, pseudoinverse
+from .linalg import _eigvals, _norms, _operator_norms, pseudoinverse
 from .splitting import _governing, forward_blocks, operator_matrix
-from .subspaces import _computed, _integer
+from .subspaces import _bases, _computed, _integer
 
 #: Distance ratios averaged by `tail_contraction`.
 _TAIL_WINDOW = 50
@@ -297,7 +297,7 @@ def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
     Column j of the ``(governing_dim, k)`` matrix ``starts`` is run with
     relaxation ``lams[j]``; returns two integer arrays of length k, the
     governing and the shadow counts of each column.  The columns' limits
-    come from one matrix product.
+    come from one `governing_limit` call, for linear and affine problems alike.
 
     T is affine and z* = P_FixT z0 is a fixed point, so the error
     e = z - z* of a column obeys e <- e + lam D e, D the linear part of
@@ -337,16 +337,13 @@ def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
     _check_stop(tol, max_iters)
     counts = np.full((2, k), max_iters, dtype=np.int64)
     if k == 0:
-        return counts[1], counts[0]
-    # row 0 of counts, open_ and hit is the shadow, row 1 the governing sequence
-    linear = problem.parallel()
-    limits = governing_limit(problem, z) if problem.is_affine else linear._fix_space.projector @ z
-    f, d, last = _split_errors(linear, z - limits)
+        return tuple(counts)
+    f, d, last = _split_errors(problem.parallel(), z - governing_limit(problem, z))
     m = d.shape[0]
     rows = f.shape[0] + m  # F' x over x
     skips = _skips(f, d, last, lam, tol, max_iters)
     if skips.min() > max_iters:  # every column stays above tol to the budget
-        return counts[1], counts[0]
+        return tuple(counts)
     cols = np.argsort(lam, kind="stable")  # equal relaxations side by side
     lam, offset = lam[cols], np.minimum(skips[cols], max_iters).astype(np.int64)
     last = _jumped(d, last[:, cols], lam, offset)  # the start error, then the last tested one
@@ -375,7 +372,7 @@ def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
             for e, after in zip(errors, errors[1:]):
                 np.add(e, lam * (d @ e), out=after)
         flat = errors.transpose(1, 0, 2).reshape(m, -1)  # (m, steps * columns)
-        blocks = (f @ flat).reshape(-1, len(errors), c), flat.reshape(m, -1, c)
+        blocks = flat.reshape(m, -1, c), (f @ flat).reshape(-1, len(errors), c)
         hit = open_[:, None] & (np.sqrt([np.einsum("ijk,ijk->jk", x, x) for x in blocks]) <= tol)
         hit &= offset + it + np.arange(len(errors))[:, None] <= max_iters
         done = hit.any(axis=1)
@@ -390,7 +387,7 @@ def batch_iteration_counts(problem, starts, lams, tol: float = 1e-6,
             keep = live
             cols, open_, lam, offset = cols[live], open_[:, live], lam[live], offset[live]
         last = errors[-1] if keep is None else errors[-1][:, keep]
-    return counts[1], counts[0]
+    return tuple(counts)
 
 
 def rate_bounds(problem, lam: float) -> RateBounds:
@@ -436,13 +433,14 @@ def _rate_curves(problems, lams) -> np.ndarray:
     Each problem's `_fix_split` (W, r, E_r), which its Fix T shares, gives
     them: Q^T T Q and E_r for Q = Id_{n-1} (x) W[:, :r], and, as T acts alike
     on every direction of Z, Q^T T Q and P_Fix = l l^T / sum(l) there, l the
-    lift vector, for Q = Id_{n-1} (x) W[:, r].  `_part_curves` takes those of
-    one size together, and a chunk never builds an (n - 1) d square P_Fix.
+    lift vector, for Q = Id_{n-1} (x) W[:, r].  Each rank group of an (n, d)
+    passes both restrictions, the one on Z first, to `_part_curves`, and
+    a chunk never builds an (n - 1) d square P_Fix.
     """
     if any(p.is_affine for p in problems):
         raise ValueError("rate bounds are defined on linear problems; use problem.parallel()")
     lam = _relaxations(lams).reshape(-1)
-    parts = {}  # size: [(rows of curves, Q^T T Q, Q^T P_Fix Q)]
+    curves = np.zeros((2, len(problems), lam.size))
     for n, d in sorted({(p.n, p.d) for p in problems}):
         items = np.array([i for i, p in enumerate(problems) if (p.n, p.d) == (n, d)])
         group = [problems[i] for i in items]
@@ -453,25 +451,21 @@ def _rate_curves(problems, lams) -> np.ndarray:
         on_z = [np.outer(p._lift, p._lift) / p._lift.sum() for p in group]  # P_Fix on Z
         for r in sorted(set(ranks.tolist())):  # np.unique would import numpy.ma
             sel = np.flatnonzero(ranks == r)
-            for side, (cols, fix) in enumerate(((u[sel, :, :r], e), (u[sel, :, r:r + 1], on_z))):
-                if cols.shape[-1]:  # Z^perp, then a direction of Z
+            for cols, fix in ((u[sel, :, r:r + 1], on_z), (u[sel, :, :r], e)):
+                if cols.shape[-1]:  # a direction of Z, then Z^perp
                     q = np.kron(np.eye(n - 1), cols)
-                    parts.setdefault(q.shape[-1], []).append(
-                        (side * len(problems) + items[sel], np.swapaxes(q, 1, 2) @ t[sel] @ q,
-                         np.stack([fix[i] for i in sel])))
-    curves = np.zeros((2, 2 * len(problems), lam.size))  # each problem on Z^perp, then on Z
-    for size in sorted(parts):
-        rows, t, fix = map(np.concatenate, zip(*parts[size]))
-        curves[:, rows] = _part_curves(t, fix, lam)
-    return curves.reshape(2, 2, len(problems), lam.size).max(axis=1)
+                    part = _part_curves(np.swapaxes(q, 1, 2) @ t[sel] @ q,
+                                        np.stack([fix[i] for i in sel]), lam)
+                    curves[:, items[sel]] = np.maximum(curves[:, items[sel]], part)
+    return curves
 
 
 def _part_curves(t, fix, lam) -> np.ndarray:
-    """The curves of a stack of maps T with the stack ``fix`` of their P_Fix:
-    Fix^perp bases from `_svds`, one eigenvalue solve per basis width k, and
-    Gram eigensolves in slices of at most ``_BLOCK_ENTRIES`` entries."""
-    u, s = _svds(_computed(np.eye(t.shape[-1]) - fix))[:2]
-    dims = np.count_nonzero(_kept(s, 1.0), axis=-1)  # the cutoff of `Subspace.basis`
+    """The ``(2, maps, relaxations)`` curves of a stack of maps T with the stack
+    ``fix`` of their P_Fix: Fix^perp bases from `_bases`, one eigenvalue solve
+    per basis width k, and Gram eigensolves in slices of at most
+    ``_BLOCK_ENTRIES`` entries."""
+    u, dims = _bases(_computed(np.eye(t.shape[-1]) - fix))
     curves = np.zeros((2, len(t), lam.size))
     for k in sorted(set(dims.tolist()) - {0}):
         items = np.flatnonzero(dims == k)

@@ -28,10 +28,11 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .linalg import _kept, _svds, pseudoinverse
+from .linalg import pseudoinverse
 from .subspaces import (
     AffineSubspace,
     Subspace,
+    _bases,
     _checked,
     _computed,
     _meet,
@@ -384,15 +385,15 @@ def mt_fix_projector(p: MTProblem) -> Subspace:
 def _fix_parts(problems) -> list:
     """``(W, r, E_r)`` of each of linear problems of one class and one (n, d).
 
-    E lies in (Z^perp)^{n-1}, as every Id - P_i does.  `_svds` of Id - P_Z
-    gives a basis W of R^d whose first r columns W_r span Z^perp (the cutoff
-    of `Subspace.basis`); E_r, E in the coordinates of Q = Id_{n-1} (x) W_r,
-    is the class's `_e_part` of the r x r restrictions W_r^T P_i W_r.
+    E lies in (Z^perp)^{n-1}, as every Id - P_i does.  `_bases` of Id - P_Z
+    gives a basis W of R^d whose first r columns W_r span Z^perp; E_r, E in
+    the coordinates of Q = Id_{n-1} (x) W_r, is the class's `_e_part` of the
+    r x r restrictions W_r^T P_i W_r.
     """
     pz, *ps = (np.stack([s.projector for s in column])
                for column in zip(*((p.intersection(), *p.subspaces) for p in problems)))
-    w, s = _svds(np.eye(pz.shape[-1]) - pz)[:2]
-    ranks = np.count_nonzero(_kept(s, 1.0), axis=-1).tolist()  # dim Z^perp
+    w, ranks = _bases(np.eye(pz.shape[-1]) - pz)
+    ranks = ranks.tolist()  # dim Z^perp
     e = {}
     for r in sorted(set(ranks) - {0}):  # np.unique would import numpy.ma
         items = np.flatnonzero(np.array(ranks) == r)

@@ -23,7 +23,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .linalg import NumericalFailure, _as_matrix, _kept, _norms, _pinv_stack, _svds, svd
+from .linalg import NumericalFailure, _as_matrix, _kept, _norms, _pinv_stack, _svds
 
 _SYMMETRY_TOL = 1e-10
 _IDEMPOTENCE_TOL = 1e-8
@@ -51,14 +51,10 @@ class Subspace:
         return self.basis().shape[1]
 
     def basis(self) -> np.ndarray:
-        """Orthonormal basis as a d x k column matrix (k may be 0).
-
-        The rank cutoff is taken relative to 1, the largest singular value
-        of every nonzero projector, so that the roundoff of a computed
-        zero projector does not count as rank.
-        """
-        res = svd(self.projector)
-        return res.u[:, :np.count_nonzero(_kept(res.singular_values, 1.0))]
+        """Orthonormal basis as a d x k column matrix (k may be 0), the
+        one-matrix call of `_bases`."""
+        u, k = _bases(self.projector[None])
+        return u[0, :, :k[0]]
 
 
 def _checked(p, stacked: bool = False) -> np.ndarray:
@@ -201,9 +197,14 @@ def _computed(q: np.ndarray) -> np.ndarray:
         raise NumericalFailure(str(exc)) from exc
 
 
-def _dimensions(p: np.ndarray) -> np.ndarray:
-    """`Subspace.dimension` of each projector of a checked ``(S, d, d)`` stack."""
-    return np.count_nonzero(_kept(_svds(p)[1], 1.0), axis=-1)
+def _bases(p: np.ndarray) -> tuple:
+    """``(U, k)`` for a checked ``(S, d, d)`` projector stack: the first k[i] columns of
+    U[i], the left singular vectors from `_svds`, are an orthonormal basis of the
+    range of p[i].  The cutoff of `_kept` is taken relative to 1, the largest
+    singular value of every nonzero projector, so that the roundoff of a
+    computed zero projector does not count as rank."""
+    u, s = _svds(p)[:2]
+    return u, np.count_nonzero(_kept(s, 1.0), axis=-1)
 
 
 def project(s: Subspace | AffineSubspace, x) -> np.ndarray:

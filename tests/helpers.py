@@ -11,7 +11,7 @@ import csv
 import io
 import json
 from collections import namedtuple
-from itertools import chain, groupby
+from itertools import chain
 
 import numpy as np
 
@@ -357,9 +357,7 @@ def split_errors(problem, starts) -> tuple:
     `_split_errors` of the errors z_0 - P_FixT z_0 of a ``(governing_dim, k)``
     matrix of starts."""
     z = np.asarray(starts, dtype=float).reshape(problem.governing_dim, -1)
-    linear = problem.parallel()
-    limits = governing_limit(problem, z) if problem.is_affine else linear._fix_space.projector @ z
-    return _split_errors(linear, z - limits)
+    return _split_errors(problem.parallel(), z - governing_limit(problem, z))
 
 
 def split_longdouble_distances(problem, start, lam, n_steps) -> tuple:
@@ -426,19 +424,17 @@ def rows_of(*tables):
                                               t.value.tolist())]
 
 
-def tables_of(rows):
-    """The rows as tables, one per run of consecutive rows that share
-    experiment and seed; iterations stay Python integers, so they keep
-    their digits above the int64 range."""
-    tables = []
-    for (experiment, seed), run in groupby(rows, lambda r: (r.experiment, r.instance_seed)):
-        algorithm, lam, metric, value, iteration = zip(
-            *[(r.algorithm, r.lam, r.metric_name, r.metric_value, r.iteration) for r in run])
-        tables.append(Table(experiment, seed, np.array(algorithm), np.array(lam, dtype=float),
-                            np.array(metric), np.array([-1 if i is None else i for i in iteration],
-                                                       dtype=object),
-                            np.array(value, dtype=float)))
-    return tables
+def table_of(experiment, seed, rows):
+    """The rows, which all carry ``experiment`` and ``seed``, as one table;
+    iterations stay Python integers, so they keep their digits above the
+    int64 range."""
+    assert all((r.experiment, r.instance_seed) == (experiment, seed) for r in rows)
+    columns = [(r.algorithm, r.lam, r.metric_name, r.metric_value, r.iteration) for r in rows]
+    algorithm, lam, metric, value, iteration = zip(*columns) if rows else [()] * 5
+    return Table(experiment, seed, np.array(algorithm, dtype=str), np.array(lam, dtype=float),
+                 np.array(metric, dtype=str),
+                 np.array([-1 if i is None else i for i in iteration], dtype=object),
+                 np.array(value, dtype=float))
 
 
 def _documented_order(records):

@@ -13,7 +13,7 @@ from helpers import (
     nullspace_intersection,
     random_instance,
     rows_of,
-    tables_of,
+    table_of,
 )
 from splitproj import (
     GenerationError,
@@ -90,14 +90,14 @@ def test_lower_median():
 def test_writers_reject_non_finite_values_and_lambda_outside_the_open_interval(
         writer, kind, lam, value, error, message):
     good = Row("exp1", "mt", 0.25, 3, "iterations", 2.0, iteration=4)
-    bad = Row("exp1", "ryu", kind(lam), 0, "x", kind(value))
+    bad = Row("exp1", "ryu", kind(lam), 3, "x", kind(value))
     with pytest.raises(error, match=message):
-        writer(*tables_of([good, bad]))
+        writer(table_of("exp1", 3, [good, bad]))
 
 
 def test_csv_schema_and_float_precision():
     records = [Row("exp1", "ryu", 0.1 + 0.2, 7, "metric", 1.0 / 3.0)]
-    text = records_to_csv(*tables_of(records))
+    text = records_to_csv(table_of("exp1", 7, records))
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(CSV_HEADER)
     assert lines[1] == "exp1,ryu,0.30000000000000004,7,metric,,0.33333333333333331"
@@ -515,8 +515,7 @@ def test_a_row_the_writer_rejects_is_a_clean_exit(metric, value, fmt, code, mess
     # the rows are checked where they are written, so main renders inside its
     # error handling; the comma case used to escape as a traceback
     def rows(**kwargs):
-        [table] = tables_of([Row("exp1", "ryu", 0.5, 0, metric, value)])
-        return table
+        return table_of("exp1", 0, [Row("exp1", "ryu", 0.5, 0, metric, value)])
 
     monkeypatch.setattr(cli, "exp1", rows)
     out = tmp_path / "rows.out"
@@ -1187,11 +1186,12 @@ def test_csv_rejects_a_text_field_it_would_have_to_quote(field, bad):
                   metric_name="mean_operator_norm", metric_value=1.0)
     fields[field] = f"a{bad}b"
     record = Row(**fields)
-    good = Row("exp1", "mt", 0.25, 3, "iterations", 2.0, iteration=4)
+    good = Row(record.experiment, "mt", 0.25, 0, "iterations", 2.0, iteration=4)
     with pytest.raises(ValueError, match="comma, a double quote, CR or LF"):
-        records_to_csv(*tables_of([good, record]))
+        records_to_csv(table_of(record.experiment, 0, [good, record]))
     # JSON escapes the field and keeps it
-    assert json.loads(records_to_json(*tables_of([record])))[0][field] == f"a{bad}b"
+    [row] = json.loads(records_to_json(table_of(record.experiment, 0, [record])))
+    assert row[field] == f"a{bad}b"
 
 
 def test_csv_accepts_every_name_of_the_harness():
@@ -1199,8 +1199,9 @@ def test_csv_accepts_every_name_of_the_harness():
               exp2(n_sets=1, n_points=2, lambda_grid=[0.5], seed=4),
               exp3(n_sets=1, n_points=2, n_iters=3, seed=4),
               run_single(str(GOLDEN / "run_affine_mt.json"), include_trace=True))
-    records = rows_of(*tables)
-    assert {r.experiment for r in records} == {"exp1", "exp2", "exp3", "single"}
-    text = records_to_csv(*tables)
-    assert len(text.splitlines()) == 1 + len(records)
-    assert text == csv_writer_rendering(records)
+    assert [t.experiment for t in tables] == ["exp1", "exp2", "exp3", "single"]
+    for table in tables:
+        records = rows_of(table)
+        text = records_to_csv(table)
+        assert len(text.splitlines()) == 1 + len(records)
+        assert text == csv_writer_rendering(records)

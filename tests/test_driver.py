@@ -356,9 +356,11 @@ def test_stacked_rate_curves_retry_a_failed_basis_svd_one_matrix_at_a_time(monke
     monkeypatch.setattr(np.linalg, "svd", fail_stacked)
     lower, upper = driver._rate_curves(problems, lams)
     # the splits along Z are built, so the failed SVDs are one of
-    # Id - P_Fix per restriction size, (n - 1) r on Z^perp and n - 1 on a
-    # direction of Z: size 2 for 5 problems on Z and 2 on Z^perp, 3, 6 and 12
-    assert failed == [(7, 2, 2), (1, 3, 3), (3, 6, 6), (4, 12, 12)]
+    # Id - P_Fix per (n, d), rank r = dim Z^perp and side: n - 1 square on a
+    # direction of Z (r < d), then (n - 1) r on Z^perp (r > 0).  (3, 6) has
+    # r = 1, 3, 6 for 2, 3, 3 problems, and (4, 4) r = 0 and 4 for one each
+    assert failed == [(2, 2, 2), (2, 2, 2), (3, 2, 2), (3, 6, 6), (3, 12, 12), (1, 3, 3),
+                      (1, 12, 12)]
     assert np.array_equal(lower, want[0]) and np.array_equal(upper, want[1])
 
 
@@ -937,15 +939,6 @@ def test_the_block_budget_moves_no_count(skips, monkeypatch):
                                                    got[0][:, ties], 10_000)
                     assert np.array_equal(exact, got[0][:, ties]), case
                     assert np.all(margins[got[0][:, ties] != want[:, ties]] < 1e-5), case
-
-
-def test_batch_counts_of_a_linear_problem_build_no_affine_fix_projector():
-    # the start errors of a linear problem come from its Fix T projector;
-    # only an affine problem builds P_FixT, the lift of it through a fixed point
-    rng = np.random.default_rng(40)
-    for p in _kernel_problems(rng)[:2]:
-        batch_iteration_counts(p, rng.standard_normal((p.governing_dim, 3)), [0.3] * 3)
-        assert ("_fix" in vars(p)) == p.is_affine
 
 
 def test_batch_counts_of_columns_that_share_a_relaxation():

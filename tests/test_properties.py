@@ -30,7 +30,7 @@ from helpers import (  # noqa: E402
     mixed_problems,
     random_instance,
     stepwise_batch_counts,
-    tables_of,
+    table_of,
     whole_space,
 )
 from splitproj import (  # noqa: E402
@@ -268,6 +268,20 @@ def test_fix_on_z_perp_matches_the_full_space_closed_form(seed, n, d, kind):
             assert np.max(np.abs(p._fix_space.projector - want)) <= 1e-11
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the closed-form Fix T is accurate only "
+                   "to about 1e-9 on ill-conditioned small instances")
+@pytest.mark.parametrize("seed, n, d, kind", [(0, 3, 3, "gaussian"), (200779, 4, 4, "affine"),
+                                              (19066, 5, 5, "affine")])
+def test_fix_on_z_perp_matches_the_null_space_projector_on_hard_draws(seed, n, d, kind):
+    # draws of the test above under other Hypothesis seeds, where the split
+    # Fix T misses the null-space P_Fix by 1.85e-11, 1.44e-9 and 7.57e-11
+    problems = _rate_problems(np.random.default_rng(seed), n, d, kind)
+    for cls in (MTProblem, RyuProblem)[:1 + (n == 3)]:
+        _fill_fix_spaces([p for p in problems if isinstance(p, cls)])
+    for p in problems:
+        assert np.max(np.abs(p._fix_space.projector - fixed_point_projector(p))) <= 1e-11
+
+
 _FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.floats(-2.3e-308, 2.3e-308),  # subnormals and their neighbours
@@ -281,33 +295,37 @@ _ROW_ENDS = dict(
     metric_value=st.one_of(_FLOATS, _FLOATS.map(np.float64), st.integers(-2**63, 2**63)),
     iteration=st.one_of(st.none(), st.just(0), st.integers(0, 2**63)),
 )
-_RECORDS = st.builds(
-    Row,
-    experiment=st.sampled_from(["exp1", "exp2", "exp3", "single"]),
-    algorithm=st.sampled_from(["ryu", "mt"]),
-    lam=_LAMS | _LAMS.map(np.float64),
-    instance_seed=st.integers(0, 2**63),
-    **_ROW_ENDS,
-)
-# rows that share experiment, algorithm, lambda and seed, so that the
-# iteration and the metric decide their order
-_GROUPS = _RECORDS.flatmap(lambda r: st.lists(st.builds(r._replace, **_ROW_ENDS), max_size=4)
-                           .map(lambda rows: [r, *rows]))
+
+
+@st.composite
+def _tables(draw):
+    """``(experiment, seed, rows)`` of one table: groups of rows that share the
+    drawn experiment and seed and, within a group, algorithm and lambda, so
+    that the iteration and the metric decide their order."""
+    experiment = draw(st.sampled_from(["exp1", "exp2", "exp3", "single"]))
+    seed = draw(st.integers(0, 2**63))
+    firsts = st.builds(Row, experiment=st.just(experiment),
+                       algorithm=st.sampled_from(["ryu", "mt"]), lam=_LAMS | _LAMS.map(np.float64),
+                       instance_seed=st.just(seed), **_ROW_ENDS)
+    groups = firsts.flatmap(lambda r: st.lists(st.builds(r._replace, **_ROW_ENDS), max_size=4)
+                            .map(lambda rows: [r, *rows]))
+    return experiment, seed, [r for group in draw(st.lists(groups, max_size=8)) for r in group]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(groups=st.lists(_GROUPS, max_size=8))
-def test_row_writer_gives_the_csv_writer_bytes(groups):
-    records = [r for group in groups for r in group]
-    assert records_to_csv(*tables_of(records)) == csv_writer_rendering(records)
+@given(table=_tables())
+def test_row_writer_gives_the_csv_writer_bytes(table):
+    experiment, seed, records = table
+    assert records_to_csv(table_of(experiment, seed, records)) == csv_writer_rendering(records)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(groups=st.lists(_GROUPS, max_size=8))
-def test_json_writer_gives_the_json_dumps_text(groups):
+@given(table=_tables())
+def test_json_writer_gives_the_json_dumps_text(table):
     # a table holds its values as floats
-    records = [r._replace(metric_value=float(r.metric_value)) for group in groups for r in group]
-    assert records_to_json(*tables_of(records)) == json_dumps_rendering(records)
+    experiment, seed, records = table
+    records = [r._replace(metric_value=float(r.metric_value)) for r in records]
+    assert records_to_json(table_of(experiment, seed, records)) == json_dumps_rendering(records)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -16,7 +16,7 @@ from splitproj import (
     sum_projector,
     to_dict,
 )
-from splitproj.subspaces import _dimensions
+from splitproj.subspaces import _bases
 
 X_AXIS = Subspace(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
@@ -271,5 +271,6 @@ def test_stacked_rank_check_falls_back_to_one_matrix_at_a_time(monkeypatch):
         return real_svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", fail_stacked)
-    assert _dimensions(stack).tolist() == [s.dimension() for s in subs] == [0, 2, 5, 6]
-    assert ndims[0] == 3 and ndims[1:] == [2] * 8  # each matrix once in each call
+    assert _bases(stack)[1].tolist() == [s.dimension() for s in subs] == [0, 2, 5, 6]
+    # the stack, then each matrix once; each dimension() is a failed stack of one, then its matrix
+    assert ndims == [3, *[2] * 4, *[3, 2] * 4]
