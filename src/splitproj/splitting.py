@@ -392,17 +392,16 @@ def _fix_parts(problems) -> list:
     """
     pz, *ps = (np.stack([s.projector for s in column])
                for column in zip(*((p.intersection(), *p.subspaces) for p in problems)))
-    w, ranks = _bases(np.eye(pz.shape[-1]) - pz)
-    ranks = ranks.tolist()  # dim Z^perp
+    w, ranks = _bases(np.eye(pz.shape[-1]) - pz)  # dim Z^perp
     e = {}
-    for r in sorted(set(ranks) - {0}):  # np.unique would import numpy.ma
-        items = np.flatnonzero(np.array(ranks) == r)
+    for r in sorted(set(ranks.tolist()) - {0}):  # np.unique would import numpy.ma
+        items = np.flatnonzero(ranks == r)
         wr = w[items, :, :r]
         e_r = problems[0]._e_part(*(np.swapaxes(wr, 1, 2) @ p[items] @ wr for p in ps))
         _read_only(e_r)
         e.update(zip(items.tolist(), e_r))
     _read_only(w)
-    return [(w[i], r, e.get(i, np.zeros((0, 0)))) for i, r in enumerate(ranks)]
+    return [(w[i], r, e.get(i, np.zeros((0, 0)))) for i, r in enumerate(ranks.tolist())]
 
 
 def fix_decomposition(problem) -> Subspace:
