@@ -941,6 +941,19 @@ def test_the_block_budget_moves_no_count(skips, monkeypatch):
                     assert np.all(margins[got[0][:, ties] != want[:, ties]] < 1e-5), case
 
 
+def test_batch_counts_of_a_linear_problem_start_from_its_fix_t_projector():
+    # the counts kernel takes every start error from governing_limit; for a
+    # linear problem P_FixT has no offset, so those errors are the ones of the
+    # Fix T projector bit for bit
+    rng = np.random.default_rng(40)
+    for p in _kernel_problems(rng)[::2]:
+        z = rng.standard_normal((p.governing_dim, 3))
+        assert not p.is_affine and not np.any(p._fix.offset)
+        assert np.array_equal(z - governing_limit(p, z), z - p._fix_space.projector @ z)
+        got = batch_iteration_counts(p, z, [0.3] * 3, 1e-6, 10_000)
+        assert all(map(np.array_equal, got, stepwise_batch_counts(p, z, [0.3] * 3, 1e-6, 10_000)))
+
+
 def test_batch_counts_of_columns_that_share_a_relaxation():
     # exp2's layout: every point at every relaxation, column j * len(grid) + l
     rng = np.random.default_rng(36)
