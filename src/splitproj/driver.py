@@ -36,7 +36,15 @@ _DOUBLINGS = 20
 #: `orbit` yields at most this many steps per block, fewer when a block would
 #: hold more than ``_BLOCK_ENTRIES`` entries (128 KiB; larger blocks cost memory
 #: and gain no speed), and one when a column set is too wide for two.
-#: `batch_iteration_counts` sizes its stepped and propagated blocks by that budget too.
+#: The budget also bounds `batch_iteration_counts`' stepped and propagated
+#: blocks, `_jumped`'s gathered powers, `_part_curves`' Gram slices and the
+#: instance chunks of exp1 and exp3, each down to one unit that may exceed it:
+#: one step of every live column (F' x over x, rows x columns entries), one
+#: m x m power, one map at every relaxation (lam values x k^2) and one instance.
+#: It does not bound `_jumped`'s per-lam power stack (lam values x m^2 entries),
+#: the `_propagators` stacks (about 2^14 m entries per lam value, by the fit
+#: rule), `_skips`' mode bounds (m x columns, complex) or `_rate_curves`'
+#: np.kron(Id_{n-1}, W_r) bases ((n - 1)^2 d r entries per problem of a rank group).
 _BLOCK_STEPS = 32
 _BLOCK_ENTRIES = 1 << 14
 
@@ -280,12 +288,18 @@ def _skips(f, d, x, lam, tol, max_iters) -> np.ndarray:
 
 
 def _jumped(d, x, lam, skips) -> np.ndarray:
-    """M^s x per column, s its skip and M = Id + lam D' at its lam (sorted)."""
+    """M^s x per column, s its skip and M = Id + lam D' at its lam (sorted).  The
+    gathered powers of a squaring hold at most ``_BLOCK_ENTRIES`` entries (one
+    m x m power when m^2 exceeds it), taken in column chunks that make each
+    column's product as one gather of them all would."""
     firsts = np.r_[True, lam[1:] != lam[:-1]]
     power, at, x = np.eye(len(d)) + lam[firsts][:, None, None] * d, np.cumsum(firsts) - 1, x.copy()
+    width = max(1, _BLOCK_ENTRIES // d.size)
     while skips.any():
         odd = np.flatnonzero(skips & 1)
-        x[:, odd] = (power[at[odd]] @ x.T[odd, :, None])[..., 0].T
+        for a in range(0, odd.size, width):
+            cols = odd[a:a + width]
+            x[:, cols] = (power[at[cols]] @ x.T[cols, :, None])[..., 0].T
         skips, power = skips >> 1, power @ power
     return x
 

@@ -3,9 +3,30 @@
 Thin wrappers around LAPACK (via numpy.linalg): thin SVD, Moore-Penrose
 pseudoinverse, operator norm, spectral radius, and numerical rank.
 Everything in this package that carries a dagger, a rank or a basis goes
-through here, so the rank cutoff lives in one place, `_kept`: singular
-values at or below ``DEFAULT_TOL * sigma_max`` (``DEFAULT_TOL`` for the
-projectors of a `Subspace`) are treated as zero.
+through here.  Each threshold of the package makes one decision:
+
+=====================  ===============================  =========================================
+decision               threshold                        where
+=====================  ===============================  =========================================
+projector rank         singular values above 1/2        `subspaces._bases`: `Subspace.dimension`
+                                                        and `basis`, the instance rank check,
+                                                        dim Z^perp, the rate kernel's Fix^perp
+general-matrix rank    ``DEFAULT_TOL * sigma_max``      `_kept`: `pseudoinverse`, `rank`, spans
+                       (relative)                       of bases, the affine common point,
+                                                        Anderson-Duffin's (P_U + P_V)^+
+                       ``DEFAULT_TOL * max(sigma_max,   MT's S (`_e_part`), whose blocks are
+                       1)``                             complements of projectors: a zero S is
+                                                        roundoff, not rank
+projector checks       ``||P - P^T||_F <= 1e-10 d``,    `subspaces._checked`: a `Subspace`, and
+                       ``||P^2 - P||_F <= 1e-8 d``      every computed projector
+affine consistency     1e-8 times max(1, anchor or      `splitting._common_point` and
+                       offset norm)                     `affine_lift`: whether a point or a
+                                                        fixed point exists
+rate-bound order       lower <= upper + 1e-9            `driver.RateBounds`
+skip soundness         eigenpair residual <= 64 eps     `driver._skips`: an eigenpair bound
+                       times the matrix's norm          counts
+rounding floor         2 tol < 1e5 eps ||x_0||          `driver._skips`: a column gets no skip
+=====================  ===============================  =========================================
 
 All public functions are pure and accept any array-like that converts to a
 finite 2-D float array; they are safe to call concurrently.  The private
@@ -77,7 +98,9 @@ def svd(a) -> SvdResult:
 
 def _kept(s: np.ndarray, scale: float = 0.0) -> np.ndarray:
     """Which of the nonincreasing singular values ``s`` (along the last
-    axis) lie above ``DEFAULT_TOL`` times the larger of ``s[0]`` and ``scale``.
+    axis) of a general matrix lie above ``DEFAULT_TOL`` times the larger of
+    ``s[0]`` and ``scale``.  A projector's rank is not read here, but at 1/2
+    (`subspaces._bases`).
     """
     return s > DEFAULT_TOL * np.maximum(s[..., :1], scale)
 

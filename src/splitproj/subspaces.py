@@ -23,7 +23,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .linalg import NumericalFailure, _as_matrix, _kept, _norms, _pinv_stack, _svds
+from .linalg import NumericalFailure, _as_matrix, _norms, _pinv_stack, _svds
 
 _SYMMETRY_TOL = 1e-10
 _IDEMPOTENCE_TOL = 1e-8
@@ -47,7 +47,8 @@ class Subspace:
         return self.projector.shape[0]
 
     def dimension(self) -> int:
-        """Dimension of the subspace (numerical rank of the projector)."""
+        """Dimension of the subspace: the rank of its projector, the number of
+        singular values above 1/2 (`_bases`)."""
         return self.basis().shape[1]
 
     def basis(self) -> np.ndarray:
@@ -200,11 +201,12 @@ def _computed(q: np.ndarray) -> np.ndarray:
 def _bases(p: np.ndarray) -> tuple:
     """``(U, k)`` for a checked ``(S, d, d)`` projector stack: the first k[i] columns of
     U[i], the left singular vectors from `_svds`, are an orthonormal basis of the
-    range of p[i].  The cutoff of `_kept` is taken relative to 1, the largest
-    singular value of every nonzero projector, so that the roundoff of a
-    computed zero projector does not count as rank."""
+    range of p[i], and k[i] counts its singular values above 1/2.  A symmetric P
+    with ||P^2 - P|| = delta has every singular value within about delta of 0 or
+    1, and `_checked` bounds delta by 1e-8 d, so 1/2 decides the rank of any
+    projector it passes, exact or computed, with no tolerance to tune."""
     u, s = _svds(p)[:2]
-    return u, np.count_nonzero(_kept(s, 1.0), axis=-1)
+    return u, np.count_nonzero(s > 0.5, axis=-1)
 
 
 def project(s: Subspace | AffineSubspace, x) -> np.ndarray:

@@ -32,9 +32,9 @@ from splitproj import (
 )
 from splitproj.cli import CSV_HEADER, Table
 from splitproj.driver import _part_curves, _relaxations, _split_errors
-from splitproj.linalg import _eigvals, _kept, _operator_norms, _svds, pseudoinverse
+from splitproj.linalg import _eigvals, _operator_norms, pseudoinverse
 from splitproj.splitting import _AFFINE_TOL, _governing, displacement
-from splitproj.subspaces import _computed, _meet, _spans, _sums, _unchecked
+from splitproj.subspaces import _bases, _computed, _meet, _spans, _sums, _unchecked
 
 
 def nullspace_intersection(projectors) -> np.ndarray:
@@ -137,16 +137,15 @@ def fixed_point_projector(problem) -> np.ndarray:
 def full_space_rate_curves(problems, lams) -> np.ndarray:
     """Oracle for `driver._rate_curves`: the same bounds, with no split along Z.
 
-    One stacked SVD of Id - P_Fix in the whole governing space gives each
-    problem's Fix^perp basis Q; the problems whose bases have k columns share
-    one eigenvalue solve of B = Q^T T Q, and the upper curve comes from one
-    Gram eigensolve of every (1 - lam) Id + lam B.  Returns a ``(2, problems,
-    relaxations)`` array (lower, then upper).
+    `_bases`, the package's rank rule for projectors, of Id - P_Fix in the whole
+    governing space gives each problem's Fix^perp basis Q; the problems whose
+    bases have k columns share one eigenvalue solve of B = Q^T T Q, and the
+    upper curve comes from one Gram eigensolve of every (1 - lam) Id + lam B.
+    Returns a ``(2, problems, relaxations)`` array (lower, then upper).
     """
     lam = _relaxations(lams).reshape(-1)
     eye = np.eye(problems[0].governing_dim)
-    u, s = _svds(_computed(eye - np.stack([p._fix_space.projector for p in problems])))[:2]
-    dims = np.count_nonzero(_kept(s, 1.0), axis=-1)
+    u, dims = _bases(_computed(eye - np.stack([p._fix_space.projector for p in problems])))
     t = eye + np.stack([p._step[0][-len(eye):] for p in problems])
     curves = np.zeros((2, len(problems), lam.size))
     for k in sorted(set(dims.tolist()) - {0}):
@@ -515,11 +514,11 @@ def hand_step(problem) -> tuple:
 
 
 def hand_fix_split(problem) -> tuple:
-    """Oracle for `_fix_split` of a linear problem: ``(W, r, E_r)``, the E part
-    chosen by class."""
+    """Oracle for `_fix_split` of a linear problem: ``(W, r, E_r)``, r by `_bases`
+    of Id - P_Z and the E part chosen by class."""
     pz, *ps = (s.projector[None] for s in (problem.intersection(), *problem.subspaces))
-    w, sv = _svds(np.eye(problem.d) - pz)[:2]
-    r = int(np.count_nonzero(_kept(sv, 1.0)))
+    w, ranks = _bases(np.eye(problem.d) - pz)
+    r = int(ranks[0])
     if not r:
         return w[0], 0, np.zeros((0, 0))
     formula = RyuProblem._e_part if isinstance(problem, RyuProblem) else MTProblem._e_part

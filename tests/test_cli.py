@@ -762,7 +762,11 @@ _SEED7 = ["--n", "2", "--n-points", "3", "--lambda-grid", "0.05:0.45:0.95", "--s
     # counts of thousands of steps, to tol 1e-10
     ("seed11_tight", ["--n", "2", "--n-points", "5", "--tol", "1e-10", "--max-iters", "20000",
                       "--lambda-grid", "0.01:0.1:0.91", "--seed", "11"]),
-], ids=["seed7_mt4", "seed7_d9", "seed7_whole", "seed11_tight"])
+    # MT at n = 10 in R^20: m = 154 rows of the split error, whose powers
+    # `_jumped` gathers one column at a time
+    ("seed0_mt10_d20", ["--n", "1", "--n-points", "5", "--dim", "20", "--sub-dims",
+                        ",".join(["19"] * 10), "--algorithm", "mt", "--seed", "0"]),
+], ids=["seed7_mt4", "seed7_d9", "seed7_whole", "seed11_tight", "seed0_mt10_d20"])
 def test_exp2_edge_csv_matches_golden_file(name, argv, capsys):
     # written by the kernel that stepped the error in all (n - 1) d rows
     assert main(["exp2", *argv]) == 0

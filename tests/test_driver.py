@@ -406,6 +406,16 @@ def test_rate_curves_with_a_nonzero_intersection_never_fall_below_the_floor():
             assert 0.05 < np.mean(np.abs(lower - floor) <= 1e-12) < 0.15
 
 
+def test_rate_curve_takes_fix_perp_by_the_projector_rank_rule():
+    # MT at n = 3 with dims (6, 5, 6): the closed-form P_Fix leaves roundoff on
+    # a fixed direction, which a rank cutoff of 1e-12 put into Fix^perp, where
+    # the lower bound read 1.0000000000011, above 1, which an averaged map
+    # cannot have; at lam = 0.67 it is MT's floor on Z, |1 - 2 lam|
+    p = mixed_problems(np.random.default_rng(293))[8]
+    lower, upper = rate_curve(p, [0.67])
+    assert abs(lower[0] - 0.34) <= 1e-9 and lower[0] <= upper[0] < 1.0
+
+
 def test_tail_contraction_between_bounds():
     rng = np.random.default_rng(9)
     p = random_ryu(rng)
@@ -904,6 +914,51 @@ def test_narrow_blocks_hold_at_most_block_entries(monkeypatch):
     # one column of 19 rows: 12 shadow and 7 error rows, in 26 rounds
     rounds = driver._BLOCK_ENTRIES // (19 * driver._BLOCK_STEPS)
     assert max(s[0] for s in shapes) == rounds * driver._BLOCK_STEPS
+
+
+@pytest.mark.parametrize("budget", [1, 49, 98, 500, 1 << 14])
+def test_jumped_keeps_the_bits_of_one_gather_in_column_chunks(budget, monkeypatch):
+    # M^s x per column from gathers of at most budget entries (of at least one
+    # 7 x 7 power) equals the one gather of every odd column of a squaring
+    rng = np.random.default_rng(41)
+    d = -rng.uniform(0.0, 1.0, (7, 7)) / 7
+    lam = np.sort(rng.choice([0.1, 0.5, 0.9], 99))
+    x, skips = rng.standard_normal((7, 99)), rng.integers(0, 200, 99)
+    power, at, want = np.eye(7) + lam[:, None, None] * d, np.arange(99), x.copy()
+    steps = skips.copy()
+    while steps.any():
+        odd = np.flatnonzero(steps & 1)
+        want[:, odd] = (power[at[odd]] @ want.T[odd, :, None])[..., 0].T
+        steps, power = steps >> 1, power @ power
+    monkeypatch.setattr(driver, "_BLOCK_ENTRIES", budget)
+    assert np.array_equal(driver._jumped(d, x, lam, skips), want)
+
+
+def test_counts_kernel_memory_stays_within_the_block_budget_at_scale():
+    # MT at n = 10 in R^20 with 19-dimensional subspaces: m = 154 rows of the
+    # split error, 500 columns (100 exp2 start points at 5 relaxations).  Past
+    # the gathered powers, bounded by _BLOCK_ENTRIES or one m x m power, the
+    # kernel holds a few arrays of rows x columns entries (rows = 334 < 3 m),
+    # complex in _skips, and a few lam x m^2 power stacks; one gather of every
+    # odd column's power would hold columns x m^2 / 2 on average, 45 MiB here
+    import tracemalloc
+
+    from splitproj.cli import _start_points
+
+    [p] = _instances(0, range(1), 20, (19,) * 10, ("mt",))["mt"]
+    grid = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
+    starts = np.tile(np.repeat(_start_points(0, 100, 20), len(grid), axis=1), (p.n - 1, 1))
+    m, columns = 154, starts.shape[1]
+    entries = 2 * 4 * 3 * m * columns + 3 * len(grid) * m**2 + max(driver._BLOCK_ENTRIES, m**2)
+    tracemalloc.start()
+    try:
+        got = batch_iteration_counts(p, starts, np.tile(grid, 100), 1e-6, 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert driver._split_errors(p.parallel(), starts[:, :1])[1].shape == (m, m)
+    assert peak < 8 * entries, (peak, 8 * entries)
+    assert got[0].min() > 0 and np.all(got[0] < 10_000)
 
 
 @pytest.mark.parametrize("skips", [True, False], ids=["spectral-start", "no-skips"])

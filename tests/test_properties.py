@@ -282,6 +282,18 @@ def test_fix_on_z_perp_matches_the_null_space_projector_on_hard_draws(seed, n, d
         assert np.max(np.abs(p._fix_space.projector - fixed_point_projector(p))) <= 1e-11
 
 
+def test_split_rate_curves_match_the_full_space_oracle_where_fix_t_is_near_a_fixed_direction():
+    # a draw of the test above under another Hypothesis seed: the closed-form
+    # P_Fix has ||P^2 - P|| = 4.5e-11, so Id - P_Fix has a singular value of that
+    # size on a fixed direction, which a rank cutoff of 1e-12 put into the
+    # oracle's Fix^perp (the curves differed by 1.57e-2, its lower one above 1)
+    lams = default_lambda_grid()
+    problems = _rate_problems(np.random.default_rng(1), 4, 4, "gaussian")
+    got, want = _rate_curves(problems, lams), full_space_rate_curves(problems, lams)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + 1e-13)
+    assert np.all(got <= 1.0)
+
+
 _FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.floats(-2.3e-308, 2.3e-308),  # subnormals and their neighbours

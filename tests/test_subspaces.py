@@ -274,3 +274,17 @@ def test_stacked_rank_check_falls_back_to_one_matrix_at_a_time(monkeypatch):
     assert _bases(stack)[1].tolist() == [s.dimension() for s in subs] == [0, 2, 5, 6]
     # the stack, then each matrix once; each dimension() is a failed stack of one, then its matrix
     assert ndims == [3, *[2] * 4, *[3, 2] * 4]
+
+
+@pytest.mark.parametrize("n", [12, 14, 17])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_dimension_of_many_intersected_subspaces_is_the_rank_of_their_complements(seed, n):
+    # n subspaces of dimension 19 in R^20 meet in 20 - n dimensions; the fold
+    # leaves singular values of 1e-12 to 4e-10 in P_Z, which a cutoff of
+    # 1e-12 counted as dimension (10, 10, 10 at seed 0 and 10, 9, 9 at seed 1)
+    from splitproj.cli import _instances
+
+    [p] = _instances(seed, range(1), 20, (19,) * n, ("mt",))["mt"]
+    complements = np.vstack([np.eye(20) - s.projector for s in p.subspaces])
+    rank = np.linalg.matrix_rank(complements)
+    assert intersect_all(p.subspaces).dimension() == 20 - rank == 20 - n
